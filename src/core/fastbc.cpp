@@ -1,6 +1,7 @@
 #include "core/fastbc.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "core/decay.hpp"
 
@@ -16,17 +17,26 @@ std::int32_t ceil_log2(std::int32_t n) {
 
 }  // namespace
 
-Fastbc::Fastbc(const graph::Graph& g, radio::NodeId source, FastbcParams params)
-    : graph_(&g), source_(source), params_(params) {
-  tree_ = trees::build_gbst(g, source, &tree_stats_);
+Fastbc::Fastbc(const graph::Graph& g,
+               std::shared_ptr<const trees::RankedBfsTree> tree,
+               FastbcParams params)
+    : graph_(&g), params_(params), tree_(std::move(tree)) {
+  NRN_EXPECTS(tree_ != nullptr && tree_->node_count() == g.node_count(),
+              "FASTBC needs a GBST of its graph");
   rank_modulus_ = params.rank_modulus > 0 ? params.rank_modulus
                                           : ceil_log2(g.node_count());
-  NRN_EXPECTS(tree_.max_rank <= rank_modulus_,
+  NRN_EXPECTS(tree_->max_rank <= rank_modulus_,
               "rank modulus below the realized max rank");
   decay_phase_ = params.decay_phase > 0
                      ? params.decay_phase
                      : Decay::default_phase_length(g.node_count());
 }
+
+Fastbc::Fastbc(const graph::Graph& g, radio::NodeId source, FastbcParams params)
+    : Fastbc(g,
+             std::make_shared<const trees::RankedBfsTree>(
+                 trees::build_gbst(g, source)),
+             params) {}
 
 namespace {
 
@@ -89,11 +99,11 @@ std::unique_ptr<RoundStepper> Fastbc::make_stepper(
           ? params_.max_rounds
           : static_cast<std::int64_t>(
                 32.0 / (1.0 - effective_loss) *
-                static_cast<double>((tree_.depth + 4 * decay_phase_ + 32)) *
+                static_cast<double>((tree_->depth + 4 * decay_phase_ + 32)) *
                 static_cast<double>(decay_phase_));
-  return std::make_unique<FastbcStepper>(tree_, graph_->node_count(), source_,
-                                         rank_modulus_, decay_phase_, budget,
-                                         trace);
+  return std::make_unique<FastbcStepper>(*tree_, graph_->node_count(),
+                                         tree_->source, rank_modulus_,
+                                         decay_phase_, budget, trace);
 }
 
 BroadcastRunResult Fastbc::run(radio::RadioNetwork& net, Rng& rng,

@@ -40,12 +40,17 @@ struct FastbcParams {
 
 class Fastbc {
  public:
-  /// Builds the GBST for (g, source) up front (known-topology assumption).
-  /// The graph must outlive the algorithm object.
+  /// Runs over `tree`, a GBST of `g` agreed upon in advance
+  /// (known-topology assumption) and shared read-only; the tree's root is
+  /// the broadcast source.  The graph must outlive the algorithm object.
+  Fastbc(const graph::Graph& g,
+         std::shared_ptr<const trees::RankedBfsTree> tree,
+         FastbcParams params = {});
+
+  /// Builds the GBST for (g, source) up front.
   Fastbc(const graph::Graph& g, radio::NodeId source, FastbcParams params = {});
 
-  const trees::RankedBfsTree& tree() const { return tree_; }
-  const trees::GbstBuildStats& tree_stats() const { return tree_stats_; }
+  const trees::RankedBfsTree& tree() const { return *tree_; }
   std::int32_t rank_modulus() const { return rank_modulus_; }
 
   /// Runs the alternating schedule until everyone is informed or the
@@ -55,16 +60,14 @@ class Fastbc {
 
   /// The schedule as a RoundStepper; `effective_loss` feeds the default
   /// budget exactly as run() derives it from the network's fault model.
-  /// The algorithm object (it owns the GBST) must outlive the stepper.
+  /// The algorithm object (it holds the GBST) must outlive the stepper.
   std::unique_ptr<RoundStepper> make_stepper(
       double effective_loss, radio::TraceRecorder* trace = nullptr) const;
 
  private:
   const graph::Graph* graph_;
-  radio::NodeId source_;
   FastbcParams params_;
-  trees::RankedBfsTree tree_;
-  trees::GbstBuildStats tree_stats_;
+  std::shared_ptr<const trees::RankedBfsTree> tree_;
   std::int32_t rank_modulus_;
   std::int32_t decay_phase_;
 };

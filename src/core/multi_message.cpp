@@ -1,6 +1,7 @@
 #include "core/multi_message.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "core/decay.hpp"
 #include "trees/gbst.hpp"
@@ -18,14 +19,17 @@ std::int32_t ceil_log2(std::int32_t n) {
 }  // namespace
 
 RlncBroadcast::RlncBroadcast(const graph::Graph& g, radio::NodeId source,
-                             MultiMessageParams params)
-    : graph_(&g), source_(source), params_(params) {
+                             MultiMessageParams params,
+                             std::shared_ptr<const trees::RankedBfsTree> tree)
+    : graph_(&g), source_(source), params_(params), tree_(std::move(tree)) {
   NRN_EXPECTS(params.k >= 1, "need at least one message");
   decay_phase_ = params.decay_phase > 0
                      ? params.decay_phase
                      : Decay::default_phase_length(g.node_count());
   if (params.pattern == MultiPattern::kRobustFastbc) {
-    tree_ = trees::build_gbst(g, source, nullptr);
+    NRN_EXPECTS(tree_ != nullptr && tree_->node_count() == g.node_count() &&
+                    tree_->source == source,
+                "the Robust FASTBC pattern needs a GBST of (graph, source)");
     const std::int32_t log_n = ceil_log2(g.node_count());
     block_size_ = params.block_size > 0
                       ? params.block_size
@@ -34,9 +38,17 @@ RlncBroadcast::RlncBroadcast(const graph::Graph& g, radio::NodeId source,
     window_multiplier_ =
         params.window_multiplier > 0 ? params.window_multiplier : 8;
     rank_modulus_ = log_n;
-    NRN_EXPECTS(tree_.max_rank <= rank_modulus_, "rank modulus too small");
+    NRN_EXPECTS(tree_->max_rank <= rank_modulus_, "rank modulus too small");
   }
 }
+
+RlncBroadcast::RlncBroadcast(const graph::Graph& g, radio::NodeId source,
+                             MultiMessageParams params)
+    : RlncBroadcast(g, source, params,
+                    params.pattern == MultiPattern::kRobustFastbc
+                        ? std::make_shared<const trees::RankedBfsTree>(
+                              trees::build_gbst(g, source))
+                        : nullptr) {}
 
 MultiRunResult RlncBroadcast::run(radio::RadioNetwork& net, Rng& rng) const {
   return run_impl(net, rng, nullptr);
@@ -133,9 +145,9 @@ MultiRunResult RlncBroadcast::run_impl(
       const std::int64_t band = t_half / window;
       for (radio::NodeId u = 0; u < n; ++u) {
         const auto ui = static_cast<std::size_t>(u);
-        if (!tree_.is_fast(u)) continue;
-        const std::int32_t l = tree_.level[ui];
-        const std::int32_t r = tree_.rank[ui];
+        if (!tree_->is_fast(u)) continue;
+        const std::int32_t l = tree_->level[ui];
+        const std::int32_t r = tree_->rank[ui];
         const std::int64_t block = l / block_size_;
         // +6: rank-1 block-0 active at band 0 (see robust_fastbc.cpp).
         const std::int64_t lhs =

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
 #include "common/rng.hpp"
 #include "coding/rlnc.hpp"
@@ -47,7 +48,13 @@ struct MultiMessageParams {
 
 class RlncBroadcast {
  public:
-  /// The Robust FASTBC pattern needs the GBST; it is built here.
+  /// The Robust FASTBC pattern runs over `tree`, a GBST of (g, source)
+  /// shared read-only; the Decay pattern needs none (`tree` may be null).
+  RlncBroadcast(const graph::Graph& g, radio::NodeId source,
+                MultiMessageParams params,
+                std::shared_ptr<const trees::RankedBfsTree> tree);
+
+  /// Builds the GBST here when the pattern needs one.
   RlncBroadcast(const graph::Graph& g, radio::NodeId source,
                 MultiMessageParams params);
 
@@ -69,7 +76,7 @@ class RlncBroadcast {
   const graph::Graph* graph_;
   radio::NodeId source_;
   MultiMessageParams params_;
-  trees::RankedBfsTree tree_;  // only populated for kRobustFastbc
+  std::shared_ptr<const trees::RankedBfsTree> tree_;  // kRobustFastbc only
   std::int32_t decay_phase_;
   std::int32_t block_size_ = 0;
   std::int32_t window_multiplier_ = 0;

@@ -1,6 +1,7 @@
 #include "core/robust_fastbc.hpp"
 
 #include <cmath>
+#include <utility>
 
 #include "core/decay.hpp"
 
@@ -16,10 +17,12 @@ std::int32_t ceil_log2(std::int32_t n) {
 
 }  // namespace
 
-RobustFastbc::RobustFastbc(const graph::Graph& g, radio::NodeId source,
+RobustFastbc::RobustFastbc(const graph::Graph& g,
+                           std::shared_ptr<const trees::RankedBfsTree> tree,
                            RobustFastbcParams params)
-    : graph_(&g), source_(source), params_(params) {
-  tree_ = trees::build_gbst(g, source, &tree_stats_);
+    : graph_(&g), params_(params), tree_(std::move(tree)) {
+  NRN_EXPECTS(tree_ != nullptr && tree_->node_count() == g.node_count(),
+              "Robust FASTBC needs a GBST of its graph");
   const std::int32_t log_n = ceil_log2(g.node_count());
   block_size_ =
       params.block_size > 0
@@ -28,12 +31,19 @@ RobustFastbc::RobustFastbc(const graph::Graph& g, radio::NodeId source,
                 2, 2 * ceil_log2(std::max<std::int32_t>(2, log_n)));
   window_multiplier_ = params.window_multiplier > 0 ? params.window_multiplier : 8;
   rank_modulus_ = params.rank_modulus > 0 ? params.rank_modulus : log_n;
-  NRN_EXPECTS(tree_.max_rank <= rank_modulus_,
+  NRN_EXPECTS(tree_->max_rank <= rank_modulus_,
               "rank modulus below the realized max rank");
   decay_phase_ = params.decay_phase > 0
                      ? params.decay_phase
                      : Decay::default_phase_length(g.node_count());
 }
+
+RobustFastbc::RobustFastbc(const graph::Graph& g, radio::NodeId source,
+                           RobustFastbcParams params)
+    : RobustFastbc(g,
+                   std::make_shared<const trees::RankedBfsTree>(
+                       trees::build_gbst(g, source)),
+                   params) {}
 
 namespace {
 
@@ -109,13 +119,13 @@ std::unique_ptr<RoundStepper> RobustFastbc::make_stepper(
           ? params_.max_rounds
           : static_cast<std::int64_t>(
                 48.0 / (1.0 - effective_loss) *
-                (static_cast<double>(tree_.depth) +
+                (static_cast<double>(tree_->depth) +
                  static_cast<double>(decay_phase_) *
                      static_cast<double>(block_size_) *
                      (4.0 * decay_phase_ + 32.0)));
   return std::make_unique<RobustFastbcStepper>(
-      tree_, graph_->node_count(), source_, block_size_, window, rank_modulus_,
-      decay_phase_, budget, trace);
+      *tree_, graph_->node_count(), tree_->source, block_size_, window,
+      rank_modulus_, decay_phase_, budget, trace);
 }
 
 BroadcastRunResult RobustFastbc::run(radio::RadioNetwork& net, Rng& rng,

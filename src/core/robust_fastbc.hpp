@@ -47,6 +47,14 @@ struct RobustFastbcParams {
 
 class RobustFastbc {
  public:
+  /// Runs over `tree`, a GBST of `g` agreed upon in advance and shared
+  /// read-only; the tree's root is the broadcast source.  The graph must
+  /// outlive the algorithm object.
+  RobustFastbc(const graph::Graph& g,
+               std::shared_ptr<const trees::RankedBfsTree> tree,
+               RobustFastbcParams params = {});
+
+  /// Builds the GBST for (g, source) up front.
   RobustFastbc(const graph::Graph& g, radio::NodeId source,
                RobustFastbcParams params = {});
 
@@ -62,7 +70,7 @@ class RobustFastbc {
         4, static_cast<std::int32_t>(1.3 * mean_hop) + 1);
   }
 
-  const trees::RankedBfsTree& tree() const { return tree_; }
+  const trees::RankedBfsTree& tree() const { return *tree_; }
   std::int32_t block_size() const { return block_size_; }
   std::int32_t window_multiplier() const { return window_multiplier_; }
   std::int32_t rank_modulus() const { return rank_modulus_; }
@@ -73,16 +81,14 @@ class RobustFastbc {
 
   /// The schedule as a RoundStepper; `effective_loss` feeds the default
   /// budget exactly as run() derives it from the network's fault model.
-  /// The algorithm object (it owns the GBST) must outlive the stepper.
+  /// The algorithm object (it holds the GBST) must outlive the stepper.
   std::unique_ptr<RoundStepper> make_stepper(
       double effective_loss, radio::TraceRecorder* trace = nullptr) const;
 
  private:
   const graph::Graph* graph_;
-  radio::NodeId source_;
   RobustFastbcParams params_;
-  trees::RankedBfsTree tree_;
-  trees::GbstBuildStats tree_stats_;
+  std::shared_ptr<const trees::RankedBfsTree> tree_;
   std::int32_t block_size_;
   std::int32_t window_multiplier_;
   std::int32_t rank_modulus_;

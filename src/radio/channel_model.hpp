@@ -28,6 +28,7 @@
 #include <string>
 
 #include "common/contracts.hpp"
+#include "common/numio.hpp"
 #include "radio/fault_model.hpp"
 
 namespace nrn::radio {
@@ -76,11 +77,12 @@ struct ChannelModel {
   friend bool operator==(const ChannelModel&, const ChannelModel&) = default;
 };
 
+/// Locale-independent, like to_string(FaultModel).
 inline std::string to_string(const ChannelModel& channel) {
   if (channel.is_edge_fault()) return to_string(channel.fault);
-  return "sinr(alpha=" + std::to_string(channel.sinr.alpha) +
-         ", noise=" + std::to_string(channel.sinr.noise_floor) +
-         ", beta=" + std::to_string(channel.sinr.beta) + ")";
+  return "sinr(alpha=" + format_real_fixed(channel.sinr.alpha, 6) +
+         ", noise=" + format_real_fixed(channel.sinr.noise_floor, 6) +
+         ", beta=" + format_real_fixed(channel.sinr.beta, 6) + ")";
 }
 
 }  // namespace nrn::radio

@@ -19,6 +19,7 @@
 #include <string>
 
 #include "common/contracts.hpp"
+#include "common/numio.hpp"
 
 namespace nrn::radio {
 
@@ -117,17 +118,19 @@ inline double receiver_fault_probability(const FaultModel& fm) {
   }
 }
 
+/// "receiver-faults(p=0.300000)": six fixed decimals, written the same
+/// under every process locale (common/numio).
 inline std::string to_string(const FaultModel& fm) {
   switch (fm.kind) {
     case FaultKind::kFaultless:
       return "faultless";
     case FaultKind::kSender:
-      return "sender-faults(p=" + std::to_string(fm.p) + ")";
+      return "sender-faults(p=" + format_real_fixed(fm.p, 6) + ")";
     case FaultKind::kReceiver:
-      return "receiver-faults(p=" + std::to_string(fm.p) + ")";
+      return "receiver-faults(p=" + format_real_fixed(fm.p, 6) + ")";
     case FaultKind::kCombined:
-      return "combined-faults(ps=" + std::to_string(fm.p) +
-             ", pr=" + std::to_string(fm.p_receiver) + ")";
+      return "combined-faults(ps=" + format_real_fixed(fm.p, 6) +
+             ", pr=" + format_real_fixed(fm.p_receiver, 6) + ")";
   }
   return "unknown";
 }

@@ -8,7 +8,6 @@
 
 #include "common/stats.hpp"
 #include "common/task_pool.hpp"
-#include "graph/algorithms.hpp"
 
 namespace nrn::sim {
 
@@ -129,24 +128,30 @@ void fold_trace(Outcome& run, const radio::TraceRecorder& trace, bool sinr) {
 ExperimentReport Driver::run(const Scenario& scenario,
                              const std::string& protocol_name, int trials,
                              const DriverOptions& options) const {
+  const ScenarioSetup setup(scenario);
+  return run(setup, scenario, protocol_name, trials, options);
+}
+
+ExperimentReport Driver::run(const ScenarioSetup& setup,
+                             const Scenario& scenario,
+                             const std::string& protocol_name, int trials,
+                             const DriverOptions& options) const {
   NRN_EXPECTS(trials >= 1, "driver needs at least one trial");
+  NRN_EXPECTS(setup.key() == ScenarioSetup::identity(scenario),
+              "setup built for a different graph than the scenario's");
 
   ExperimentReport report;
   report.protocol = protocol_name;
   report.scenario = scenario;
 
-  // Geometric placement is materialized only for SINR channels; it must
-  // outlive the workspaces below (networks borrow a pointer to it).
+  // The setup outlives the workspaces below (networks borrow its graph
+  // and, under SINR, its node placement).
   const bool sinr = !scenario.channel.is_edge_fault();
-  graph::Geometry geometry;
-  const graph::Graph graph =
-      scenario.build_graph(sinr ? &geometry : nullptr);
+  const graph::Graph& graph = setup.graph();
+  const graph::Geometry* geometry = sinr ? setup.geometry() : nullptr;
   report.node_count = graph.node_count();
   report.edge_count = graph.edge_count();
-  report.depth =
-      scenario.source < graph.node_count()
-          ? graph::eccentricity(graph, scenario.source)
-          : 0;
+  report.depth = setup.depth();
   report.capabilities = registry_->capabilities(protocol_name);
   if (sinr && (report.capabilities & kSinrCapable) == 0u)
     throw SpecError("protocol '" + protocol_name +
@@ -159,7 +164,7 @@ ExperimentReport Driver::run(const Scenario& scenario,
                  protocol_name, TheoryContext{scenario, report.node_count,
                                               report.edge_count, report.depth});
 
-  const ProtocolContext ctx{graph, scenario, options.tuning};
+  const ProtocolContext ctx{graph, scenario, options.tuning, &setup};
   const auto protocol = registry_->create(protocol_name, ctx);
 
   // Derive every trial's seeds up front, in trial order, from one master
@@ -208,7 +213,7 @@ ExperimentReport Driver::run(const Scenario& scenario,
       const std::size_t last = std::min(first + kLanes, report.trials.size());
       radio::LockstepNetwork& bank =
           workspaces[static_cast<std::size_t>(slot)].acquire_bank(
-              graph, scenario.channel, sinr ? &geometry : nullptr);
+              graph, scenario.channel, geometry);
       std::array<std::unique_ptr<core::RoundStepper>, kLanes> steppers;
       std::array<std::optional<radio::TraceRecorder>, kLanes> recorders;
       std::array<Rng, kLanes> algo_rngs;
@@ -263,8 +268,7 @@ ExperimentReport Driver::run(const Scenario& scenario,
   auto run_trial = [&](std::size_t t, int slot) {
     auto& trial = report.trials[t];
     radio::RadioNetwork& net = workspaces[static_cast<std::size_t>(slot)]
-                                   .acquire(graph, scenario.channel,
-                                            sinr ? &geometry : nullptr,
+                                   .acquire(graph, scenario.channel, geometry,
                                             Rng(trial.net_seed));
     Rng algo_rng(trial.algo_seed);
     if (traced) {

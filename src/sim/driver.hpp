@@ -1,12 +1,14 @@
 // Multi-trial experiment execution.
 //
-// The Driver is the one trial loop in the library: it materializes a
-// Scenario's graph, builds the protocol once through the registry (so
-// known-topology precomputation like the GBST is shared across trials),
-// derives one independent Rng stream per trial with Rng::split, and runs
-// the trials -- serially or batched over the shared TaskPool.  Per-trial
-// seeds are derived up front in trial order, so an ExperimentReport is
-// bit-identical for a given scenario regardless of the thread count.
+// The Driver is the one trial loop in the library: it runs over a
+// ScenarioSetup -- the scenario's graph, source depth and GBST, built once
+// per graph identity and shared across the cells of a sweep
+// (sim/scenario_setup.hpp) -- builds the protocol once through the
+// registry, derives one independent Rng stream per trial with Rng::split,
+// and runs the trials -- serially or batched over the shared TaskPool.
+// Per-trial seeds are derived up front in trial order, so an
+// ExperimentReport is bit-identical for a given scenario regardless of
+// the thread count and of whether its setup was shared.
 //
 // v3: batching runs on the persistent common::TaskPool (no per-experiment
 // thread spawn), and each pool slot owns a TrialWorkspace whose
@@ -26,6 +28,7 @@
 #include "radio/lockstep.hpp"
 #include "radio/network.hpp"
 #include "sim/registry.hpp"
+#include "sim/scenario_setup.hpp"
 
 namespace nrn::sim {
 
@@ -170,10 +173,16 @@ class Driver {
   explicit Driver(const ProtocolRegistry& registry = ProtocolRegistry::global())
       : registry_(&registry) {}
 
-  /// Runs `trials` trials of `protocol_name` on `scenario`.  Throws
-  /// SpecError for an unknown protocol and propagates protocol/contract
-  /// errors from the trials themselves.
+  /// Runs `trials` trials of `protocol_name` on `scenario`, over a setup
+  /// built for this run alone.  Throws SpecError for an unknown protocol
+  /// and propagates protocol/contract errors from the trials themselves.
   ExperimentReport run(const Scenario& scenario,
+                       const std::string& protocol_name, int trials,
+                       const DriverOptions& options = {}) const;
+
+  /// As above, over `setup`, which must have `scenario`'s graph identity
+  /// and may be shared with other runs.  The report is identical.
+  ExperimentReport run(const ScenarioSetup& setup, const Scenario& scenario,
                        const std::string& protocol_name, int trials,
                        const DriverOptions& options = {}) const;
 

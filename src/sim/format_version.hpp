@@ -12,6 +12,10 @@
 // channels; edge-fault records change only in the version header).  An
 // unbumped change silently corrupts every warm cache and poisons fleet
 // merges, which assume bit-identical recomputes.
+//
+// Edits to the serialization files that keep every byte are noted here
+// instead, with their proof: v6 also covers CellExecutor's per-scenario
+// setup memo (the goldens under tests/golden/ did not change).
 #pragma once
 
 namespace nrn::sim {

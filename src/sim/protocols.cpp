@@ -63,7 +63,7 @@ class FastbcProtocol final : public BroadcastProtocol {
  public:
   explicit FastbcProtocol(const ProtocolContext& ctx)
       : effective_loss_(ctx.scenario.fault.effective_loss()),
-        algo_(ctx.graph, ctx.scenario.source,
+        algo_(ctx.graph, ctx.gbst(),
               core::FastbcParams{ctx.tuning.rank_modulus,
                                  ctx.tuning.decay_phase,
                                  ctx.tuning.max_rounds}) {}
@@ -108,7 +108,7 @@ class RobustFastbcProtocol final : public BroadcastProtocol {
  public:
   explicit RobustFastbcProtocol(const ProtocolContext& ctx)
       : effective_loss_(ctx.scenario.fault.effective_loss()),
-        algo_(ctx.graph, ctx.scenario.source, robust_params(ctx)) {}
+        algo_(ctx.graph, ctx.gbst(), robust_params(ctx)) {}
 
   const std::string& name() const override {
     static const std::string n = "robust";
@@ -144,12 +144,19 @@ core::MultiMessageParams rlnc_params(const ProtocolContext& ctx,
   return params;
 }
 
+/// The scenario's GBST when the pattern runs over one, else null.
+std::shared_ptr<const trees::RankedBfsTree> rlnc_tree(
+    const ProtocolContext& ctx, core::MultiPattern pattern) {
+  return pattern == core::MultiPattern::kRobustFastbc ? ctx.gbst() : nullptr;
+}
+
 class RlncProtocol final : public BroadcastProtocol {
  public:
   RlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern,
                std::string name)
       : name_(std::move(name)),
-        algo_(ctx.graph, ctx.scenario.source, rlnc_params(ctx, pattern, 0)) {}
+        algo_(ctx.graph, ctx.scenario.source, rlnc_params(ctx, pattern, 0),
+              rlnc_tree(ctx, pattern)) {}
 
   const std::string& name() const override { return name_; }
 
@@ -205,7 +212,8 @@ class VerifiedRlncProtocol final : public BroadcastProtocol {
         k_(static_cast<std::size_t>(ctx.scenario.k)),
         block_len_(verified_block_len(ctx)),
         algo_(ctx.graph, ctx.scenario.source,
-              rlnc_params(ctx, pattern, verified_block_len(ctx))) {}
+              rlnc_params(ctx, pattern, verified_block_len(ctx)),
+              rlnc_tree(ctx, pattern)) {}
 
   const std::string& name() const override { return name_; }
 

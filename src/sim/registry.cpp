@@ -1,6 +1,18 @@
 #include "sim/registry.hpp"
 
+#include "sim/scenario_setup.hpp"
+#include "trees/gbst.hpp"
+
 namespace nrn::sim {
+
+std::shared_ptr<const trees::RankedBfsTree> ProtocolContext::gbst() const {
+  if (setup == nullptr)
+    return std::make_shared<const trees::RankedBfsTree>(
+        trees::build_gbst(graph, scenario.source));
+  NRN_EXPECTS(&setup->graph() == &graph,
+              "protocol context graph is not its setup's graph");
+  return setup->gbst();
+}
 
 void ProtocolRegistry::add(const std::string& name,
                            const std::string& description,

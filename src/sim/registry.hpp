@@ -25,16 +25,26 @@
 
 #include "sim/protocol.hpp"
 #include "sim/scenario.hpp"
+#include "trees/ranked_bfs.hpp"
 
 namespace nrn::sim {
 
+class ScenarioSetup;
+
 /// Everything a protocol factory may consult.  The graph reference must
-/// outlive the constructed protocol (the Driver owns it for the duration
-/// of an experiment).
+/// outlive the constructed protocol (the Driver's ScenarioSetup owns it for
+/// the duration of an experiment).
 struct ProtocolContext {
   const graph::Graph& graph;
   const Scenario& scenario;
   Tuning tuning;
+  /// The scenario's shared setup (sim/scenario_setup.hpp), whose graph is
+  /// `graph`; null when the caller built only the graph.
+  const ScenarioSetup* setup = nullptr;
+
+  /// The GBST of `graph` rooted at the scenario's source: the setup's
+  /// shared tree, or one built here when `setup` is null.
+  std::shared_ptr<const trees::RankedBfsTree> gbst() const;
 };
 
 /// What a theory-bound formula may consult: the scenario (k, fault model,

@@ -572,7 +572,9 @@ CellExecutor::CellExecutor(const ProtocolRegistry& registry,
     : registry_(&registry),
       cache_(cache),
       options_(std::move(options)),
-      driver_(registry) {
+      driver_(registry),
+      setups_(static_cast<std::size_t>(
+          common::TaskPool::shared().slot_count())) {
   NRN_EXPECTS(options_.trial_threads >= 1, "trial threads must be positive");
   NRN_EXPECTS(!options_.use_claims || cache_ != nullptr,
               "claim markers need a result cache");
@@ -586,11 +588,17 @@ std::string CellExecutor::key(const SweepCell& cell) const {
   return sweep_cache_key(cell, options_.tuning);
 }
 
-CellExecutor::Result CellExecutor::resolve(const SweepCell& cell) const {
+ExperimentReport CellExecutor::compute(const SweepCell& cell) const {
   DriverOptions driver_options;
   driver_options.threads = options_.trial_threads;
   driver_options.tuning = options_.tuning;
   driver_options.trace = cell.trace;
+  const auto setup = setups_.get(cell.scenario);
+  return driver_.run(*setup, cell.scenario, cell.protocol, cell.trials,
+                     driver_options);
+}
+
+CellExecutor::Result CellExecutor::resolve(const SweepCell& cell) const {
   const std::string cache_key = cache_ ? key(cell) : std::string();
 
   if (cache_) {
@@ -598,9 +606,7 @@ CellExecutor::Result CellExecutor::resolve(const SweepCell& cell) const {
       return {Resolution::kCached, std::move(*cached)};
   }
   if (cache_ == nullptr || !options_.use_claims) {
-    Result result{Resolution::kComputed,
-                  driver_.run(cell.scenario, cell.protocol, cell.trials,
-                              driver_options)};
+    Result result{Resolution::kComputed, compute(cell)};
     if (cache_) cache_->store(cache_key, result.experiment);
     return result;
   }
@@ -622,8 +628,7 @@ CellExecutor::Result CellExecutor::resolve(const SweepCell& cell) const {
   if (heartbeat_interval_ > 0.0)
     heartbeat.emplace(*cache_, cache_key, heartbeat_interval_);
   Result result{stole ? Resolution::kStolen : Resolution::kComputed,
-                driver_.run(cell.scenario, cell.protocol, cell.trials,
-                            driver_options)};
+                compute(cell)};
   cache_->store(cache_key, result.experiment);
   return result;
 }

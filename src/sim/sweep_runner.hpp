@@ -157,7 +157,10 @@ class ClaimHeartbeat {
 /// the one cell-resolution implementation -- the static and fleet paths of
 /// SweepRunner and the serve daemon's scheduler all run cells through it,
 /// so a daemon-computed cell is bit-identical to a serial one by
-/// construction.  Thread-safe: resolve() keeps all state on the stack.
+/// construction.  Computed cells draw their graph, depth and GBST from a
+/// ScenarioSetupMemo (sim/scenario_setup.hpp) holding one setup per task
+/// pool slot; cached and claim-busy cells never build one.  Thread-safe:
+/// resolve() keeps per-cell state on the stack and the memo locks itself.
 class CellExecutor {
  public:
   struct Options {
@@ -197,11 +200,14 @@ class CellExecutor {
   Result resolve(const SweepCell& cell) const;
 
  private:
+  ExperimentReport compute(const SweepCell& cell) const;
+
   const ProtocolRegistry* registry_;
   const ResultCache* cache_;
   Options options_;
   Driver driver_;
   double heartbeat_interval_;  ///< resolved; <= 0 disables
+  mutable ScenarioSetupMemo setups_;
 };
 
 /// How a runner decides which cells to execute.

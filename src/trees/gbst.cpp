@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <queue>
 #include <utility>
 
 #include "graph/algorithms.hpp"
@@ -71,6 +72,12 @@ void assign_parents_greedy(const Graph& g, RankedBfsTree& tree) {
   // rank[] is filled level by level as boundaries complete.
   std::vector<std::int32_t>& rank = tree.rank;
   rank.assign(n, 0);
+  // Phase B scratch, reset after every group: whether a node is one of the
+  // group's leftovers, and a fresh parent's count of unattached leftover
+  // children.
+  std::vector<std::uint8_t> is_leftover(n, 0);
+  std::vector<std::int32_t> fresh_count(n, 0);
+  std::vector<NodeId> counted;
 
   auto finalize_rank = [&](NodeId p) {
     const auto pi = static_cast<std::size_t>(p);
@@ -122,31 +129,65 @@ void assign_parents_greedy(const Graph& g, RankedBfsTree& tree) {
         else
           leftovers.push_back(u);
       }
-      // Phase B: pair leftovers onto shared fresh parents.
-      bool changed = true;
-      while (changed && leftovers.size() >= 2) {
-        changed = false;
-        std::map<NodeId, std::vector<NodeId>> candidates;
-        for (const NodeId u : leftovers)
-          for (const NodeId p : g.neighbors(u))
-            if (tree.level[static_cast<std::size_t>(p)] == l &&
-                cur_max[static_cast<std::size_t>(p)] < r)
-              candidates[p].push_back(u);
-        NodeId best_parent = -1;
-        std::size_t best_size = 1;
-        for (const auto& [p, us] : candidates)
-          if (us.size() > best_size) {
-            best_parent = p;
-            best_size = us.size();
+      // Phase B: pair leftovers onto shared fresh parents.  While some
+      // fresh parent has two or more unattached leftover children, the one
+      // with the most (smallest id on ties) takes all of them.  Counts are
+      // taken once per group and decremented as children attach; a
+      // max-heap on (count, -id) holds one entry per parent, re-pushed with
+      // its current count when it pops stale.
+      if (leftovers.size() >= 2) {
+        auto fresh = [&](NodeId p) {
+          const auto pi = static_cast<std::size_t>(p);
+          return tree.level[pi] == l && cur_max[pi] < r;
+        };
+        counted.clear();
+        for (const NodeId u : leftovers) {
+          is_leftover[static_cast<std::size_t>(u)] = 1;
+          for (const NodeId p : g.neighbors(u)) {
+            if (!fresh(p)) continue;
+            auto& count = fresh_count[static_cast<std::size_t>(p)];
+            if (count == 0) counted.push_back(p);
+            ++count;
           }
-        if (best_parent >= 0) {
-          for (const NodeId u : candidates[best_parent]) attach(u, best_parent);
-          std::vector<NodeId> rest;
-          for (const NodeId u : leftovers)
-            if (tree.parent[static_cast<std::size_t>(u)] < 0) rest.push_back(u);
-          leftovers.swap(rest);
-          changed = true;
         }
+        using Entry = std::pair<std::int32_t, NodeId>;
+        auto below = [](const Entry& a, const Entry& b) {
+          return a.first != b.first ? a.first < b.first : a.second > b.second;
+        };
+        std::priority_queue<Entry, std::vector<Entry>, decltype(below)> heap(
+            below);
+        for (const NodeId p : counted)
+          if (fresh_count[static_cast<std::size_t>(p)] >= 2)
+            heap.emplace(fresh_count[static_cast<std::size_t>(p)], p);
+        while (!heap.empty()) {
+          const auto [stored, p] = heap.top();
+          heap.pop();
+          const std::int32_t now = fresh_count[static_cast<std::size_t>(p)];
+          if (now != stored) {
+            if (now >= 2) heap.emplace(now, p);
+            continue;
+          }
+          // The first attachment raises p's max child rank to r, so p drops
+          // out of the decrements below; every other parent stays fresh.
+          // Attachment order is immaterial: all of p's new children have
+          // rank r.
+          for (const NodeId u : g.neighbors(p)) {
+            const auto ui = static_cast<std::size_t>(u);
+            if (is_leftover[ui] == 0 || tree.parent[ui] >= 0) continue;
+            attach(u, p);
+            for (const NodeId q : g.neighbors(u))
+              if (fresh(q)) --fresh_count[static_cast<std::size_t>(q)];
+          }
+        }
+        std::vector<NodeId> rest;
+        for (const NodeId u : leftovers) {
+          const auto ui = static_cast<std::size_t>(u);
+          is_leftover[ui] = 0;
+          if (tree.parent[ui] < 0) rest.push_back(u);
+        }
+        for (const NodeId p : counted)
+          fresh_count[static_cast<std::size_t>(p)] = 0;
+        leftovers.swap(rest);
       }
       // Phase C: singletons.  First one gets to be the fast edge; the rest
       // prefer same-rank parents (attaching promotes the parent past r).
@@ -198,18 +239,17 @@ RankedBfsTree build_gbst(const Graph& g, NodeId source, GbstBuildStats* stats) {
   // Semantic repair: re-parent the victim's fast child onto the interferer,
   // promoting the interferer and removing the collision.
   const std::int32_t max_rewires = 10 * g.node_count() + 100;
-  while (local.repair_rewires < max_rewires) {
-    const auto violations = find_interference(g, tree);
-    if (violations.empty()) break;
+  auto violations = find_interference(g, tree);
+  while (!violations.empty() && local.repair_rewires < max_rewires) {
     const auto& v = violations.front();
     // v.interferer is adjacent to v.fast_child and sits one level above it,
     // so it is a legal BFS parent.
     tree.parent[static_cast<std::size_t>(v.fast_child)] = v.interferer;
     recompute_ranks(g, tree);
     ++local.repair_rewires;
+    violations = find_interference(g, tree);
   }
-  local.violations_remaining =
-      static_cast<std::int32_t>(find_interference(g, tree).size());
+  local.violations_remaining = static_cast<std::int32_t>(violations.size());
   if (stats != nullptr) *stats = local;
   return tree;
 }

@@ -22,7 +22,13 @@
 // build_gbst constructs a ranked BFS tree with a bottom-up greedy that
 // elects at most one fast edge per (level boundary, rank) where possible
 // and pairs surplus same-rank children onto shared parents (which promotes
-// the parent and keeps it non-fast).  A repair loop then rewires any
+// the parent and keeps it non-fast).  The pairing pass is incremental: it
+// counts each candidate parent's unattached children once per (boundary,
+// rank) group and decrements the counts as children attach, so the pass
+// costs O(m log m) over a graph of m edges, where rebuilding the candidate
+// list after every attachment cost O(m) per attached parent.  It picks
+// exactly the parents that rebuild would, so the trees (and every FASTBC
+// schedule) are unchanged.  A repair loop then rewires any
 // remaining semantic violation: if broadcaster x would collide at y's fast
 // child c_y, then x is adjacent to c_y and one level above it, so c_y is
 // re-parented to x; x gains a second max-rank child and is promoted, which

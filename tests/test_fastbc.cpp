@@ -47,8 +47,11 @@ TEST(Fastbc, GbstIsValidOnExperimentFamilies) {
   for (const auto& g :
        {make_path(100), make_grid(10, 10), make_caterpillar(25, 3),
         make_connected_gnp(100, 0.07, grng)}) {
-    Fastbc algo(g, 0);
-    EXPECT_EQ(algo.tree_stats().violations_remaining, 0);
+    trees::GbstBuildStats stats;
+    const auto tree = trees::build_gbst(g, 0, &stats);
+    EXPECT_EQ(stats.violations_remaining, 0);
+    const Fastbc algo(g, 0);
+    EXPECT_EQ(algo.tree().parent, tree.parent);
   }
 }
 

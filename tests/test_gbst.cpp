@@ -4,7 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "graph/generators.hpp"
+#include "sim/sweep.hpp"
 
 namespace nrn::trees {
 namespace {
@@ -131,6 +135,42 @@ TEST(Gbst, LevelsAreBfsDistancesAfterRepair) {
   const auto g = make_connected_gnp(80, 0.1, rng);
   const auto t = build_gbst(g, 0, nullptr);
   validate_ranked_bfs(g, t);  // includes the BFS-level check
+}
+
+/// FNV-1a of the tree's parent, rank and fast_child arrays as decimal text.
+std::uint64_t tree_hash(const RankedBfsTree& t) {
+  std::string text;
+  for (const auto* field : {&t.parent, &t.rank, &t.fast_child}) {
+    for (const std::int32_t v : *field) {
+      text += std::to_string(v);
+      text += ',';
+    }
+    text += '|';
+  }
+  return sim::fnv1a64(text);
+}
+
+TEST(Gbst, SnapshotTreesAreUnchanged) {
+  // Pinned from the construction whose pairing pass rebuilt a candidate
+  // map per attached parent; the incremental pass must pick the very same
+  // parents, so FASTBC schedules (and every seeded report) stay put.
+  Rng tree_rng(11), gnp_small(12), gnp_mid(13), gnp_large(14), disk(15);
+  const std::pair<Graph, std::uint64_t> cases[] = {
+      {make_path(64), 0xfefecf29a791ff86ULL},
+      {make_grid(16, 32), 0x4d0393a2c03d8a7aULL},
+      {make_random_tree(512, tree_rng), 0x03c987ffb7c88332ULL},
+      {make_connected_gnp(100, 0.06, gnp_small), 0x9390307fb9859e60ULL},
+      {make_connected_gnp(512, 0.02, gnp_mid), 0xe1f2be88d4f68755ULL},
+      {make_connected_gnp(2048, 0.005, gnp_large), 0x439098e20fbc5718ULL},
+      {graph::make_unit_disk(512, 0.1, 1.0, disk), 0x608b949fd88c3b20ULL},
+      {cross_edge_instance(), 0x28e04e01b862964bULL},
+  };
+  for (const auto& [g, expected] : cases) {
+    GbstBuildStats stats;
+    const auto t = build_gbst(g, 0, &stats);
+    EXPECT_EQ(stats.violations_remaining, 0) << "n=" << g.node_count();
+    EXPECT_EQ(tree_hash(t), expected) << "n=" << g.node_count();
+  }
 }
 
 }  // namespace

@@ -221,6 +221,28 @@ TEST(LocaleHostility, MetricValueRoundTripIsLocaleInvariant) {
   EXPECT_EQ(*parsed, real);
 }
 
+TEST(LocaleHostility, ChannelAndFaultNamesIgnoreProcessLocale) {
+  // Table titles and Scenario::describe() print these names.
+  const auto receiver = radio::FaultModel::receiver(0.25);
+  const auto combined = radio::FaultModel::combined(0.1, 0.5);
+  const auto sinr = radio::ChannelModel::sinr_channel(2.5, 0.001, 1.0);
+  EXPECT_EQ(radio::to_string(receiver), "receiver-faults(p=0.250000)");
+  EXPECT_EQ(radio::to_string(combined),
+            "combined-faults(ps=0.100000, pr=0.500000)");
+  EXPECT_EQ(radio::to_string(sinr),
+            "sinr(alpha=2.500000, noise=0.001000, beta=1.000000)");
+
+  CommaLocale locale;
+  SKIP_WITHOUT_COMMA_LOCALE(locale);
+  EXPECT_EQ(radio::to_string(receiver), "receiver-faults(p=0.250000)");
+  EXPECT_EQ(radio::to_string(combined),
+            "combined-faults(ps=0.100000, pr=0.500000)");
+  EXPECT_EQ(radio::to_string(sinr),
+            "sinr(alpha=2.500000, noise=0.001000, beta=1.000000)");
+  EXPECT_EQ(radio::to_string(radio::ChannelModel::edge_fault(receiver)),
+            "receiver-faults(p=0.250000)");
+}
+
 TEST(LocaleHostility, SweepRecordsAndEmittersAreByteIdentical) {
   using namespace sim;
   const auto plan = SweepPlan::parse(
