@@ -3,8 +3,7 @@
 // collision counters, table-driven GF arithmetic, and GF(2^8) for RLNC.
 #include <benchmark/benchmark.h>
 
-#include "coding/gf256.hpp"
-#include "coding/gf65536.hpp"
+#include "coding/binary_field.hpp"
 #include "coding/reed_solomon.hpp"
 #include "coding/rlnc.hpp"
 #include "common/rng.hpp"
@@ -189,18 +188,26 @@ void BM_Gf65536Mul(benchmark::State& state) {
 }
 BENCHMARK(BM_Gf65536Mul);
 
+using Rs65536 = coding::ReedSolomon<coding::Gf65536>;
+
+Rs65536::Messages random_rs_messages(std::size_t k, std::size_t len,
+                                     Rng& rng) {
+  Rs65536::Messages msgs(k, std::vector<coding::Gf65536::Symbol>(len));
+  for (auto& m : msgs)
+    for (auto& s : m)
+      s = static_cast<coding::Gf65536::Symbol>(rng.next_below(65536));
+  return msgs;
+}
+
 void BM_RsEncode(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   Rng rng(5);
-  std::vector<std::vector<coding::Gf65536::Symbol>> msgs(
-      k, std::vector<coding::Gf65536::Symbol>(8));
-  for (auto& m : msgs)
-    for (auto& s : m) s = static_cast<coding::Gf65536::Symbol>(rng.next_below(65536));
-  coding::ReedSolomon rs(k, 8);
+  const auto msgs = random_rs_messages(k, 8, rng);
+  const Rs65536 rs(k, 8);
   std::uint32_t idx = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(rs.encode_packet(msgs, idx));
-    idx = (idx + 1) % coding::ReedSolomon::max_packets();
+    idx = (idx + 1) % Rs65536::max_packets();
   }
 }
 BENCHMARK(BM_RsEncode)->Arg(16)->Arg(64)->Arg(256);
@@ -208,11 +215,8 @@ BENCHMARK(BM_RsEncode)->Arg(16)->Arg(64)->Arg(256);
 void BM_RsDecode(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   Rng rng(6);
-  std::vector<std::vector<coding::Gf65536::Symbol>> msgs(
-      k, std::vector<coding::Gf65536::Symbol>(4));
-  for (auto& m : msgs)
-    for (auto& s : m) s = static_cast<coding::Gf65536::Symbol>(rng.next_below(65536));
-  coding::ReedSolomon rs(k, 4);
+  const auto msgs = random_rs_messages(k, 4, rng);
+  const Rs65536 rs(k, 4);
   const auto packets = rs.encode(msgs, static_cast<std::uint32_t>(k));
   for (auto _ : state) benchmark::DoNotOptimize(rs.decode(packets));
 }

@@ -50,20 +50,22 @@ int main() {
 
   // Spot-check the actual codec: encode kChunks chunks, drop half the
   // packets, decode from the survivors.
+  using Field = coding::Gf65536;
   Rng rng(3);
-  std::vector<std::vector<coding::Gf65536::Symbol>> chunks(
-      kChunks, std::vector<coding::Gf65536::Symbol>(8));
+  coding::ReedSolomon<Field>::Messages chunks(
+      kChunks, std::vector<Field::Symbol>(8));
   for (auto& c : chunks)
     for (auto& s : c)
-      s = static_cast<coding::Gf65536::Symbol>(rng.next_below(65536));
-  coding::ReedSolomon rs(kChunks, 8);
+      s = static_cast<Field::Symbol>(rng.next_below(Field::kFieldSize));
+  const coding::ReedSolomon<Field> rs(kChunks, 8);
   auto packets = rs.encode(chunks, static_cast<std::uint32_t>(packet_count));
-  std::vector<coding::RsPacket> survivors;
+  std::vector<coding::RsPacket<Field>> survivors;
   for (auto& p : packets)
     if (rng.bernoulli(1.0 - kLossRate)) survivors.push_back(std::move(p));
+  const bool decoded = rs.decode(survivors) == chunks;
   std::cout << "codec spot-check: " << survivors.size() << "/"
             << packet_count << " packets survived; decode "
-            << (rs.decode(survivors) == chunks ? "OK" : "FAILED") << "\n";
+            << (decoded ? "OK" : "FAILED") << "\n";
 
-  return routing.completed && coding.completed ? 0 : 1;
+  return routing.completed && coding.completed && decoded ? 0 : 1;
 }

@@ -24,12 +24,13 @@ int main() {
   constexpr double kLossRate = 0.5;
 
   // The "file".
+  using Field = coding::Gf65536;
   Rng payload_rng(7);
-  std::vector<std::vector<coding::Gf65536::Symbol>> file(
-      kChunks, std::vector<coding::Gf65536::Symbol>(kSymbolsPerChunk));
+  coding::ReedSolomon<Field>::Messages file(
+      kChunks, std::vector<Field::Symbol>(kSymbolsPerChunk));
   for (auto& chunk : file)
     for (auto& s : chunk)
-      s = static_cast<coding::Gf65536::Symbol>(payload_rng.next_below(65536));
+      s = static_cast<Field::Symbol>(payload_rng.next_below(Field::kFieldSize));
 
   const auto link = graph::make_single_link();
   std::cout << "file: " << kChunks << " chunks x " << kSymbolsPerChunk * 2
@@ -59,10 +60,10 @@ int main() {
   {
     radio::RadioNetwork net(link, radio::FaultModel::receiver(kLossRate),
                             Rng(3));
-    coding::ReedSolomon rs(kChunks, kSymbolsPerChunk);
+    const coding::ReedSolomon<Field> rs(kChunks, kSymbolsPerChunk);
     const auto frame_count = core::link_rs_packet_count(kChunks, kLossRate);
 
-    std::vector<coding::RsPacket> received;
+    std::vector<coding::RsPacket<Field>> received;
     std::int64_t frames_sent = 0;
     for (std::int64_t j = 0; j < frame_count; ++j) {
       auto pkt = rs.encode_packet(file, static_cast<std::uint32_t>(j));
@@ -78,11 +79,11 @@ int main() {
       if (!deliveries.empty()) {
         // Decode the wire bytes back into a packet at the receiver.
         const auto& bytes = *deliveries.front().packet.payload;
-        coding::RsPacket back;
+        coding::RsPacket<Field> back;
         back.index = static_cast<std::uint32_t>(deliveries.front().packet.id);
         back.symbols.resize(bytes.size() / 2);
         for (std::size_t s = 0; s < back.symbols.size(); ++s)
-          back.symbols[s] = static_cast<coding::Gf65536::Symbol>(
+          back.symbols[s] = static_cast<Field::Symbol>(
               (bytes[2 * s] << 8) | bytes[2 * s + 1]);
         received.push_back(std::move(back));
         if (received.size() >= static_cast<std::size_t>(kChunks)) break;

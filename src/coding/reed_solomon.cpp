@@ -1,29 +1,30 @@
 #include "coding/reed_solomon.hpp"
 
-#include <algorithm>
 #include <set>
+#include <utility>
 
 #include "common/contracts.hpp"
 
 namespace nrn::coding {
 
-ReedSolomon::ReedSolomon(std::size_t k, std::size_t block_len)
-    : k_(k), block_len_(block_len), field_(Gf65536::instance()) {
+template <typename Field>
+ReedSolomon<Field>::ReedSolomon(std::size_t k, std::size_t block_len)
+    : k_(k), block_len_(block_len), field_(Field::instance()) {
   NRN_EXPECTS(k >= 1, "Reed-Solomon requires k >= 1");
   NRN_EXPECTS(k <= max_packets(), "k exceeds the number of evaluation points");
   NRN_EXPECTS(block_len >= 1, "block_len must be positive");
 }
 
-RsPacket ReedSolomon::encode_packet(
-    const std::vector<std::vector<Gf65536::Symbol>>& messages,
-    std::uint32_t index) const {
+template <typename Field>
+RsPacket<Field> ReedSolomon<Field>::encode_packet(const Messages& messages,
+                                                  std::uint32_t index) const {
   NRN_EXPECTS(messages.size() == k_, "message count mismatch");
   NRN_EXPECTS(index < max_packets(), "packet index exceeds evaluation points");
   for (const auto& m : messages)
     NRN_EXPECTS(m.size() == block_len_, "message block length mismatch");
 
-  const Gf65536::Symbol x = field_.alpha_pow(index);
-  RsPacket pkt;
+  const Symbol x = field_.alpha_pow(index);
+  RsPacket<Field> pkt;
   pkt.index = index;
   pkt.symbols.assign(block_len_, 0);
   // Horner evaluation, highest coefficient (message k-1) first.
@@ -36,20 +37,21 @@ RsPacket ReedSolomon::encode_packet(
   return pkt;
 }
 
-std::vector<RsPacket> ReedSolomon::encode(
-    const std::vector<std::vector<Gf65536::Symbol>>& messages,
-    std::uint32_t count) const {
-  std::vector<RsPacket> packets;
+template <typename Field>
+std::vector<RsPacket<Field>> ReedSolomon<Field>::encode(
+    const Messages& messages, std::uint32_t count) const {
+  std::vector<RsPacket<Field>> packets;
   packets.reserve(count);
   for (std::uint32_t j = 0; j < count; ++j)
     packets.push_back(encode_packet(messages, j));
   return packets;
 }
 
-std::vector<std::vector<Gf65536::Symbol>> ReedSolomon::decode(
-    const std::vector<RsPacket>& packets) const {
+template <typename Field>
+typename ReedSolomon<Field>::Messages ReedSolomon<Field>::decode(
+    const std::vector<RsPacket<Field>>& packets) const {
   // Select k packets with distinct indices.
-  std::vector<const RsPacket*> chosen;
+  std::vector<const RsPacket<Field>*> chosen;
   std::set<std::uint32_t> seen;
   for (const auto& p : packets) {
     if (seen.insert(p.index).second) {
@@ -64,12 +66,11 @@ std::vector<std::vector<Gf65536::Symbol>> ReedSolomon::decode(
   // Solve V * M = Y where V[r][c] = x_r^c over the k chosen points.
   // Augmented elimination carries the packet payloads as the right side.
   const std::size_t k = k_;
-  std::vector<std::vector<Gf65536::Symbol>> v(k,
-                                              std::vector<Gf65536::Symbol>(k));
-  std::vector<std::vector<Gf65536::Symbol>> y(k);
+  Messages v(k, std::vector<Symbol>(k));
+  Messages y(k);
   for (std::size_t r = 0; r < k; ++r) {
-    const Gf65536::Symbol x = field_.alpha_pow(chosen[r]->index);
-    Gf65536::Symbol xp = 1;
+    const Symbol x = field_.alpha_pow(chosen[r]->index);
+    Symbol xp = 1;
     for (std::size_t c = 0; c < k; ++c) {
       v[r][c] = xp;
       xp = field_.mul(xp, x);
@@ -85,12 +86,12 @@ std::vector<std::vector<Gf65536::Symbol>> ReedSolomon::decode(
     NRN_ENSURES(pivot < k, "singular Vandermonde system (duplicate points?)");
     std::swap(v[pivot], v[col]);
     std::swap(y[pivot], y[col]);
-    const Gf65536::Symbol inv = field_.inv(v[col][col]);
+    const Symbol inv = field_.inv(v[col][col]);
     for (std::size_t c = col; c < k; ++c) v[col][c] = field_.mul(v[col][c], inv);
     for (auto& s : y[col]) s = field_.mul(s, inv);
     for (std::size_t r = 0; r < k; ++r) {
       if (r == col || v[r][col] == 0) continue;
-      const Gf65536::Symbol f = v[r][col];
+      const Symbol f = v[r][col];
       for (std::size_t c = col; c < k; ++c)
         v[r][c] = field_.sub(v[r][c], field_.mul(f, v[col][c]));
       for (std::size_t s = 0; s < block_len_; ++s)
@@ -99,5 +100,8 @@ std::vector<std::vector<Gf65536::Symbol>> ReedSolomon::decode(
   }
   return y;
 }
+
+template class ReedSolomon<Gf256>;
+template class ReedSolomon<Gf65536>;
 
 }  // namespace nrn::coding

@@ -12,8 +12,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "coding/binary_field.hpp"
 #include "common/rng.hpp"
-#include "coding/gf256.hpp"
 
 namespace nrn::coding {
 

@@ -36,9 +36,7 @@ class Rng {
   using result_type = std::uint64_t;
 
   /// Seeds the four 64-bit words of state from `seed` via splitmix64.
-  explicit Rng(std::uint64_t seed = 0x5eed5eed5eedULL) { reseed(seed); }
-
-  void reseed(std::uint64_t seed) {
+  explicit Rng(std::uint64_t seed = 0x5eed5eed5eedULL) {
     std::uint64_t sm = seed;
     for (auto& word : state_) word = splitmix64(sm);
     // xoshiro256++ requires a not-all-zero state; splitmix64 of any seed
@@ -80,22 +78,9 @@ class Rng {
     }
   }
 
-  /// Uniform integer in the closed interval [lo, hi].
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi) {
-    NRN_EXPECTS(lo <= hi, "uniform_int requires lo <= hi");
-    const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
-    return lo + static_cast<std::int64_t>(span == 0 ? (*this)() : next_below(span));
-  }
-
   /// Uniform double in [0, 1) with 53 bits of precision.
   double uniform01() {
     return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
-
-  /// Uniform double in [lo, hi).
-  double uniform_real(double lo, double hi) {
-    NRN_EXPECTS(lo <= hi, "uniform_real requires lo <= hi");
-    return lo + (hi - lo) * uniform01();
   }
 
   /// Bernoulli trial with success probability p in [0, 1].
@@ -315,42 +300,6 @@ class Rng {
     }
   }
 
-  /// n below which binomial() flips coins directly: a BINV walk costs about
-  /// n*p pmf-recurrence steps plus a uniform draw, so it only wins once the
-  /// coin loop is longer than a handful of draws.
-  static constexpr std::uint64_t kBinomialDirectCutoff = 16;
-
-  /// Binomial(n, p) by direct simulation for small n, normal-free inversion
-  /// elsewhere: the BINV CDF walk (one uniform draw, O(1 + n*p) expected
-  /// pmf-recurrence steps), with p > 1/2 reflected to its complement and n
-  /// halved recursively whenever q^n would leave the normal double range.
-  std::uint64_t binomial(std::uint64_t n, double p) {
-    if (p <= 0.0 || n == 0) return 0;
-    if (p >= 1.0) return n;
-    if (p > 0.5) return n - binomial(n, 1.0 - p);  // keep the walk short
-    if (n <= kBinomialDirectCutoff) {
-      std::uint64_t successes = 0;
-      for (std::uint64_t i = 0; i < n; ++i) successes += bernoulli(p) ? 1 : 0;
-      return successes;
-    }
-    // BINV starts from pmf(0) = q^n; split n until that stays a normal
-    // double (exp(-700) ~ 1e-304).  Binomial(n, p) is the sum of binomials
-    // over any partition of n, so the split changes cost, not distribution.
-    const double log_q = std::log1p(-p);
-    if (static_cast<double>(n) * log_q < -700.0)
-      return binomial(n / 2, p) + binomial(n - n / 2, p);
-    return binomial_inversion(n, p);
-  }
-
-  /// Geometric: number of Bernoulli(p) trials up to and including the first
-  /// success (support {1, 2, ...}).
-  std::uint64_t geometric(double p) {
-    NRN_EXPECTS(p > 0.0 && p <= 1.0, "geometric requires p in (0, 1]");
-    std::uint64_t trials = 1;
-    while (!bernoulli(p)) ++trials;
-    return trials;
-  }
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& values) {
@@ -359,13 +308,6 @@ class Rng {
       using std::swap;
       swap(values[i - 1], values[j]);
     }
-  }
-
-  /// Uniformly chosen element of a non-empty vector.
-  template <typename T>
-  const T& choice(const std::vector<T>& values) {
-    NRN_EXPECTS(!values.empty(), "choice requires a non-empty vector");
-    return values[static_cast<std::size_t>(next_below(values.size()))];
   }
 
   /// Deterministically derives an independent child stream, e.g. one per
@@ -378,26 +320,6 @@ class Rng {
  private:
   static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
-  }
-
-  /// BINV: inverts the Binomial(n, p) CDF by walking x upward from 0 with
-  /// the pmf ratio pmf(x+1)/pmf(x) = ((n+1)/(x+1) - 1) * p/q.  Requires
-  /// p <= 1/2 and q^n normal (binomial() guarantees both).
-  std::uint64_t binomial_inversion(std::uint64_t n, double p) {
-    const double q = 1.0 - p;
-    const double s = p / q;
-    const double a = static_cast<double>(n + 1) * s;
-    while (true) {
-      double r = std::exp(static_cast<double>(n) * std::log1p(-p));  // q^n
-      double u = uniform01();
-      for (std::uint64_t x = 0; x <= n; ++x) {
-        if (u <= r) return x;
-        u -= r;
-        r *= a / static_cast<double>(x + 1) - s;
-      }
-      // Accumulated rounding pushed u past the total mass (u was within
-      // ulps of 1); redraw rather than return a biased tail value.
-    }
   }
 
   /// Inversion of the geometric CDF: gap = floor(log(u) / log(1-p)) with

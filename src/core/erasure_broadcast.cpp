@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 
-#include "coding/rs256.hpp"
+#include "coding/reed_solomon.hpp"
 #include "core/decay.hpp"
 
 namespace nrn::core {
 
 namespace {
+
+using Codec = coding::ReedSolomon<coding::Gf256>;
 
 std::int32_t ceil_log2(std::int64_t n) {
   std::int32_t bits = 0;
@@ -38,7 +40,7 @@ ErasureBroadcast::ErasureBroadcast(const graph::Graph& g, radio::NodeId source,
   packet_count_ = params.packet_count > 0 ? params.packet_count
                                           : default_packet_count(n, k);
   NRN_EXPECTS(k < packet_count_, "packet count must exceed k");
-  NRN_EXPECTS(packet_count_ <= coding::Rs256::max_packets(),
+  NRN_EXPECTS(packet_count_ <= Codec::max_packets(),
               "k plus slack exceeds the GF(256) packet domain (255)");
 }
 
@@ -52,7 +54,7 @@ MultiRunResult ErasureBroadcast::run_and_verify(
   const double p = net.fault_model().effective_loss();
   const std::int32_t log_n = ceil_log2(n);
 
-  const coding::Rs256 codec(params_.k, params_.block_len);
+  const Codec codec(params_.k, params_.block_len);
   const auto coded =
       codec.encode(messages, static_cast<std::uint32_t>(packet_count_));
 
@@ -137,7 +139,7 @@ MultiRunResult ErasureBroadcast::run_and_verify(
   if (result.completed) {
     // Decode at every node and check the payloads; any mismatch voids the
     // run (this is what kVerifiedPayload certifies).
-    std::vector<coding::Rs256Packet> pkts;
+    std::vector<coding::RsPacket<coding::Gf256>> pkts;
     for (std::int32_t u = 0; u < n; ++u) {
       const auto ui = static_cast<std::size_t>(u);
       pkts.clear();

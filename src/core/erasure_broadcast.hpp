@@ -44,7 +44,7 @@ class ErasureBroadcast {
   std::int64_t packet_count() const { return packet_count_; }
 
   /// The default m for (n, k): k + 4 ceil(log2 nk) + 8.  Callers can check
-  /// it against Rs256::max_packets() (255) before constructing.
+  /// it against ReedSolomon<Gf256>::max_packets() (255) before constructing.
   static std::int64_t default_packet_count(std::int64_t n, std::int64_t k);
 
   /// Runs until every node holds k distinct coded packets or the budget

@@ -64,7 +64,6 @@ RadioNetwork::RadioNetwork(const graph::Graph& g, const ChannelModel& channel,
     hear_left_scratch_.assign(words, 0);
     plan_pos_.assign(n, 0);
   }
-  use_bitmask_plan_ = adjacent_ok_;  // kernel_ starts as kAuto
   reset(channel, rng);
 }
 
@@ -73,6 +72,9 @@ void RadioNetwork::reset(FaultModel fault_model, Rng rng) {
 }
 
 void RadioNetwork::reset(const ChannelModel& channel, Rng rng) {
+  NRN_EXPECTS(
+      channel.kind != ChannelKind::kSinr || kernel_ != Kernel::kAdjacent,
+      "adjacent kernel forced under the sinr channel");
   if (!(channel.sinr == channel_.sinr)) gain_table_valid_ = false;
   channel_ = channel;
   sinr_ = channel.kind == ChannelKind::kSinr;
@@ -94,6 +96,7 @@ void RadioNetwork::reset(const ChannelModel& channel, Rng rng) {
   if (use_bitmask_plan_)
     for (const NodeId u : plan_senders_)
       bcast_mask_[static_cast<std::size_t>(u) >> 6] = 0;
+  select_staging();  // the channel may have changed
   plan_senders_.clear();
   plan_ids_.clear();
   plan_payloads_.clear();
@@ -520,26 +523,6 @@ void RadioNetwork::build_gain_table() {
   NRN_EXPECTS(geometry_ != nullptr, "sinr channel requires node geometry");
   build_sinr_gain_table(*graph_, *geometry_, channel_.sinr.alpha, gain_row_,
                         gain_);
-  if (adjacent_ok_) {
-    // Per-node shortcuts for the word-parallel route: the row of a
-    // consecutive-id node is [v-1?, v+1?], so its gains are the row's
-    // first/last entries.  Copied (not recomputed) from gain_ so the
-    // adjacent route reads the exact doubles the row-walk kernels read.
-    const NodeId n = graph_->node_count();
-    gain_left_.assign(static_cast<std::size_t>(n), 0.0);
-    gain_right_.assign(static_cast<std::size_t>(n), 0.0);
-    for (NodeId v = 0; v < n; ++v) {
-      const auto vi = static_cast<std::size_t>(v);
-      const auto row = graph_->neighbors(v);
-      const double* gains = gain_.data() + gain_row_[vi];
-      for (std::size_t j = 0; j < row.size(); ++j) {
-        if (row[j] == v - 1)
-          gain_left_[vi] = gains[j];
-        else
-          gain_right_[vi] = gains[j];
-      }
-    }
-  }
   gain_table_valid_ = true;
 }
 
@@ -619,55 +602,6 @@ void RadioNetwork::run_round_sinr_dense() {
   }
 }
 
-void RadioNetwork::run_round_sinr_adjacent() {
-  // Same shift algebra as run_round_adjacent to find heard listeners, but
-  // a heard listener decodes its strongest adjacent transmitter against
-  // noise plus the other side's gain.  The per-node gain shortcuts
-  // (gain_left_/gain_right_) hold the identical doubles the row-walk
-  // kernels read, and the left gain enters the sum first (ascending row
-  // order), so results match sinr_decode bit for bit.
-  const std::size_t words = bcast_mask_.size();
-  std::uint64_t* const B = bcast_mask_.data();
-  const SinrParams& p = channel_.sinr;
-  auto& recv = deliveries_.receivers_;
-  auto& pidx = deliveries_.plan_index_;
-  std::int64_t interference = 0;
-  std::uint64_t prev = 0;
-  for (std::size_t w = 0; w < words; ++w) {
-    const std::uint64_t b = B[w];
-    const std::uint64_t next = w + 1 < words ? B[w + 1] : 0;
-    B[w] = 0;  // this pass visits every word anyway: reset inline for free
-    const std::uint64_t hl = ((b << 1) | (prev >> 63)) & left_edge_mask_[w];
-    const std::uint64_t hr = ((b >> 1) | (next << 63)) & right_edge_mask_[w];
-    prev = b;
-    std::uint64_t heard = ~b & (hl | hr);
-    const NodeId word_base = static_cast<NodeId>(w << 6);
-    while (heard != 0) {
-      const int j = std::countr_zero(heard);
-      heard &= heard - 1;
-      const NodeId v = word_base + j;
-      const auto vi = static_cast<std::size_t>(v);
-      const bool left = ((hl >> j) & 1) != 0;
-      const bool right = ((hr >> j) & 1) != 0;
-      const double gl = left ? gain_left_[vi] : 0.0;
-      const double gr = right ? gain_right_[vi] : 0.0;
-      const double sum = gl + gr;
-      // Strict-greater tie-break as in sinr_decode: left (lower id) wins.
-      const bool use_left = left && (!right || gl >= gr);
-      const double best = use_left ? gl : gr;
-      if (best >= p.beta * (p.noise_floor + (sum - best))) {
-        const NodeId s = use_left ? v - 1 : v + 1;
-        recv.push_back(v);
-        pidx.push_back(static_cast<std::int32_t>(
-            plan_pos_[static_cast<std::size_t>(s)]));
-      } else {
-        ++interference;
-      }
-    }
-  }
-  last_round_.interference_losses += interference;
-}
-
 const DeliveryList& RadioNetwork::run_round() {
   ++epoch_;
   deliveries_.clear();
@@ -700,10 +634,7 @@ const DeliveryList& RadioNetwork::run_round() {
 
   if (staged != 0) {
     if (use_bitmask_plan_) {
-      if (sinr_)
-        run_round_sinr_adjacent();
-      else
-        run_round_adjacent();
+      run_round_adjacent();
       // Deliveries were emitted by ascending bit walk: already in the v4
       // contract's order, no probe needed.
     } else {

@@ -23,11 +23,12 @@
 //   * adjacent -- for graphs whose every edge joins consecutive node ids
 //     (paths and unions of subpaths): reception becomes word-parallel bit
 //     algebra on a broadcaster bitmask, candidates and collisions falling
-//     out of shifts, masks, and popcounts 64 listeners at a time.
-// Auto selection prefers adjacent when the topology qualifies, otherwise
-// dense once broadcasters times the graph's average degree reaches
-// kDenseWorkFactor * n (see run_round), otherwise sparse; set_kernel can
-// force any of them for tests and benchmarks.
+//     out of shifts, masks, and popcounts 64 listeners at a time.  Edge-fault
+//     channel only.
+// Auto selection prefers adjacent when the topology and channel qualify,
+// otherwise dense once broadcasters times the graph's average degree
+// reaches kDenseWorkFactor * n (see run_round), otherwise sparse;
+// set_kernel can force any eligible one for tests and benchmarks.
 //
 // v4 coin-tape contract (deterministic given the engine seed; asserted in
 // tests/test_engine_kernels.cpp):
@@ -61,10 +62,11 @@
 // from summed transmitter gains instead of collision + coins; the channel
 // is deterministic, so NO salts are ever drawn -- point 5 of the contract
 // degenerates to every round, and the engine's rng stream is untouched.
-// Interference sums are accumulated in ascending neighbor id within each
-// listener's CSR row in every kernel (scalar sparse/dense/adjacent and the
-// lockstep bank), so floating-point results are bit-identical across
-// kernels.
+// SINR rounds always take the sparse or dense row walk, even on a
+// consecutive-id topology.  Interference sums are accumulated in ascending
+// neighbor id within each listener's CSR row in every kernel (scalar
+// sparse/dense and the lockstep bank), so floating-point results are
+// bit-identical across kernels.
 #pragma once
 
 #include <cstdint>
@@ -260,7 +262,8 @@ class RadioNetwork {
 
   /// True iff every edge of `g` joins consecutive node ids (the topology
   /// is a disjoint union of id-contiguous subpaths), i.e. the adjacent
-  /// word-parallel kernel is eligible.  The Driver consults this when
+  /// word-parallel kernel is eligible under the edge-fault channel (SINR
+  /// rounds walk rows regardless).  The Driver consults this when
   /// choosing between the scalar engine and a lockstep bank: on such
   /// graphs the scalar adjacent kernel beats the bank's shared pass.
   static bool consecutive_adjacency(const graph::Graph& g) {
@@ -271,18 +274,19 @@ class RadioNetwork {
   }
 
   /// Forces a round kernel (kAuto re-enables the heuristics; kAdjacent
-  /// requires a consecutive-id topology).  Kernel choice never changes
-  /// results; this exists for tests and benchmarks.  Must be called with
-  /// no broadcasts staged: the staging representation (bitmask plan vs
-  /// node slots) is chosen per kernel route, so it cannot change mid-round.
+  /// requires a consecutive-id topology and the edge-fault channel).
+  /// Kernel choice never changes results; this exists for tests and
+  /// benchmarks.  Must be called with no broadcasts staged: the staging
+  /// representation (bitmask plan vs node slots) is chosen per kernel
+  /// route, so it cannot change mid-round.
   void set_kernel(Kernel kernel) {
     NRN_EXPECTS(plan_senders_.empty(),
                 "set_kernel with broadcasts already staged");
-    NRN_EXPECTS(kernel != Kernel::kAdjacent || adjacent_ok_,
-                "adjacent kernel forced on a non-consecutive-id topology");
+    NRN_EXPECTS(kernel != Kernel::kAdjacent || (adjacent_ok_ && !sinr_),
+                "adjacent kernel forced on a non-consecutive-id topology "
+                "or under the sinr channel");
     kernel_ = kernel;
-    use_bitmask_plan_ = adjacent_ok_ && (kernel == Kernel::kAuto ||
-                                         kernel == Kernel::kAdjacent);
+    select_staging();
   }
 
   /// Stages node `u` to broadcast `packet` this round.  A node may be
@@ -368,12 +372,21 @@ class RadioNetwork {
   void run_round_sparse();
   void run_round_dense();
   void run_round_adjacent();
-  // SINR interference routes, one per staging representation / scan shape
-  // (see run_round for selection).  All accumulate each listener's
-  // interference sum in ascending neighbor id.
+  // SINR interference routes, one per scan shape (see run_round for
+  // selection).  Both accumulate each listener's interference sum in
+  // ascending neighbor id.
   void run_round_sinr_sparse();
   void run_round_sinr_dense();
-  void run_round_sinr_adjacent();
+
+  /// Resolves the staging representation: the bitmask plan iff the
+  /// adjacent kernel is the round route (eligible topology, edge-fault
+  /// channel, kAuto or kAdjacent).  Re-run whenever the kernel or the
+  /// channel changes.
+  void select_staging() {
+    use_bitmask_plan_ =
+        adjacent_ok_ && !sinr_ &&
+        (kernel_ == Kernel::kAuto || kernel_ == Kernel::kAdjacent);
+  }
 
   /// Decodes one listener under the SINR rule: walks its CSR row in
   /// ascending neighbor id, sums the broadcasting neighbors' gains, and
@@ -432,9 +445,6 @@ class RadioNetwork {
   bool gain_table_valid_ = false;
   std::vector<std::int64_t> gain_row_;  // CSR row offsets (n + 1)
   std::vector<double> gain_;            // per directed edge, listener rows
-  // Adjacent-route gain shortcuts: gain at listener v from v-1 / v+1.
-  std::vector<double> gain_left_;
-  std::vector<double> gain_right_;
 
   // Fixed-point coin thresholds (v4 tape: u64 compares, no doubles) and
   // this round's tweaked mix64 salts.
@@ -459,10 +469,10 @@ class RadioNetwork {
   // v+1 exists; bcast_mask_ is the per-round broadcaster set (cleared
   // per-sender after use so sparse rounds never pay O(n)).
   bool adjacent_ok_ = false;
-  // True when the adjacent kernel is the resolved round route (eligible
-  // topology and kAuto or kAdjacent): staging then records broadcasters
-  // in bcast_mask_ + plan_pos_ (one bit set and one u32 store per stage)
-  // instead of the 16-byte node slots the sparse/dense kernels read.
+  // True when the adjacent kernel is the resolved round route (see
+  // select_staging): staging then records broadcasters in bcast_mask_ +
+  // plan_pos_ (one bit set and one u32 store per stage) instead of the
+  // 16-byte node slots the sparse/dense kernels read.
   bool use_bitmask_plan_ = false;
   std::vector<std::uint32_t> plan_pos_;
   std::vector<std::uint64_t> bcast_mask_;

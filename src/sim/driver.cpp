@@ -199,6 +199,8 @@ ExperimentReport Driver::run(const ScenarioSetup& setup,
     // Auto never banks a consecutive-id topology: there the scalar
     // engine's word-parallel adjacent kernel resolves a round in O(n/64),
     // which beats the bank's shared per-edge pass even across 8 lanes.
+    // SINR rounds never take that kernel, but random placement links
+    // only consecutive ids on tiny graphs such as disk:2.
     lockstep = options.execution == TrialExecution::kLockstep ||
                (trials >= 2 && report.node_count <= kLockstepAutoMaxNodes &&
                 !radio::RadioNetwork::consecutive_adjacency(graph));

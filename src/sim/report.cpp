@@ -317,16 +317,22 @@ std::string fit_shape(const SweepFit& f) {
          fmt(f.fit.slope, 3) + " * log2(nodes)";
 }
 
+/// Emitters print a fit's channel only when it is not "none", so reports
+/// without a channel axis keep their pre-channel bytes.
+bool fit_has_channel(const SweepFit& f) { return f.channel != "none"; }
+
 }  // namespace
 
 std::vector<SweepFit> sweep_fits(const SweepReport& report) {
   // Group cells by everything but the size axis; regress each group's
   // summary metrics against log2(node count).
-  using GroupKey = std::tuple<std::string, std::string, std::int64_t>;
+  using GroupKey =
+      std::tuple<std::string, std::string, std::string, std::int64_t>;
   std::map<GroupKey, std::vector<const ExperimentReport*>> groups;
   for (const auto& cell : report.cells) {
     const auto& exp = cell.experiment;
-    groups[GroupKey{exp.protocol, exp.scenario.fault_text, exp.scenario.k}]
+    const auto& sc = exp.scenario;
+    groups[GroupKey{exp.protocol, sc.fault_text, sc.channel_text, sc.k}]
         .push_back(&exp);
   }
   std::vector<SweepFit> fits;
@@ -352,7 +358,8 @@ std::vector<SweepFit> sweep_fits(const SweepReport& report) {
       SweepFit fit;
       fit.protocol = std::get<0>(key);
       fit.fault = std::get<1>(key);
-      fit.k = std::get<2>(key);
+      fit.channel = std::get<2>(key);
+      fit.k = std::get<3>(key);
       fit.metric = metric;
       fit.cells = static_cast<int>(cells.size());
       fit.fit = fit_log_linear(xs, ys);
@@ -410,7 +417,8 @@ void write_sweep_table(std::ostream& os, const SweepReport& report) {
     table.add_note("median r90: median across trials of the first round "
                    "with informed >= 0.9 n");
   for (const auto& fit : sweep_fits(report))
-    table.add_note("fit " + fit.protocol + " | " + fit.fault + " | k=" +
+    table.add_note("fit " + fit.protocol + " | " + fit.fault + " | " +
+                   (fit_has_channel(fit) ? fit.channel + " | " : "") + "k=" +
                    std::to_string(fit.k) + ": " + fit_shape(fit) + "  (r2 " +
                    fmt(fit.fit.r2, 3) + ", " + std::to_string(fit.cells) +
                    " cells)");
@@ -454,6 +462,7 @@ void write_sweep_csv(std::ostream& os, const SweepReport& report) {
   // recovers the regression exactly.
   for (const auto& fit : sweep_fits(report))
     os << "# fit: protocol=" << fit.protocol << ",fault=" << fit.fault
+       << (fit_has_channel(fit) ? ",channel=" + fit.channel : "")
        << ",k=" << fit.k << ",metric=" << fit.metric
        << ",axis=nodes,model=log2,cells=" << fit.cells
        << ",slope=" << json_real(fit.fit.slope)
@@ -516,8 +525,11 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
     for (std::size_t i = 0; i < fits.size(); ++i) {
       const auto& f = fits[i];
       os << "    {\"protocol\": \"" << json_escape(f.protocol)
-         << "\", \"fault\": \"" << json_escape(f.fault)
-         << "\", \"k\": " << f.k << ", \"metric\": \"" << f.metric
+         << "\", \"fault\": \"" << json_escape(f.fault) << "\""
+         << (fit_has_channel(f)
+                 ? ", \"channel\": \"" + json_escape(f.channel) + "\""
+                 : "")
+         << ", \"k\": " << f.k << ", \"metric\": \"" << f.metric
          << "\", \"axis\": \"nodes\", \"model\": \"log2\", \"cells\": "
          << f.cells << ", \"slope\": " << json_real(f.fit.slope)
          << ", \"intercept\": " << json_real(f.fit.intercept)

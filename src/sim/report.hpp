@@ -21,24 +21,27 @@
 namespace nrn::sim {
 
 /// One cross-cell regression: a summary metric of every cell in a
-/// (protocol, fault, k) group, regressed against the group's node counts
-/// under y ~ intercept + slope * log2(nodes).  This generalizes the e7
-/// bench's bespoke log-linear fit (Lemma 15's Theta(log n) shape) into the
-/// report layer, so serial, fleet, and serve reports all carry the same
-/// fits.  Groups need at least three distinct node counts; smaller groups
-/// produce no fit (and sweeps without a size axis emit none at all).
+/// (protocol, fault, channel, k) group, regressed against the group's node
+/// counts under y ~ intercept + slope * log2(nodes).  This generalizes the
+/// e7 bench's bespoke log-linear fit (Lemma 15's Theta(log n) shape) into
+/// the report layer, so serial, fleet, and serve reports all carry the
+/// same fits.  Groups need at least three distinct node counts; smaller
+/// groups produce no fit (and sweeps without a size axis emit none at
+/// all).  Emitters print the channel only when it is not "none", so
+/// edge-fault reports keep their pre-channel bytes.
 struct SweepFit {
   std::string protocol;
   std::string fault;
+  std::string channel;  ///< channel text; "none" for the edge-fault channel
   std::int64_t k = 1;
   std::string metric;  ///< "median_rounds" or "median_rpm"
   int cells = 0;       ///< cells (points) in the regression
   LinearFit fit;       ///< slope/intercept/r2 of metric vs log2(nodes)
 };
 
-/// The fits a sweep's cells support, in deterministic (protocol, fault, k,
-/// metric) order.  Pure function of the report's cells: a merged fleet or
-/// serve report yields exactly the serial run's fits.
+/// The fits a sweep's cells support, in deterministic (protocol, fault,
+/// channel, k, metric) order.  Pure function of the report's cells: a
+/// merged fleet or serve report yields exactly the serial run's fits.
 std::vector<SweepFit> sweep_fits(const SweepReport& report);
 
 /// Aligned text table with scenario notes and a summary line.

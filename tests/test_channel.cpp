@@ -1,7 +1,8 @@
 // SINR channel semantics (radio/channel_model.hpp): hand-computable
 // reception cases (capture vs. collision, noise-limited losses, gain
 // ties), determinism (the channel draws no coins, so the engine rng is
-// irrelevant), bit-identical agreement across the scalar kernel routes,
+// irrelevant), bit-identical agreement across the scalar kernel routes
+// (SINR never takes the adjacent kernel, even across channel switches),
 // lockstep-lane-vs-scalar bit-identity, and driver-level report equality
 // plus the interference trace series.
 #include "radio/channel_model.hpp"
@@ -152,35 +153,79 @@ TEST(SinrChannel, ScalarKernelRoutesAgree) {
   }
 }
 
-TEST(SinrChannel, AdjacentRouteMatchesSparseOnAPathGeometry) {
-  // A path graph with hand-placed equally spaced nodes qualifies for the
-  // word-parallel adjacent route; its gl/gr shortcut gains must reproduce
-  // the sparse route's row walk bit for bit.
-  constexpr NodeId kN = 67;  // odd and > 64: exercises the partial word
-  const Graph g = graph::make_path(kN);
-  Geometry geo;
-  for (NodeId u = 0; u < kN; ++u) {
-    geo.x.push_back(0.37 * u);
-    geo.y.push_back(0.0);
-    geo.power.push_back(u % 2 == 0 ? 1.0 : 1.5);
+/// A path with hand-placed, equally spaced nodes: a consecutive-id
+/// topology, so edge-fault rounds qualify for the word-parallel kernel.
+struct PathFixture {
+  static constexpr NodeId kN = 67;  // odd and > 64: a partial last word
+  Graph graph = graph::make_path(kN);
+  Geometry geometry;
+  PathFixture() {
+    for (NodeId u = 0; u < kN; ++u) {
+      geometry.x.push_back(0.37 * u);
+      geometry.y.push_back(0.0);
+      geometry.power.push_back(u % 2 == 0 ? 1.0 : 1.5);
+    }
   }
+};
+
+TEST(SinrChannel, ConsecutiveIdTopologiesTakeTheRowWalk) {
+  // SINR rounds never use the adjacent kernel: forcing it is a contract
+  // error, and auto selection matches the forced sparse row walk.
+  PathFixture fx;
   const auto channel = ChannelModel::sinr_channel(3.0, 0.005, 0.9);
-  RadioNetwork adjacent(g, channel, &geo, Rng(1));
-  RadioNetwork sparse(g, channel, &geo, Rng(1));
-  adjacent.set_kernel(RadioNetwork::Kernel::kAdjacent);
+  RadioNetwork automatic(fx.graph, channel, &fx.geometry, Rng(1));
+  RadioNetwork sparse(fx.graph, channel, &fx.geometry, Rng(1));
+  EXPECT_THROW(automatic.set_kernel(RadioNetwork::Kernel::kAdjacent),
+               ContractViolation);
   sparse.set_kernel(RadioNetwork::Kernel::kSparse);
   Rng plan_rng(23);
   for (int round = 0; round < 30; ++round) {
-    for (NodeId u = 0; u < kN; ++u) {
+    for (NodeId u = 0; u < PathFixture::kN; ++u) {
       if (!plan_rng.bernoulli(0.4)) continue;
-      adjacent.set_broadcast(u, Packet{u});
+      automatic.set_broadcast(u, Packet{u});
       sparse.set_broadcast(u, Packet{u});
     }
-    const auto ra = receivers_of(adjacent.run_round());
+    const auto ra = receivers_of(automatic.run_round());
     const auto rs = receivers_of(sparse.run_round());
     ASSERT_EQ(ra, rs) << "round " << round;
-    ASSERT_EQ(adjacent.last_round(), sparse.last_round()) << "round " << round;
+    ASSERT_EQ(automatic.last_round(), sparse.last_round())
+        << "round " << round;
   }
+}
+
+TEST(SinrChannel, ResetRederivesTheStagingPlanWhenTheChannelChanges) {
+  // One network alternating channels across resets -- each reset
+  // abandoning a staged plan -- must match a fresh network per phase:
+  // edge-fault phases stage into the adjacent kernel's bitmask, SINR
+  // phases into the row walks' node slots, and no broadcaster bit leaks.
+  PathFixture fx;
+  const ChannelModel channels[] = {
+      ChannelModel::edge_fault(FaultModel::receiver(0.3)),
+      ChannelModel::sinr_channel(3.0, 0.005, 0.9)};
+  RadioNetwork reused(fx.graph, channels[0], &fx.geometry, Rng(1));
+  Rng plan_rng(31);
+  for (int phase = 0; phase < 4; ++phase) {
+    const ChannelModel& channel = channels[phase % 2];
+    reused.set_broadcast(phase, Packet{phase});
+    reused.reset(channel, Rng(100 + phase));
+    RadioNetwork fresh(fx.graph, channel, &fx.geometry, Rng(100 + phase));
+    for (int round = 0; round < 10; ++round) {
+      for (NodeId u = 0; u < PathFixture::kN; ++u) {
+        if (!plan_rng.bernoulli(0.4)) continue;
+        reused.set_broadcast(u, Packet{u});
+        fresh.set_broadcast(u, Packet{u});
+      }
+      const auto rr = receivers_of(reused.run_round());
+      const auto rf = receivers_of(fresh.run_round());
+      ASSERT_EQ(rr, rf) << "phase " << phase << " round " << round;
+      ASSERT_EQ(reused.last_round(), fresh.last_round())
+          << "phase " << phase << " round " << round;
+    }
+  }
+  // A forced adjacent kernel cannot carry over into a SINR channel.
+  reused.reset(channels[0], Rng(7));
+  reused.set_kernel(RadioNetwork::Kernel::kAdjacent);
+  EXPECT_THROW(reused.reset(channels[1], Rng(7)), ContractViolation);
 }
 
 TEST(SinrChannel, LockstepLanesMatchScalarRoundByRound) {

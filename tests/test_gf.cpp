@@ -1,134 +1,119 @@
-// Field axioms and known values for GF(2^8) and GF(2^16).
+// Field axioms and known values for GF(2^8) and GF(2^16): one typed suite
+// over both instantiations of coding::BinaryField.
 #include <gtest/gtest.h>
 
-#include "coding/gf256.hpp"
-#include "coding/gf65536.hpp"
+#include <vector>
+
+#include "coding/binary_field.hpp"
 #include "common/rng.hpp"
 
 namespace nrn::coding {
 namespace {
 
-class Gf256Axioms : public ::testing::TestWithParam<std::uint64_t> {};
+template <typename Field>
+class BinaryFieldTest : public ::testing::Test {
+ protected:
+  using Symbol = typename Field::Symbol;
+  const Field& f = Field::instance();
 
-TEST_P(Gf256Axioms, RandomizedFieldLaws) {
-  const auto& f = Gf256::instance();
-  Rng rng(GetParam());
-  for (int i = 0; i < 2000; ++i) {
-    const auto a = static_cast<std::uint8_t>(rng.next_below(256));
-    const auto b = static_cast<std::uint8_t>(rng.next_below(256));
-    const auto c = static_cast<std::uint8_t>(rng.next_below(256));
-    // Commutativity.
-    EXPECT_EQ(f.mul(a, b), f.mul(b, a));
-    EXPECT_EQ(f.add(a, b), f.add(b, a));
-    // Associativity.
-    EXPECT_EQ(f.mul(f.mul(a, b), c), f.mul(a, f.mul(b, c)));
-    // Distributivity.
-    EXPECT_EQ(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)));
-    // Identities.
-    EXPECT_EQ(f.mul(a, 1), a);
-    EXPECT_EQ(f.add(a, 0), a);
-    // Characteristic 2.
-    EXPECT_EQ(f.add(a, a), 0);
-    // Inverses.
-    if (a != 0) {
-      EXPECT_EQ(f.mul(a, f.inv(a)), 1);
-      EXPECT_EQ(f.div(f.mul(a, b), a), b);
+  Symbol random_symbol(Rng& rng) {
+    return static_cast<Symbol>(rng.next_below(Field::kFieldSize));
+  }
+};
+
+using Fields = ::testing::Types<Gf256, Gf65536>;
+TYPED_TEST_SUITE(BinaryFieldTest, Fields);
+
+TYPED_TEST(BinaryFieldTest, RandomizedFieldLaws) {
+  const auto& f = this->f;
+  for (const std::uint64_t seed : {1, 2, 3, 4}) {
+    Rng rng(seed);
+    for (int i = 0; i < 2000; ++i) {
+      const auto a = this->random_symbol(rng);
+      const auto b = this->random_symbol(rng);
+      const auto c = this->random_symbol(rng);
+      // Commutativity.
+      EXPECT_EQ(f.mul(a, b), f.mul(b, a));
+      EXPECT_EQ(f.add(a, b), f.add(b, a));
+      // Associativity.
+      EXPECT_EQ(f.mul(f.mul(a, b), c), f.mul(a, f.mul(b, c)));
+      // Distributivity.
+      EXPECT_EQ(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)));
+      // Identities.
+      EXPECT_EQ(f.mul(a, 1), a);
+      EXPECT_EQ(f.add(a, 0), a);
+      // Characteristic 2: subtraction is addition.
+      EXPECT_EQ(f.add(a, a), 0);
+      EXPECT_EQ(f.sub(a, b), f.add(a, b));
+      // Inverses: multiplying by inv(a) undoes multiplying by a.
+      if (a != 0) {
+        EXPECT_EQ(f.mul(a, f.inv(a)), 1);
+        EXPECT_EQ(f.mul(f.mul(a, b), f.inv(a)), b);
+      }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, Gf256Axioms,
-                         ::testing::Values(1ULL, 2ULL, 3ULL, 4ULL));
-
-TEST(Gf256, ZeroAnnihilates) {
-  const auto& f = Gf256::instance();
-  for (int a = 0; a < 256; ++a) {
-    EXPECT_EQ(f.mul(static_cast<std::uint8_t>(a), 0), 0);
-    EXPECT_EQ(f.mul(0, static_cast<std::uint8_t>(a)), 0);
+TYPED_TEST(BinaryFieldTest, ZeroAnnihilatesAndHasNoInverse) {
+  const auto& f = this->f;
+  Rng rng(5);
+  for (int i = 0; i < 1000; ++i) {
+    const auto a = this->random_symbol(rng);
+    EXPECT_EQ(f.mul(a, 0), 0);
+    EXPECT_EQ(f.mul(0, a), 0);
   }
-}
-
-TEST(Gf256, DivisionByZeroThrows) {
-  const auto& f = Gf256::instance();
-  EXPECT_THROW(f.div(5, 0), ContractViolation);
   EXPECT_THROW(f.inv(0), ContractViolation);
 }
 
-TEST(Gf256, MultiplicationIsPermutationForNonzero) {
-  const auto& f = Gf256::instance();
-  std::vector<bool> seen(256, false);
-  for (int b = 0; b < 256; ++b) {
-    const auto v = f.mul(3, static_cast<std::uint8_t>(b));
+TYPED_TEST(BinaryFieldTest, MultiplicationByNonzeroIsAPermutation) {
+  const auto& f = this->f;
+  std::vector<bool> seen(TypeParam::kFieldSize, false);
+  for (int b = 0; b < TypeParam::kFieldSize; ++b) {
+    const auto v = f.mul(3, static_cast<typename TypeParam::Symbol>(b));
     EXPECT_FALSE(b != 0 && v == 0);
-    EXPECT_FALSE(seen[v] && v != 0);
+    EXPECT_FALSE(seen[v]) << "3 * " << b << " repeats";
     seen[v] = true;
   }
 }
 
-TEST(Gf256, KnownAesFieldValues) {
-  // In GF(2^8)/0x11D: 2*141 = 0x11D truncated... verify via small cases:
-  const auto& f = Gf256::instance();
-  EXPECT_EQ(f.mul(2, 2), 4);
-  EXPECT_EQ(f.mul(16, 16), 0x1D);  // x^8 = x^4+x^3+x^2+1 -> 0x1D
-  EXPECT_EQ(f.pow(2, 8), 0x1D);
-  EXPECT_EQ(f.pow(2, 0), 1);
-  EXPECT_EQ(f.pow(0, 5), 0);
-}
-
-TEST(Gf256, MulAdd) {
-  const auto& f = Gf256::instance();
-  EXPECT_EQ(f.mul_add(7, 3, 5), static_cast<std::uint8_t>(7 ^ f.mul(3, 5)));
-}
-
-class Gf65536Axioms : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(Gf65536Axioms, RandomizedFieldLaws) {
-  const auto& f = Gf65536::instance();
-  Rng rng(GetParam());
-  for (int i = 0; i < 2000; ++i) {
-    const auto a = static_cast<std::uint16_t>(rng.next_below(65536));
-    const auto b = static_cast<std::uint16_t>(rng.next_below(65536));
-    const auto c = static_cast<std::uint16_t>(rng.next_below(65536));
-    EXPECT_EQ(f.mul(a, b), f.mul(b, a));
-    EXPECT_EQ(f.mul(f.mul(a, b), c), f.mul(a, f.mul(b, c)));
-    EXPECT_EQ(f.mul(a, f.add(b, c)), f.add(f.mul(a, b), f.mul(a, c)));
-    EXPECT_EQ(f.mul(a, 1), a);
-    EXPECT_EQ(f.add(a, a), 0);
-    if (a != 0) {
-      EXPECT_EQ(f.mul(a, f.inv(a)), 1);
-      EXPECT_EQ(f.div(f.mul(a, b), a), b);
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, Gf65536Axioms,
-                         ::testing::Values(11ULL, 12ULL, 13ULL));
-
-TEST(Gf65536, GeneratorHasFullOrder) {
-  // alpha_pow(i) for i in [0, 65535) must be distinct (primitivity).
-  const auto& f = Gf65536::instance();
-  std::vector<bool> seen(65536, false);
-  for (std::uint32_t i = 0; i < Gf65536::kGroupOrder; ++i) {
-    const auto v = f.alpha_pow(i);
+TYPED_TEST(BinaryFieldTest, AlphaPowIsDistinctOverTheGroupOrder) {
+  // alpha generates the multiplicative group (the polynomial is
+  // primitive), so the Reed-Solomon evaluation points never collide.
+  const auto& f = this->f;
+  std::vector<bool> seen(TypeParam::kFieldSize, false);
+  for (int i = 0; i < TypeParam::kGroupOrder; ++i) {
+    const auto v = f.alpha_pow(static_cast<std::uint32_t>(i));
     EXPECT_NE(v, 0);
     EXPECT_FALSE(seen[v]) << "alpha^" << i << " repeats";
     seen[v] = true;
   }
+  EXPECT_EQ(f.alpha_pow(TypeParam::kGroupOrder), 1);  // wraps around
 }
 
-TEST(Gf65536, PowMatchesRepeatedMul) {
-  const auto& f = Gf65536::instance();
-  std::uint16_t acc = 1;
-  for (std::uint64_t e = 0; e < 40; ++e) {
-    EXPECT_EQ(f.pow(9, e), acc);
-    acc = f.mul(acc, 9);
+TYPED_TEST(BinaryFieldTest, AlphaPowMatchesRepeatedMultiplicationByTwo) {
+  const auto& f = this->f;
+  typename TypeParam::Symbol acc = 1;
+  for (std::uint32_t e = 0; e < 40; ++e) {
+    EXPECT_EQ(f.alpha_pow(e), acc) << "e=" << e;
+    acc = f.mul(acc, 2);
   }
 }
 
-TEST(Gf65536, DivisionByZeroThrows) {
+TEST(Gf256, KnownValues) {
+  // GF(2^8) / 0x11D: x^8 = x^4 + x^3 + x^2 + 1 = 0x1D.
+  const auto& f = Gf256::instance();
+  EXPECT_EQ(f.mul(2, 2), 4);
+  EXPECT_EQ(f.mul(16, 16), 0x1D);
+  EXPECT_EQ(f.alpha_pow(8), 0x1D);
+  EXPECT_EQ(f.alpha_pow(0), 1);
+}
+
+TEST(Gf65536, KnownValues) {
+  // GF(2^16) / 0x1100B: x^16 = x^12 + x^3 + x + 1 = 0x100B.
   const auto& f = Gf65536::instance();
-  EXPECT_THROW(f.div(5, 0), ContractViolation);
-  EXPECT_THROW(f.inv(0), ContractViolation);
+  EXPECT_EQ(f.mul(0x100, 0x100), 0x100B);
+  EXPECT_EQ(f.alpha_pow(16), 0x100B);
+  EXPECT_EQ(f.alpha_pow(0), 1);
 }
 
 }  // namespace

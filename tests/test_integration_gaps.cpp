@@ -6,7 +6,6 @@
 
 #include "core/single_link.hpp"
 #include "core/star_schedules.hpp"
-#include "core/throughput.hpp"
 #include "core/wct_schedules.hpp"
 #include "core/bipartite_pipeline.hpp"
 #include "graph/generators.hpp"
@@ -109,22 +108,12 @@ TEST(IntegrationGaps, WctRoutingPaysMoreThanCoding) {
   EXPECT_GT(routing.rounds_per_message() / coding.rounds_per_message(), 2.0);
 }
 
-TEST(IntegrationGaps, SweepHarnessOnStar) {
-  // End-to-end use of the throughput sweep API on a real schedule.
-  const auto star = topology::make_star(128);
-  const ScheduleFn routing = [&star](std::int64_t k, Rng& rng) {
-    RadioNetwork net(star.graph, FaultModel::receiver(0.5),
-                     Rng(rng()));
-    return run_star_adaptive_routing(net, star, k, 100'000'000);
-  };
-  Rng rng(30);
-  const auto pts = sweep_throughput(routing, {8, 32}, 3, rng);
-  ASSERT_EQ(pts.size(), 2u);
-  EXPECT_DOUBLE_EQ(pts[0].success_rate, 1.0);
-  EXPECT_DOUBLE_EQ(pts[1].success_rate, 1.0);
-  // Cost per message is ~log2(128) + O(1) regardless of k.
-  EXPECT_NEAR(pts[0].rounds_per_message, pts[1].rounds_per_message,
-              0.6 * pts[1].rounds_per_message);
+TEST(IntegrationGaps, StarRoutingRpmIsFlatInK) {
+  // Adaptive routing pays ~log2(n) + O(1) rounds per message on the star,
+  // whatever the message count.
+  const double rpm_8 = star_routing_rpm(128, 8, 30);
+  const double rpm_32 = star_routing_rpm(128, 32, 31);
+  EXPECT_NEAR(rpm_8, rpm_32, 0.6 * rpm_32);
 }
 
 }  // namespace

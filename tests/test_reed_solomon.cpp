@@ -1,134 +1,210 @@
 // Reed-Solomon: the any-k-of-m reconstruction contract the paper's coding
-// schedules rely on (Section 5, footnote 1).
+// schedules rely on (Section 5, footnote 1), as one typed suite over both
+// fields -- GF(2^8) is the codec erasure-decay runs -- plus snapshot hashes
+// pinning the codewords and the coded protocols' records.
 #include "coding/reed_solomon.hpp"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "common/rng.hpp"
+#include "sim/sim.hpp"
 
 namespace nrn::coding {
 namespace {
 
-std::vector<std::vector<Gf65536::Symbol>> random_messages(std::size_t k,
-                                                          std::size_t len,
-                                                          Rng& rng) {
-  std::vector<std::vector<Gf65536::Symbol>> msgs(
-      k, std::vector<Gf65536::Symbol>(len));
+template <typename Field>
+typename ReedSolomon<Field>::Messages random_messages(std::size_t k,
+                                                      std::size_t len,
+                                                      Rng& rng) {
+  using Symbol = typename Field::Symbol;
+  typename ReedSolomon<Field>::Messages msgs(k, std::vector<Symbol>(len));
   for (auto& m : msgs)
-    for (auto& s : m) s = static_cast<Gf65536::Symbol>(rng.next_below(65536));
+    for (auto& s : m)
+      s = static_cast<Symbol>(rng.next_below(Field::kFieldSize));
   return msgs;
 }
 
-TEST(ReedSolomon, RoundTripFirstK) {
+template <typename Field>
+class ReedSolomonTest : public ::testing::Test {
+ protected:
+  using Codec = ReedSolomon<Field>;
+  using Packets = std::vector<RsPacket<Field>>;
+};
+
+using Fields = ::testing::Types<Gf256, Gf65536>;
+TYPED_TEST_SUITE(ReedSolomonTest, Fields);
+
+TYPED_TEST(ReedSolomonTest, RoundTripFirstK) {
   Rng rng(1);
-  ReedSolomon rs(8, 4);
-  const auto msgs = random_messages(8, 4, rng);
-  const auto packets = rs.encode(msgs, 8);
-  EXPECT_EQ(rs.decode(packets), msgs);
+  const typename TestFixture::Codec rs(8, 4);
+  const auto msgs = random_messages<TypeParam>(8, 4, rng);
+  EXPECT_EQ(rs.decode(rs.encode(msgs, 8)), msgs);
 }
 
-TEST(ReedSolomon, AnyKOfM) {
+TYPED_TEST(ReedSolomonTest, AnyKOfM) {
   Rng rng(2);
-  ReedSolomon rs(6, 3);
-  const auto msgs = random_messages(6, 3, rng);
+  const typename TestFixture::Codec rs(6, 3);
+  const auto msgs = random_messages<TypeParam>(6, 3, rng);
   auto packets = rs.encode(msgs, 24);
   for (int trial = 0; trial < 20; ++trial) {
     rng.shuffle(packets);
-    std::vector<RsPacket> subset(packets.begin(), packets.begin() + 6);
+    const typename TestFixture::Packets subset(packets.begin(),
+                                               packets.begin() + 6);
     EXPECT_EQ(rs.decode(subset), msgs);
   }
 }
 
-TEST(ReedSolomon, ExtraPacketsAreIgnored) {
+TYPED_TEST(ReedSolomonTest, ExtraPacketsAreIgnored) {
   Rng rng(3);
-  ReedSolomon rs(4, 2);
-  const auto msgs = random_messages(4, 2, rng);
-  const auto packets = rs.encode(msgs, 10);
-  EXPECT_EQ(rs.decode(packets), msgs);  // 10 > k packets supplied
+  const typename TestFixture::Codec rs(4, 2);
+  const auto msgs = random_messages<TypeParam>(4, 2, rng);
+  EXPECT_EQ(rs.decode(rs.encode(msgs, 10)), msgs);  // 10 > k supplied
 }
 
-TEST(ReedSolomon, DuplicateIndicesDoNotCount) {
+TYPED_TEST(ReedSolomonTest, DuplicateIndicesDoNotCount) {
   Rng rng(4);
-  ReedSolomon rs(3, 2);
-  const auto msgs = random_messages(3, 2, rng);
-  const auto packets = rs.encode(msgs, 3);
-  std::vector<RsPacket> dup{packets[0], packets[0], packets[1]};
+  const typename TestFixture::Codec rs(3, 2);
+  const auto packets = rs.encode(random_messages<TypeParam>(3, 2, rng), 3);
+  const typename TestFixture::Packets dup{packets[0], packets[0], packets[1]};
   EXPECT_THROW(rs.decode(dup), ContractViolation);
 }
 
-TEST(ReedSolomon, TooFewPacketsThrow) {
+TYPED_TEST(ReedSolomonTest, TooFewPacketsThrow) {
   Rng rng(5);
-  ReedSolomon rs(5, 2);
-  const auto msgs = random_messages(5, 2, rng);
-  const auto packets = rs.encode(msgs, 4);
-  EXPECT_THROW(rs.decode(packets), ContractViolation);
+  const typename TestFixture::Codec rs(5, 2);
+  EXPECT_THROW(rs.decode(rs.encode(random_messages<TypeParam>(5, 2, rng), 4)),
+               ContractViolation);
 }
 
-TEST(ReedSolomon, SystematicLikeConsistency) {
-  // Packet 0 evaluates at alpha^0 = 1: it equals the XOR-free polynomial
-  // evaluation sum_i m_i -- check against a direct computation.
+TYPED_TEST(ReedSolomonTest, PacketZeroIsTheMessageSum) {
+  // Packet 0 evaluates at alpha^0 = 1: the sum of the messages.
   Rng rng(6);
-  ReedSolomon rs(4, 3);
-  const auto msgs = random_messages(4, 3, rng);
+  const typename TestFixture::Codec rs(4, 3);
+  const auto msgs = random_messages<TypeParam>(4, 3, rng);
   const auto pkt = rs.encode_packet(msgs, 0);
-  const auto& f = Gf65536::instance();
+  const auto& f = TypeParam::instance();
   for (std::size_t s = 0; s < 3; ++s) {
-    Gf65536::Symbol expect = 0;
+    typename TypeParam::Symbol expect = 0;
     for (std::size_t i = 0; i < 4; ++i) expect = f.add(expect, msgs[i][s]);
     EXPECT_EQ(pkt.symbols[s], expect);
   }
 }
 
-TEST(ReedSolomon, SingleMessageDegenerateCase) {
+TYPED_TEST(ReedSolomonTest, SingleMessageDegenerateCase) {
   Rng rng(7);
-  ReedSolomon rs(1, 5);
-  const auto msgs = random_messages(1, 5, rng);
+  const typename TestFixture::Codec rs(1, 5);
+  const auto msgs = random_messages<TypeParam>(1, 5, rng);
   const auto packets = rs.encode(msgs, 7);
   // Every packet of a k=1 code is the message itself.
   for (const auto& p : packets) EXPECT_EQ(p.symbols, msgs[0]);
   EXPECT_EQ(rs.decode({packets[5]}), msgs);
 }
 
-class RsParamSweep
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
-
-TEST_P(RsParamSweep, DecodeFromRandomSubsets) {
-  const auto [k, overhead] = GetParam();
-  Rng rng(100 + k * 7 + overhead);
-  ReedSolomon rs(k, 2);
-  const auto msgs = random_messages(k, 2, rng);
-  auto packets = rs.encode(msgs, static_cast<std::uint32_t>(k + overhead));
-  rng.shuffle(packets);
-  std::vector<RsPacket> subset(packets.begin(),
-                               packets.begin() + static_cast<long>(k));
-  EXPECT_EQ(rs.decode(subset), msgs);
+TYPED_TEST(ReedSolomonTest, DecodeFromRandomSubsets) {
+  for (const std::size_t k : {2, 5, 16, 32, 64}) {
+    for (const std::size_t overhead : {1, 8, 64}) {
+      SCOPED_TRACE("k=" + std::to_string(k) +
+                   " overhead=" + std::to_string(overhead));
+      Rng rng(100 + k * 7 + overhead);
+      const typename TestFixture::Codec rs(k, 2);
+      const auto msgs = random_messages<TypeParam>(k, 2, rng);
+      auto packets =
+          rs.encode(msgs, static_cast<std::uint32_t>(k + overhead));
+      rng.shuffle(packets);
+      const typename TestFixture::Packets subset(
+          packets.begin(), packets.begin() + static_cast<long>(k));
+      EXPECT_EQ(rs.decode(subset), msgs);
+    }
+  }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sizes, RsParamSweep,
-    ::testing::Combine(::testing::Values<std::size_t>(2, 5, 16, 32, 64),
-                       ::testing::Values<std::size_t>(1, 8, 64)));
-
-TEST(ReedSolomon, LargePacketIndices) {
+TYPED_TEST(ReedSolomonTest, TopOfTheEvaluationDomain) {
+  // max_packets() is the field's group order; the highest indices are
+  // still distinct evaluation points, and the next one is out of range.
+  using Codec = typename TestFixture::Codec;
+  constexpr std::uint32_t m = Codec::max_packets();
   Rng rng(8);
-  ReedSolomon rs(4, 2);
-  const auto msgs = random_messages(4, 2, rng);
-  std::vector<RsPacket> packets;
-  for (std::uint32_t idx : {60000u, 60001u, 65000u, 65534u})
+  const Codec rs(4, 2);
+  const auto msgs = random_messages<TypeParam>(4, 2, rng);
+  typename TestFixture::Packets packets;
+  for (const std::uint32_t idx : {m - 1, m - 2, m / 2, m / 3})
     packets.push_back(rs.encode_packet(msgs, idx));
   EXPECT_EQ(rs.decode(packets), msgs);
+  EXPECT_THROW(rs.encode_packet(msgs, m), ContractViolation);
 }
 
-TEST(ReedSolomon, RejectsBadParameters) {
-  EXPECT_THROW(ReedSolomon(0, 1), ContractViolation);
-  EXPECT_THROW(ReedSolomon(1, 0), ContractViolation);
+TYPED_TEST(ReedSolomonTest, RejectsBadParameters) {
+  using Codec = typename TestFixture::Codec;
+  EXPECT_THROW(Codec(0, 1), ContractViolation);
+  EXPECT_THROW(Codec(1, 0), ContractViolation);
+  EXPECT_THROW(Codec(Codec::max_packets() + std::size_t{1}, 1),
+               ContractViolation);
   Rng rng(9);
-  ReedSolomon rs(2, 1);
-  const auto msgs = random_messages(2, 1, rng);
-  EXPECT_THROW(rs.encode_packet(msgs, ReedSolomon::max_packets()),
+  const Codec rs(2, 1);
+  EXPECT_THROW(rs.encode_packet(random_messages<TypeParam>(3, 1, rng), 0),
                ContractViolation);
-  EXPECT_THROW(rs.encode_packet(random_messages(3, 1, rng), 0),
+  EXPECT_THROW(rs.encode_packet(random_messages<TypeParam>(2, 2, rng), 0),
                ContractViolation);
+}
+
+TEST(ReedSolomon, MaxPacketsPerField) {
+  static_assert(ReedSolomon<Gf256>::max_packets() == 255);
+  static_assert(ReedSolomon<Gf65536>::max_packets() == 65535);
+}
+
+/// FNV-1a of the packets' indices and symbols as decimal text.
+template <typename Field>
+std::uint64_t codeword_hash(const std::vector<RsPacket<Field>>& packets) {
+  std::string text;
+  for (const auto& p : packets) {
+    text += std::to_string(p.index);
+    text += ':';
+    for (const auto s : p.symbols) {
+      text += std::to_string(s);
+      text += ',';
+    }
+    text += '|';
+  }
+  return sim::fnv1a64(text);
+}
+
+TEST(ReedSolomon, SnapshotCodewordsAreUnchanged) {
+  // Pinned from the separate GF(2^8) and GF(2^16) codecs this template
+  // replaced (the GF(2^8) one evaluated at pow(2, i)): same points, same
+  // Horner order, so every codeword is bit-identical.
+  Rng rng256(2024);
+  const ReedSolomon<Gf256> rs256(12, 8);
+  EXPECT_EQ(codeword_hash<Gf256>(rs256.encode(
+                random_messages<Gf256>(12, 8, rng256), 255)),
+            0xdcd1fd220d309ac5ULL);
+  Rng rng65536(2025);
+  const ReedSolomon<Gf65536> rs65536(12, 8);
+  EXPECT_EQ(codeword_hash<Gf65536>(rs65536.encode(
+                random_messages<Gf65536>(12, 8, rng65536), 512)),
+            0x5958af22ec434560ULL);
+}
+
+TEST(ReedSolomon, SnapshotCodedRunsAreUnchanged) {
+  // The experiment records of the two payload-verified protocols that run
+  // the GF(2^8) arithmetic (RS for erasure-decay, RLNC for
+  // rlnc-decay-verified), pinned from the pre-template codecs.
+  const std::pair<sim::Scenario, const char*> runs[] = {
+      {sim::Scenario::parse("gnp:48:0.15", "receiver:0.2", 0, 8, 5),
+       "erasure-decay"},
+      {sim::Scenario::parse("grid:5x6", "sender:0.1", 0, 4, 9),
+       "rlnc-decay-verified"},
+  };
+  const std::uint64_t expected[] = {0xff64f86fadc73abeULL,
+                                    0x5bb178fb54c2f24dULL};
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(runs[i].second);
+    const auto report = sim::Driver().run(runs[i].first, runs[i].second, 3);
+    EXPECT_TRUE(report.all_completed());
+    EXPECT_EQ(sim::fnv1a64(sim::experiment_record(report)), expected[i]);
+  }
 }
 
 }  // namespace

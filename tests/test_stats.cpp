@@ -47,7 +47,7 @@ TEST(Stats, OnlineMatchesBatch) {
   std::vector<double> xs;
   OnlineStats online;
   for (int i = 0; i < 1000; ++i) {
-    const double x = rng.uniform_real(-3, 9);
+    const double x = -3.0 + 12.0 * rng.uniform01();
     xs.push_back(x);
     online.add(x);
   }
@@ -76,7 +76,7 @@ TEST(Stats, LinearFitNoisy) {
   std::vector<double> x, y;
   for (int i = 0; i < 400; ++i) {
     x.push_back(i);
-    y.push_back(0.5 * i + 3 + rng.uniform_real(-1, 1));
+    y.push_back(0.5 * i + 3 + (-1.0 + 2.0 * rng.uniform01()));
   }
   const auto fit = fit_linear(x, y);
   EXPECT_NEAR(fit.slope, 0.5, 0.02);

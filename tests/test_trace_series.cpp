@@ -2,7 +2,8 @@
 // series survive the v4 record/shard/cache formats bit-exactly, tracing is
 // zero-cost (bit-identical outcomes) when off, traced sweeps are identical
 // across serial and fleet execution, and the report-layer cross-cell
-// regression (sweep_fits) reproduces a direct log-linear fit exactly.
+// regression (sweep_fits) reproduces a direct log-linear fit exactly and
+// never pools cells of different channel models.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -271,13 +272,51 @@ TEST(SweepFits, NeedsThreeDistinctNodeCountsAndStaysOutOfSmallSweeps) {
   EXPECT_EQ(sweep_csv_of(two_sizes).find("# fit:"), std::string::npos);
   EXPECT_EQ(sweep_json_of(two_sizes).find("\"fits\""), std::string::npos);
 
-  // Three distinct sizes unlock fits; groups are per (protocol, fault, k).
+  // Three distinct sizes unlock fits; groups are per (protocol, fault,
+  // channel, k).
   const auto three = run_plan(
       "topology=path:{8,16,32}; protocols=decay,greedy; trials=2; seed=2");
   const auto fits = sweep_fits(three);
   ASSERT_EQ(fits.size(), 4u);  // 2 protocols x 2 metrics
   EXPECT_EQ(fits[0].protocol, "decay");
   EXPECT_EQ(fits[2].protocol, "greedy");
+}
+
+TEST(SweepFits, ChannelsFitSeparately) {
+  // Edge-fault and SINR cells of one size axis are two regressions, not
+  // one pooled across channel models.
+  const auto report = run_plan(
+      "topology=disk:{48,64,96}:0.3; fault=none; "
+      "channel=none,sinr:2.5:0.001:1.0; protocols=decay; trials=2");
+  const auto fits = sweep_fits(report);
+  ASSERT_EQ(fits.size(), 4u);  // 2 channels x 2 metrics
+  for (std::size_t i = 0; i < fits.size(); ++i) {
+    EXPECT_EQ(fits[i].channel, i < 2 ? "none" : "sinr:2.5:0.001:1.0");
+    EXPECT_EQ(fits[i].cells, 3);
+    EXPECT_EQ(fits[i].metric, i % 2 == 0 ? "median_rounds" : "median_rpm");
+  }
+
+  // The channel is printed only when it is not "none", so edge-fault fits
+  // keep their pre-channel bytes.
+  const auto csv = sweep_csv_of(report);
+  EXPECT_NE(csv.find("# fit: protocol=decay,fault=none,k=1,"
+                     "metric=median_rounds,"),
+            std::string::npos);
+  EXPECT_NE(csv.find("# fit: protocol=decay,fault=none,"
+                     "channel=sinr:2.5:0.001:1.0,k=1,metric=median_rounds,"),
+            std::string::npos);
+  const auto json = sweep_json_of(report);
+  EXPECT_NE(json.find("{\"protocol\": \"decay\", \"fault\": \"none\", "
+                      "\"k\": 1,"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"fault\": \"none\", "
+                      "\"channel\": \"sinr:2.5:0.001:1.0\", \"k\": 1,"),
+            std::string::npos);
+  std::ostringstream table;
+  write_sweep_table(table, report);
+  EXPECT_NE(table.str().find("fit decay | none | k=1:"), std::string::npos);
+  EXPECT_NE(table.str().find("fit decay | none | sinr:2.5:0.001:1.0 | k=1:"),
+            std::string::npos);
 }
 
 }  // namespace
