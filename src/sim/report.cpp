@@ -273,8 +273,9 @@ bool sweep_has_informed_series(const SweepReport& report) {
   return false;
 }
 
-/// True when any cell runs a non-edge channel -- the channel column's
-/// gate, so pre-channel sweeps keep their exact column set.
+/// True when any cell runs a non-edge channel -- the gate for the channel
+/// column and the fits' channel field, so pre-channel sweeps keep their
+/// exact bytes.
 bool sweep_has_channel(const SweepReport& report) {
   for (const auto& cell : report.cells)
     if (cell.experiment.scenario.channel_text != "none") return true;
@@ -316,10 +317,6 @@ std::string fit_shape(const SweepFit& f) {
   return f.metric + " ~ " + fmt(f.fit.intercept, 3) + " + " +
          fmt(f.fit.slope, 3) + " * log2(nodes)";
 }
-
-/// Emitters print a fit's channel only when it is not "none", so reports
-/// without a channel axis keep their pre-channel bytes.
-bool fit_has_channel(const SweepFit& f) { return f.channel != "none"; }
 
 }  // namespace
 
@@ -418,7 +415,7 @@ void write_sweep_table(std::ostream& os, const SweepReport& report) {
                    "with informed >= 0.9 n");
   for (const auto& fit : sweep_fits(report))
     table.add_note("fit " + fit.protocol + " | " + fit.fault + " | " +
-                   (fit_has_channel(fit) ? fit.channel + " | " : "") + "k=" +
+                   (channels ? fit.channel + " | " : "") + "k=" +
                    std::to_string(fit.k) + ": " + fit_shape(fit) + "  (r2 " +
                    fmt(fit.fit.r2, 3) + ", " + std::to_string(fit.cells) +
                    " cells)");
@@ -456,19 +453,19 @@ void write_sweep_csv(std::ostream& os, const SweepReport& report) {
        << ", stolen=" << report.fleet.stolen
        << ", skipped=" << report.fleet.skipped << "\n";
   const bool convergence = sweep_has_informed_series(report);
+  const bool channels = sweep_has_channel(report);
   // Fits ride in comments like the fleet counters: the data rows of the
   // same cells stay byte-identical whether or not the plan had a fittable
   // size axis.  Coefficients print at max_digits10 so downstream tooling
   // recovers the regression exactly.
   for (const auto& fit : sweep_fits(report))
     os << "# fit: protocol=" << fit.protocol << ",fault=" << fit.fault
-       << (fit_has_channel(fit) ? ",channel=" + fit.channel : "")
+       << (channels ? ",channel=" + fit.channel : "")
        << ",k=" << fit.k << ",metric=" << fit.metric
        << ",axis=nodes,model=log2,cells=" << fit.cells
        << ",slope=" << json_real(fit.fit.slope)
        << ",intercept=" << json_real(fit.fit.intercept)
        << ",r2=" << json_real(fit.fit.r2) << "\n";
-  const bool channels = sweep_has_channel(report);
   os << "cell,topology,fault," << (channels ? "channel," : "")
      << "source,k,protocol,trials,seed,nodes,edges,"
         "depth,completed_trials,median_rounds,mean_rounds,median_rpm,"
@@ -520,15 +517,15 @@ void write_sweep_json(std::ostream& os, const SweepReport& report) {
   os << "  \"all_completed\": "
      << (report.all_completed() ? "true" : "false") << ",\n";
   const auto fits = sweep_fits(report);
+  const bool channels = sweep_has_channel(report);
   if (!fits.empty()) {
     os << "  \"fits\": [\n";
     for (std::size_t i = 0; i < fits.size(); ++i) {
       const auto& f = fits[i];
       os << "    {\"protocol\": \"" << json_escape(f.protocol)
          << "\", \"fault\": \"" << json_escape(f.fault) << "\""
-         << (fit_has_channel(f)
-                 ? ", \"channel\": \"" + json_escape(f.channel) + "\""
-                 : "")
+         << (channels ? ", \"channel\": \"" + json_escape(f.channel) + "\""
+                      : "")
          << ", \"k\": " << f.k << ", \"metric\": \"" << f.metric
          << "\", \"axis\": \"nodes\", \"model\": \"log2\", \"cells\": "
          << f.cells << ", \"slope\": " << json_real(f.fit.slope)

@@ -27,8 +27,9 @@ namespace nrn::sim {
 /// the report layer, so serial, fleet, and serve reports all carry the
 /// same fits.  Groups need at least three distinct node counts; smaller
 /// groups produce no fit (and sweeps without a size axis emit none at
-/// all).  Emitters print the channel only when it is not "none", so
-/// edge-fault reports keep their pre-channel bytes.
+/// all).  Emitters print a fit's channel exactly when they print the
+/// channel column (some cell's channel is not "none"), so edge-fault
+/// reports keep their pre-channel bytes.
 struct SweepFit {
   std::string protocol;
   std::string fault;

@@ -1,13 +1,15 @@
 // Protocol v2 Outcome metrics: exact MetricValue round trips, the
 // informed-sentinel fix (absent, never -1), per-experiment aggregation
 // (mean/min/max), capability exposure through registry and reports,
-// verified-payload runs, theory-bound gap columns, and the shard-invariance
-// property extended to metric columns.
+// verified-payload runs (with pinned records of the coded ones),
+// theory-bound gap columns, and the shard-invariance property extended to
+// metric columns.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <utility>
 
 #include "sim_test_util.hpp"
 
@@ -172,6 +174,24 @@ TEST(Driver, VerifiedPayloadProtocolsCertifyBytes) {
     EXPECT_TRUE(tuned.all_completed());
     EXPECT_EQ(tuned.trials.front().run.find("verified_bytes")->as_int(),
               10 * 4 * 8);
+  }
+
+  // The records of the two protocols that run GF(2^8) arithmetic (RS for
+  // erasure-decay, RLNC for rlnc-decay-verified), pinned from the separate
+  // GF(2^8)/GF(2^16) codecs that coding::BinaryField replaced.
+  const std::pair<Scenario, const char*> pinned[] = {
+      {Scenario::parse("gnp:48:0.15", "receiver:0.2", 0, 8, 5),
+       "erasure-decay"},
+      {Scenario::parse("grid:5x6", "sender:0.1", 0, 4, 9),
+       "rlnc-decay-verified"},
+  };
+  const std::uint64_t expected[] = {0xff64f86fadc73abeULL,
+                                    0x5bb178fb54c2f24dULL};
+  for (std::size_t i = 0; i < 2; ++i) {
+    SCOPED_TRACE(pinned[i].second);
+    const auto report = Driver().run(pinned[i].first, pinned[i].second, 3);
+    EXPECT_TRUE(report.all_completed());
+    EXPECT_EQ(fnv1a64(experiment_record(report)), expected[i]);
   }
 }
 

@@ -296,27 +296,24 @@ TEST(SweepFits, ChannelsFitSeparately) {
     EXPECT_EQ(fits[i].metric, i % 2 == 0 ? "median_rounds" : "median_rpm");
   }
 
-  // The channel is printed only when it is not "none", so edge-fault fits
-  // keep their pre-channel bytes.
+  // A report with a channel column names every fit's channel, "none"
+  // included, so all fits of one report share a key set.
   const auto csv = sweep_csv_of(report);
-  EXPECT_NE(csv.find("# fit: protocol=decay,fault=none,k=1,"
-                     "metric=median_rounds,"),
-            std::string::npos);
-  EXPECT_NE(csv.find("# fit: protocol=decay,fault=none,"
-                     "channel=sinr:2.5:0.001:1.0,k=1,metric=median_rounds,"),
-            std::string::npos);
   const auto json = sweep_json_of(report);
-  EXPECT_NE(json.find("{\"protocol\": \"decay\", \"fault\": \"none\", "
-                      "\"k\": 1,"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"fault\": \"none\", "
-                      "\"channel\": \"sinr:2.5:0.001:1.0\", \"k\": 1,"),
-            std::string::npos);
   std::ostringstream table;
   write_sweep_table(table, report);
-  EXPECT_NE(table.str().find("fit decay | none | k=1:"), std::string::npos);
-  EXPECT_NE(table.str().find("fit decay | none | sinr:2.5:0.001:1.0 | k=1:"),
-            std::string::npos);
+  for (const std::string channel : {"none", "sinr:2.5:0.001:1.0"}) {
+    SCOPED_TRACE(channel);
+    EXPECT_NE(csv.find("# fit: protocol=decay,fault=none,channel=" + channel +
+                       ",k=1,metric=median_rounds,"),
+              std::string::npos);
+    EXPECT_NE(json.find("{\"protocol\": \"decay\", \"fault\": \"none\", "
+                        "\"channel\": \"" + channel + "\", \"k\": 1,"),
+              std::string::npos);
+    EXPECT_NE(table.str().find("fit decay | none | " + channel + " | k=1:"),
+              std::string::npos);
+  }
+  EXPECT_EQ(csv.find("fault=none,k=1"), std::string::npos);
 }
 
 }  // namespace
