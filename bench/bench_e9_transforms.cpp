@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
         "topology=star:16; protocols=transform-routing; "
         "fault=none,sender:{0.2,0.4,0.6,0.8};" + common);
     for (const auto& cell : report.cells) {
-      const double p = cell.experiment.scenario.fault.effective_loss();
+      const double p = cell.experiment.scenario.channel.effective_loss();
       const auto row = bench::throughput_of(cell.experiment);
       const double target = target_throughput(1.0, p);
       t.add_row({fmt(p, 1), fmt(row.throughput, 3), fmt(target, 3),
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
         "topology=path:12; protocols=transform-routing; "
         "fault=none,sender:{0.2,0.4,0.6};" + common);
     for (const auto& cell : report.cells) {
-      const double p = cell.experiment.scenario.fault.effective_loss();
+      const double p = cell.experiment.scenario.channel.effective_loss();
       const auto row = bench::throughput_of(cell.experiment);
       const double target = target_throughput(tau_pipeline, p);
       t.add_row({fmt(p, 1), fmt(row.throughput, 3), fmt(target, 3),
@@ -78,8 +78,7 @@ int main(int argc, char** argv) {
         "topology=path:12; protocols=transform-coding; "
         "fault=sender:{0.2,0.5},receiver:{0.2,0.5};" + common);
     for (const auto& cell : report.cells) {
-      const auto& fault = cell.experiment.scenario.fault;
-      const double p = fault.effective_loss();
+      const double p = cell.experiment.scenario.channel.effective_loss();
       const auto row = bench::throughput_of(cell.experiment);
       // "sender:0.2" -> "sender": the spec text names the model.
       const std::string& spec = cell.experiment.scenario.fault_text;

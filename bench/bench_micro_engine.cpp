@@ -91,7 +91,7 @@ void BM_EngineSinrDisk(benchmark::State& state) {
       0, 1, 17, "sinr:2.5:0.001:1.0");
   graph::Geometry geometry;
   const auto g = scenario.build_graph(&geometry);
-  radio::RadioNetwork net(g, scenario.channel, &geometry, Rng(2));
+  radio::RadioNetwork net(g, scenario.channel, Rng(2), &geometry);
   for (auto _ : state) {
     for (graph::NodeId u = 0; u < g.node_count(); u += 2)
       net.set_broadcast(u, radio::Packet{u});

@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
       const auto& exp = cell.experiment;
       NRN_ENSURES(exp.all_completed(),
                   "RLNC broadcast exceeded its budget in OP bench");
-      const double loss = exp.scenario.fault.effective_loss();
+      const double loss = exp.scenario.channel.effective_loss();
       const double rounds = exp.median_rounds();
       t.add_row({exp.scenario.fault_text, fmt(loss, 2), fmt(rounds, 0),
                  fmt(rounds * (1.0 - loss), 0)});

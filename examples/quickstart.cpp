@@ -41,7 +41,7 @@ int main() {
   const sim::ProtocolContext ctx{grid, scenario, sim::Tuning{}};
   const auto decay = sim::ProtocolRegistry::global().create("decay", ctx);
 
-  radio::RadioNetwork net(grid, scenario.fault, Rng(99));
+  radio::RadioNetwork net(grid, scenario.channel, Rng(99));
   Rng algorithm_rng(7);
   radio::TraceRecorder trace;
   const sim::Outcome result = decay->run(net, algorithm_rng, &trace);

@@ -51,7 +51,7 @@ MultiRunResult ErasureBroadcast::run_and_verify(
   NRN_EXPECTS(messages.size() == params_.k, "message count mismatch");
   const std::int32_t n = graph_->node_count();
   const auto k = static_cast<std::int64_t>(params_.k);
-  const double p = net.fault_model().effective_loss();
+  const double p = net.channel().effective_loss();
   const std::int32_t log_n = ceil_log2(n);
 
   const Codec codec(params_.k, params_.block_len);

@@ -35,7 +35,7 @@ MultiRunResult run_greedy_adaptive_routing(radio::RadioNetwork& net,
   NRN_EXPECTS(params.k >= 1, "need at least one message");
   NRN_EXPECTS(source >= 0 && source < n, "source out of range");
   const std::int64_t k = params.k;
-  const double loss = net.fault_model().effective_loss();
+  const double loss = net.channel().effective_loss();
   const std::int64_t budget =
       params.max_rounds > 0
           ? params.max_rounds

@@ -37,7 +37,7 @@ TransformResult run_routing_transform(radio::RadioNetwork& net,
   const std::int32_t n = net.graph().node_count();
   const std::int64_t k0 = base.base_messages();
   const std::int64_t x = params.x;
-  const std::int64_t T = meta_length(params, net.fault_model().effective_loss());
+  const std::int64_t T = meta_length(params, net.channel().effective_loss());
 
   // received[v][m] is a bitmask of sub-messages; node 0 knows everything.
   const auto full = x == 64 ? ~std::uint64_t{0}
@@ -112,7 +112,7 @@ TransformResult run_coding_transform(radio::RadioNetwork& net,
   const std::int32_t n = net.graph().node_count();
   const std::int64_t k0 = base.base_messages();
   const std::int64_t x = params.x;
-  const std::int64_t T = meta_length(params, net.fault_model().effective_loss());
+  const std::int64_t T = meta_length(params, net.channel().effective_loss());
 
   std::vector<std::vector<char>> knows(
       static_cast<std::size_t>(n),

@@ -1,12 +1,13 @@
 // The pluggable channel layer above the topology.
 //
 // A ChannelModel decides which staged broadcasts become deliveries each
-// round.  Two instances exist:
+// round; it is the one channel parameter of both engines and of a
+// sim::Scenario.  Two instances exist:
 //   * kEdgeFault -- the paper's model (Section 3.1): the classic
 //     collision rule plus independent per-round sender/receiver fault
-//     coins, parameterized by a FaultModel.  This is the tape-v4 fast
-//     path; its semantics and coin tape are bit-identical to when the
-//     engine took a bare FaultModel.
+//     coins, parameterized by a FaultModel.  A FaultModel converts
+//     implicitly into this channel, so a bare fault model is accepted
+//     wherever a channel is wanted.  This is the tape-v4 fast path.
 //   * kSinr -- an additive-gain interference model in the style of
 //     ROOT-Sim's physical_layer.c (SNIPPETS.md section 1): transmitter u
 //     reaches listener v with gain power_u / dist(u, v)^alpha; v decodes
@@ -23,6 +24,10 @@
 // round" invariant: only the strongest transmitter (lowest node id on a
 // gain tie) is a decode candidate -- a capture model, not a multi-packet
 // reception model.
+//
+// The engines arm a channel through radio::ChannelState
+// (radio/channel_state.hpp), which derives its coin thresholds and SINR
+// gain table in one place.
 #pragma once
 
 #include <string>
@@ -49,17 +54,14 @@ struct SinrParams {
 
 struct ChannelModel {
   ChannelKind kind = ChannelKind::kEdgeFault;
-  /// Edge-fault parameterization; faultless under kSinr so protocol
-  /// budget formulas (FaultModel::effective_loss) see zero edge loss.
-  FaultModel fault;
+  FaultModel fault;  ///< edge-fault parameters; engines price coins()
   SinrParams sinr;
 
-  static ChannelModel edge_fault(FaultModel fault_model) {
-    ChannelModel c;
-    c.kind = ChannelKind::kEdgeFault;
-    c.fault = fault_model;
-    return c;
-  }
+  ChannelModel() = default;
+
+  /// The edge-fault channel under `fault_model`.  Implicit on purpose: a
+  /// FaultModel is the paper's whole channel.
+  ChannelModel(FaultModel fault_model) : fault(fault_model) {}
 
   static ChannelModel sinr_channel(double alpha, double noise_floor,
                                    double beta) {
@@ -73,6 +75,16 @@ struct ChannelModel {
   }
 
   bool is_edge_fault() const { return kind == ChannelKind::kEdgeFault; }
+
+  /// The fault coins the engines price: `fault` under kEdgeFault,
+  /// faultless under kSinr (a deterministic channel draws no coins).
+  FaultModel coins() const {
+    return is_edge_fault() ? fault : FaultModel::faultless();
+  }
+
+  /// Probability that a single uncontested transmission is lost to a
+  /// fault coin (0 under kSinr); the protocols' round budgets read this.
+  double effective_loss() const { return coins().effective_loss(); }
 
   friend bool operator==(const ChannelModel&, const ChannelModel&) = default;
 };

@@ -97,9 +97,8 @@ struct FaultModel {
   }
 };
 
-/// Sender-side coin probability the engine prices (0 when the regime has no
-/// sender coin).  Shared by the scalar engine and the lockstep bank so the
-/// two always agree on which coins exist.
+/// Sender-side coin probability the engines price (0 when the regime has no
+/// sender coin); radio::ChannelState arms both engines' coins from it.
 inline double sender_fault_probability(const FaultModel& fm) {
   return (fm.kind == FaultKind::kSender || fm.kind == FaultKind::kCombined)
              ? fm.p

@@ -3,20 +3,12 @@
 #include <algorithm>
 #include <bit>
 
-#include "radio/sinr_gain.hpp"
-
 namespace nrn::radio {
-
-LockstepNetwork::LockstepNetwork(const graph::Graph& g, FaultModel fault_model)
-    : LockstepNetwork(g, ChannelModel::edge_fault(fault_model), nullptr) {}
 
 LockstepNetwork::LockstepNetwork(const graph::Graph& g,
                                  const ChannelModel& channel,
                                  const graph::Geometry* geometry)
-    : graph_(&g),
-      fault_model_(channel.fault),
-      channel_(channel),
-      geometry_(geometry) {
+    : graph_(&g), geometry_(geometry) {
   const auto n = static_cast<std::size_t>(g.node_count());
   bcast_mask_.assign(n, 0);
   once_.assign(n, 0);
@@ -26,29 +18,10 @@ LockstepNetwork::LockstepNetwork(const graph::Graph& g,
   reset(channel);
 }
 
-void LockstepNetwork::reset(FaultModel fault_model) {
-  reset(ChannelModel::edge_fault(fault_model));
-}
-
 void LockstepNetwork::reset(const ChannelModel& channel) {
-  if (!(channel.sinr == channel_.sinr)) gain_table_valid_ = false;
-  channel_ = channel;
-  sinr_ = channel.kind == ChannelKind::kSinr;
-  // Mirrors RadioNetwork::reset: under SINR the edge-fault layer is inert
-  // and no coins are priced, so the lanes' rng streams are never drawn.
-  fault_model_ = sinr_ ? FaultModel::faultless() : channel.fault;
-  if (sinr_ && !gain_table_valid_) {
-    NRN_EXPECTS(geometry_ != nullptr, "sinr channel requires node geometry");
-    build_sinr_gain_table(*graph_, *geometry_, channel_.sinr.alpha, gain_row_,
-                          gain_);
-    gain_table_valid_ = true;
-  }
-  const double ps = sender_fault_probability(fault_model_);
-  const double pr = receiver_fault_probability(fault_model_);
-  sender_coins_ = ps > 0.0;
-  receiver_coins_ = pr > 0.0;
-  sender_threshold_ = Rng::coin_threshold(ps);
-  receiver_threshold_ = Rng::coin_threshold(pr);
+  // Under SINR no coins are priced, so the lanes' rng streams are never
+  // drawn from.
+  channel_.arm(channel, *graph_, geometry_);
   lanes_ = 0;
   // Per-round scratch self-clears at the end of run_round; after an
   // abandoned round (reset mid-bank) it must be scrubbed here.
@@ -127,7 +100,7 @@ std::size_t LockstepNetwork::stage_bernoulli_pow2(
 
 void LockstepNetwork::run_round(unsigned lanes) {
   NRN_EXPECTS((lanes >> lanes_) == 0, "round mask addresses unknown lanes");
-  const bool coins = sender_coins_ || receiver_coins_;
+  const bool coins = channel_.sender_coins || channel_.receiver_coins;
   for (int l = 0; l < lanes_; ++l) {
     const auto li = static_cast<std::size_t>(l);
     if ((lanes & (1u << l)) == 0) {
@@ -148,7 +121,7 @@ void LockstepNetwork::run_round(unsigned lanes) {
     }
   }
 
-  if (sinr_) {
+  if (channel_.sinr) {
     // SINR route: the shared gain pass replaces the once/twice collision
     // accounting; lanes are resolved inside, so skip straight to the
     // per-lane bookkeeping tail.
@@ -169,7 +142,7 @@ void LockstepNetwork::run_round(unsigned lanes) {
   // per listener, accumulate which lanes touched it once and which twice,
   // and -- only if a sender fault coin will need to be keyed by it --
   // remember the sender behind each lane's first touch.
-  if (sender_coins_) {
+  if (channel_.sender_coins) {
     for (const NodeId b : union_) {
       const LaneMask bm = bcast_mask_[static_cast<std::size_t>(b)];
       for (const NodeId v : graph_->neighbors(b)) {
@@ -222,7 +195,7 @@ void LockstepNetwork::run_round(unsigned lanes) {
       const auto li = static_cast<std::size_t>(std::countr_zero(del));
       del = static_cast<LaneMask>(del & (del - 1));
       cand_recv_[li].push_back(v);
-      if (sender_coins_)
+      if (channel_.sender_coins)
         cand_send_[li].push_back(
             sole_sender_[vi * static_cast<std::size_t>(kMaxLanes) + li]);
     }
@@ -255,7 +228,7 @@ void LockstepNetwork::run_round_sinr() {
   // run in ascending neighbor id, exactly the scalar sinr_decode order,
   // so the floating-point sums (and hence deliveries) are bit-identical
   // to scalar trials.
-  const SinrParams& p = channel_.sinr;
+  const SinrParams& p = channel_.model.sinr;
   const NodeId n = graph_->node_count();
   for (NodeId v = 0; v < n; ++v) {
     const auto vi = static_cast<std::size_t>(v);
@@ -266,7 +239,7 @@ void LockstepNetwork::run_round_sinr() {
         static_cast<LaneMask>(on & ~bcast_mask_[vi]);
     if (listen == 0) continue;
     const auto row = graph_->neighbors(v);
-    const double* gains = gain_.data() + gain_row_[vi];
+    const double* gains = channel_.gain.data() + channel_.gain_row[vi];
     std::array<double, kMaxLanes> sum{};
     std::array<double, kMaxLanes> best;
     best.fill(-1.0);
@@ -299,7 +272,7 @@ void LockstepNetwork::resolve_lane(int lane) {
   const auto& recv = cand_recv_[li];
   const auto& send = cand_send_[li];
   auto& out = receivers_[li];
-  if (!sender_coins_ && !receiver_coins_) {
+  if (!channel_.sender_coins && !channel_.receiver_coins) {
     out.assign(recv.begin(), recv.end());
     return;
   }
@@ -314,33 +287,33 @@ void LockstepNetwork::resolve_lane(int lane) {
   std::size_t w = 0;
   std::int64_t sender_losses = 0;
   std::int64_t receiver_losses = 0;
-  if (sender_coins_) {
+  if (channel_.sender_coins) {
     send_mix_.resize(count);
     Rng::mix64_batch(sender_salt_[li], send.data(), send_mix_.data(), count);
   }
-  if (receiver_coins_) {
+  if (channel_.receiver_coins) {
     recv_mix_.resize(count);
     Rng::mix64_batch(receiver_salt_[li], recv.data(), recv_mix_.data(), count);
   }
-  if (sender_coins_ && receiver_coins_) {
+  if (channel_.sender_coins && channel_.receiver_coins) {
     for (std::size_t j = 0; j < count; ++j) {
-      const std::size_t sf = send_mix_[j] < sender_threshold_;
-      const std::size_t rf = recv_mix_[j] < receiver_threshold_;
+      const std::size_t sf = send_mix_[j] < channel_.sender_threshold;
+      const std::size_t rf = recv_mix_[j] < channel_.receiver_threshold;
       sender_losses += static_cast<std::int64_t>(sf);
       receiver_losses += static_cast<std::int64_t>((sf ^ 1U) & rf);
       out[w] = recv[j];
       w += (sf | rf) ^ 1U;
     }
-  } else if (sender_coins_) {
+  } else if (channel_.sender_coins) {
     for (std::size_t j = 0; j < count; ++j) {
-      const std::size_t sf = send_mix_[j] < sender_threshold_;
+      const std::size_t sf = send_mix_[j] < channel_.sender_threshold;
       sender_losses += static_cast<std::int64_t>(sf);
       out[w] = recv[j];
       w += sf ^ 1U;
     }
   } else {
     for (std::size_t j = 0; j < count; ++j) {
-      const std::size_t rf = recv_mix_[j] < receiver_threshold_;
+      const std::size_t rf = recv_mix_[j] < channel_.receiver_threshold;
       receiver_losses += static_cast<std::int64_t>(rf);
       out[w] = recv[j];
       w += rf ^ 1U;

@@ -1,5 +1,5 @@
 // Lockstep multi-trial execution: up to kMaxLanes independent trials of one
-// scenario (same graph, same fault model, per-trial seeds) advanced round by
+// scenario (same graph, same channel, per-trial seeds) advanced round by
 // round together, sharing a single adjacency pass per round.
 //
 // Why this is possible: the v4 coin tape (see radio/network.hpp) is fully
@@ -21,14 +21,17 @@
 // the FASTBC family broadcast one message and read receiver-id spans).
 // Protocols that need packet identity or payloads run scalar.
 //
-// Channel models: under a kSinr channel (radio/channel_model.hpp) the
-// lanes share the gain pass the way they share adjacency -- one touch
-// pass over the union of broadcasters, then one ascending row walk per
-// touched listener accumulating all eight lanes' interference sums at
-// once.  Per lane the additions run in ascending neighbor id, the exact
-// order of the scalar engine's sinr_decode, so lane results stay
-// bit-identical to scalar trials.  The channel is deterministic: no
-// salts are drawn and the lanes' rng streams are never consumed.
+// Channel models: the bank arms its channel through the same
+// radio::ChannelState as the scalar engine (radio/channel_state.hpp), so
+// both derive identical coin thresholds and gain tables.  Under a kSinr
+// channel (radio/channel_model.hpp) the lanes share the gain pass the way
+// they share adjacency -- one touch pass over the union of broadcasters,
+// then one ascending row walk per touched listener accumulating all eight
+// lanes' interference sums at once.  Per lane the additions run in
+// ascending neighbor id, the exact order of the scalar engine's
+// sinr_decode, so lane results stay bit-identical to scalar trials.  The
+// channel is deterministic: no salts are drawn and the lanes' rng streams
+// are never consumed.
 #pragma once
 
 #include <array>
@@ -40,7 +43,7 @@
 #include "graph/geometry.hpp"
 #include "graph/graph.hpp"
 #include "radio/channel_model.hpp"
-#include "radio/fault_model.hpp"
+#include "radio/channel_state.hpp"
 #include "radio/network.hpp"
 #include "radio/staging.hpp"
 
@@ -53,30 +56,22 @@ class LockstepNetwork {
   static constexpr int kMaxLanes = 8;
   using LaneMask = std::uint8_t;
 
-  /// The graph must outlive the bank.  Equivalent to the ChannelModel
-  /// constructor with an edge-fault channel.
-  LockstepNetwork(const graph::Graph& g, FaultModel fault_model);
-
-  /// General form: any channel model.  A kSinr channel requires
-  /// `geometry` (kept alive by the caller alongside the graph).
+  /// The graph must outlive the bank.  `channel` may be a bare FaultModel
+  /// (the edge-fault channel).  A kSinr channel requires `geometry` (kept
+  /// alive by the caller alongside the graph).
   LockstepNetwork(const graph::Graph& g, const ChannelModel& channel,
-                  const graph::Geometry* geometry);
+                  const graph::Geometry* geometry = nullptr);
 
-  LockstepNetwork(graph::Graph&&, FaultModel) = delete;
   LockstepNetwork(graph::Graph&&, const ChannelModel&,
-                  const graph::Geometry*) = delete;
+                  const graph::Geometry* = nullptr) = delete;
 
   /// Rearms the bank for a fresh batch of trials on the same graph: new
-  /// fault model, all lanes dropped, scratch kept.
-  void reset(FaultModel fault_model);
-
-  /// Channel-general reset; reuses the gain table when the SINR
-  /// parameters are unchanged.
+  /// channel, all lanes dropped, scratch kept (the SINR gain table too,
+  /// while its parameters are unchanged).
   void reset(const ChannelModel& channel);
 
   const graph::Graph& graph() const { return *graph_; }
-  const ChannelModel& channel() const { return channel_; }
-  const FaultModel& fault_model() const { return fault_model_; }
+  const ChannelModel& channel() const { return channel_.model; }
 
   /// Adds a trial lane seeded with its own fault-coin stream; returns the
   /// lane index.  At most kMaxLanes lanes per reset.
@@ -156,21 +151,8 @@ class LockstepNetwork {
   void run_round_sinr();
 
   const graph::Graph* graph_;
-  FaultModel fault_model_;
-  ChannelModel channel_;
-  bool sender_coins_ = false;
-  bool receiver_coins_ = false;
-  std::uint64_t sender_threshold_ = 0;
-  std::uint64_t receiver_threshold_ = 0;
-
-  // SINR channel state: same listener-row gain table as the scalar engine
-  // (radio/sinr_gain.hpp), built lazily and reused across resets with
-  // unchanged parameters.
-  bool sinr_ = false;
-  const graph::Geometry* geometry_ = nullptr;
-  bool gain_table_valid_ = false;
-  std::vector<std::int64_t> gain_row_;
-  std::vector<double> gain_;
+  const graph::Geometry* geometry_;
+  ChannelState channel_;
 
   int lanes_ = 0;
   std::array<Rng, kMaxLanes> rng_;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "radio/sinr_gain.hpp"
-
 namespace nrn::radio {
 
 void DeliveryList::sort_by_receiver(std::vector<std::uint64_t>& scratch) {
@@ -22,17 +20,9 @@ void DeliveryList::sort_by_receiver(std::vector<std::uint64_t>& scratch) {
   }
 }
 
-RadioNetwork::RadioNetwork(const graph::Graph& g, FaultModel fault_model,
-                           Rng rng)
-    : RadioNetwork(g, ChannelModel::edge_fault(fault_model), nullptr, rng) {}
-
 RadioNetwork::RadioNetwork(const graph::Graph& g, const ChannelModel& channel,
-                           const graph::Geometry* geometry, Rng rng)
-    : graph_(&g),
-      fault_model_(channel.fault),
-      channel_(channel),
-      rng_(rng),
-      geometry_(geometry) {
+                           Rng rng, const graph::Geometry* geometry)
+    : graph_(&g), geometry_(geometry), rng_(rng) {
   const auto n = static_cast<std::size_t>(g.node_count());
   slots_.assign(n, NodeSlot{});
   candidates_.reserve(n);
@@ -67,29 +57,12 @@ RadioNetwork::RadioNetwork(const graph::Graph& g, const ChannelModel& channel,
   reset(channel, rng);
 }
 
-void RadioNetwork::reset(FaultModel fault_model, Rng rng) {
-  reset(ChannelModel::edge_fault(fault_model), rng);
-}
-
 void RadioNetwork::reset(const ChannelModel& channel, Rng rng) {
-  NRN_EXPECTS(
-      channel.kind != ChannelKind::kSinr || kernel_ != Kernel::kAdjacent,
-      "adjacent kernel forced under the sinr channel");
-  if (!(channel.sinr == channel_.sinr)) gain_table_valid_ = false;
-  channel_ = channel;
-  sinr_ = channel.kind == ChannelKind::kSinr;
-  // Under SINR the edge-fault layer is inert: protocols reading
-  // fault_model() (budget formulas) see zero edge loss, and the coin
-  // flags below price no coins, so the rng stream is never drawn from.
-  fault_model_ = sinr_ ? FaultModel::faultless() : channel.fault;
+  NRN_EXPECTS(channel.is_edge_fault() || kernel_ != Kernel::kAdjacent,
+              "adjacent kernel forced under the sinr channel");
+  // Under SINR no coins are in play, so the rng stream is never drawn from.
+  channel_.arm(channel, *graph_, geometry_);
   rng_ = rng;
-  if (sinr_ && !gain_table_valid_) build_gain_table();
-  const double ps = sender_fault_probability(fault_model_);
-  const double pr = receiver_fault_probability(fault_model_);
-  sender_coins_ = ps > 0.0;
-  receiver_coins_ = pr > 0.0;
-  sender_threshold_ = Rng::coin_threshold(ps);
-  receiver_threshold_ = Rng::coin_threshold(pr);
   // A bitmask-mode plan abandoned mid-round leaves its broadcaster bits
   // set; clear them before dropping the plan (whole-word stores are fine:
   // every set bit in a touched word belongs to a staged sender).
@@ -314,7 +287,7 @@ void RadioNetwork::finalize_candidates(std::span<const NodeId> cands) {
   recv.resize(base + c);
   pidx.resize(base + c);
   std::size_t w = base;
-  if (sender_coins_) {
+  if (channel_.sender_coins) {
     // Tombstones and the senders' shared coins (priced per plan slot up
     // front, plan_noisy_) fall out in the same compaction.
     std::int64_t losses = 0;
@@ -341,7 +314,7 @@ void RadioNetwork::finalize_candidates(std::span<const NodeId> cands) {
   }
   recv.resize(w);
   pidx.resize(w);
-  if (receiver_coins_) apply_receiver_coins(base);
+  if (channel_.receiver_coins) apply_receiver_coins(base);
 }
 
 void RadioNetwork::apply_receiver_coins(std::size_t base) {
@@ -358,7 +331,7 @@ void RadioNetwork::apply_receiver_coins(std::size_t base) {
   std::size_t w = base;
   std::int64_t losses = 0;
   for (std::size_t j = 0; j < survivors; ++j) {
-    const int ok = coin_mix_scratch_[j] >= receiver_threshold_ ? 1 : 0;
+    const int ok = coin_mix_scratch_[j] >= channel_.receiver_threshold ? 1 : 0;
     recv[w] = recv[base + j];
     pidx[w] = pidx[base + j];
     w += static_cast<std::size_t>(ok);
@@ -501,7 +474,7 @@ void RadioNetwork::run_round_adjacent() {
   }
   // Coin tail: the senders' shared coins compact in place (no tombstones
   // here -- collisions never entered the arrays), then the receiver pass.
-  if (sender_coins_) {
+  if (channel_.sender_coins) {
     std::size_t w2 = base;
     std::int64_t losses = 0;
     for (std::size_t j = base; j < wr; ++j) {
@@ -516,14 +489,7 @@ void RadioNetwork::run_round_adjacent() {
     recv.resize(w2);
     pidx.resize(w2);
   }
-  if (receiver_coins_) apply_receiver_coins(base);
-}
-
-void RadioNetwork::build_gain_table() {
-  NRN_EXPECTS(geometry_ != nullptr, "sinr channel requires node geometry");
-  build_sinr_gain_table(*graph_, *geometry_, channel_.sinr.alpha, gain_row_,
-                        gain_);
-  gain_table_valid_ = true;
+  if (channel_.receiver_coins) apply_receiver_coins(base);
 }
 
 template <typename IsTx, typename PlanOf>
@@ -532,7 +498,8 @@ void RadioNetwork::sinr_decode(NodeId v, IsTx&& is_tx, PlanOf&& plan_of) {
   // kernels (and the lockstep bank) accumulate this way so floating-point
   // sums are bit-identical across execution paths.
   const auto row = graph_->neighbors(v);
-  const double* gains = gain_.data() + gain_row_[static_cast<std::size_t>(v)];
+  const double* gains =
+      channel_.gain.data() + channel_.gain_row[static_cast<std::size_t>(v)];
   double sum = 0.0;
   double best = -1.0;
   NodeId best_u = -1;
@@ -547,7 +514,7 @@ void RadioNetwork::sinr_decode(NodeId v, IsTx&& is_tx, PlanOf&& plan_of) {
     }
   }
   if (best_u < 0) return;  // nobody in range transmitted
-  const SinrParams& p = channel_.sinr;
+  const SinrParams& p = channel_.model.sinr;
   if (best >= p.beta * (p.noise_floor + (sum - best)))
     deliveries_.push(v, plan_of(best_u));
   else
@@ -613,11 +580,11 @@ const DeliveryList& RadioNetwork::run_round() {
   // one salt; both coin families derive from it by domain separation.
   // Sender coins are then priced per plan slot in one batched pass (each
   // sender's coin is shared by all its receivers).
-  if ((sender_coins_ || receiver_coins_) && staged != 0) {
+  if ((channel_.sender_coins || channel_.receiver_coins) && staged != 0) {
     const std::uint64_t salt = rng_();
     sender_salt_ = salt ^ kSenderSaltTweak;
     receiver_salt_ = salt ^ kReceiverSaltTweak;
-    if (sender_coins_) {
+    if (channel_.sender_coins) {
       plan_noisy_.resize(staged);
       std::uint64_t ids[Rng::kCoinBatch];
       std::uint64_t mixed[Rng::kCoinBatch];
@@ -627,7 +594,7 @@ const DeliveryList& RadioNetwork::run_round() {
           ids[j] = static_cast<std::uint64_t>(plan_senders_[base + j]);
         Rng::mix64_batch(sender_salt_, ids, mixed, m);
         for (std::size_t j = 0; j < m; ++j)
-          plan_noisy_[base + j] = mixed[j] < sender_threshold_ ? 1 : 0;
+          plan_noisy_[base + j] = mixed[j] < channel_.sender_threshold ? 1 : 0;
       }
     }
   }
@@ -640,12 +607,12 @@ const DeliveryList& RadioNetwork::run_round() {
     } else {
       if (kernel_ == Kernel::kDense ||
           (kernel_ == Kernel::kAuto && staged >= dense_plan_threshold_)) {
-        if (sinr_)
+        if (channel_.sinr)
           run_round_sinr_dense();
         else
           run_round_dense();
       } else {
-        if (sinr_)
+        if (channel_.sinr)
           run_round_sinr_sparse();
         else
           run_round_sparse();

@@ -57,7 +57,11 @@
 // separate receiver salt; v4 collapses a round's fault randomness to a
 // single draw.  Record/shard/cache formats bumped to v5 -- docs/formats.md.)
 //
-// Channel models: the contract above describes the kEdgeFault channel.
+// Channel models: the contract above describes the kEdgeFault channel,
+// which a bare FaultModel converts into.  The engine takes one
+// ChannelModel at construction and at every reset, and arms it through
+// radio::ChannelState (radio/channel_state.hpp) -- coin thresholds and the
+// SINR gain table derived in one place, shared with the lockstep bank.
 // Under a kSinr channel (radio/channel_model.hpp) reception is resolved
 // from summed transmitter gains instead of collision + coins; the channel
 // is deterministic, so NO salts are ever drawn -- point 5 of the contract
@@ -77,7 +81,7 @@
 #include "graph/geometry.hpp"
 #include "graph/graph.hpp"
 #include "radio/channel_model.hpp"
-#include "radio/fault_model.hpp"
+#include "radio/channel_state.hpp"
 #include "radio/packet.hpp"
 
 namespace nrn::radio {
@@ -227,38 +231,27 @@ class RadioNetwork {
   /// several times anyway.
   static constexpr std::int64_t kDenseWorkFactor = 1;
 
-  /// The graph must outlive the network.  Equivalent to the ChannelModel
-  /// constructor with an edge-fault channel.
-  RadioNetwork(const graph::Graph& g, FaultModel fault_model, Rng rng);
-
-  /// General form: any channel model.  A kSinr channel requires `geometry`
-  /// (node placement matching the graph; caller keeps it alive alongside
-  /// the graph); kEdgeFault ignores it.
-  RadioNetwork(const graph::Graph& g, const ChannelModel& channel,
-               const graph::Geometry* geometry, Rng rng);
+  /// The graph must outlive the network.  `channel` may be a bare
+  /// FaultModel (the edge-fault channel).  A kSinr channel requires
+  /// `geometry` (node placement matching the graph; the caller keeps it
+  /// alive alongside the graph); kEdgeFault ignores it.
+  RadioNetwork(const graph::Graph& g, const ChannelModel& channel, Rng rng,
+               const graph::Geometry* geometry = nullptr);
 
   /// Binding a temporary graph would dangle; force callers to keep the
   /// topology alive.
-  RadioNetwork(graph::Graph&&, FaultModel, Rng) = delete;
-  RadioNetwork(graph::Graph&&, const ChannelModel&, const graph::Geometry*,
-               Rng) = delete;
+  RadioNetwork(graph::Graph&&, const ChannelModel&, Rng,
+               const graph::Geometry* = nullptr) = delete;
 
-  /// Rearms the network for a fresh trial on the same graph: new fault
-  /// model and coin stream, zeroed counters and round clock -- without
-  /// reallocating the O(n) scratch.  O(1); the workhorse of the Driver's
+  /// Rearms the network for a fresh trial on the same graph: new channel
+  /// and coin stream, zeroed counters and round clock -- without
+  /// reallocating the O(n) scratch.  O(1) (the SINR gain table is reused
+  /// while its parameters are unchanged); the workhorse of the Driver's
   /// per-worker TrialWorkspace reuse.
-  void reset(FaultModel fault_model, Rng rng);
-
-  /// Channel-general reset.  Reuses the gain table when the SINR
-  /// parameters are unchanged (the Driver resets an identical channel per
-  /// trial), so steady-state trials stay O(1) here too.
   void reset(const ChannelModel& channel, Rng rng);
 
   const graph::Graph& graph() const { return *graph_; }
-  const ChannelModel& channel() const { return channel_; }
-  /// Edge-fault parameterization; faultless under a kSinr channel, so
-  /// protocol budget formulas see zero edge loss.
-  const FaultModel& fault_model() const { return fault_model_; }
+  const ChannelModel& channel() const { return channel_.model; }
 
   /// True iff every edge of `g` joins consecutive node ids (the topology
   /// is a disjoint union of id-contiguous subpaths), i.e. the adjacent
@@ -282,7 +275,7 @@ class RadioNetwork {
   void set_kernel(Kernel kernel) {
     NRN_EXPECTS(plan_senders_.empty(),
                 "set_kernel with broadcasts already staged");
-    NRN_EXPECTS(kernel != Kernel::kAdjacent || (adjacent_ok_ && !sinr_),
+    NRN_EXPECTS(kernel != Kernel::kAdjacent || (adjacent_ok_ && !channel_.sinr),
                 "adjacent kernel forced on a non-consecutive-id topology "
                 "or under the sinr channel");
     kernel_ = kernel;
@@ -350,9 +343,6 @@ class RadioNetwork {
       std::span<const NodeId> candidates, std::int32_t i, PacketId id,
       Rng& rng);
 
-  /// Number of broadcasters staged for the current round so far.
-  std::size_t staged_count() const { return plan_senders_.size(); }
-
   /// Executes one synchronized round with the staged broadcasters, clears
   /// the plan, and returns the deliveries (buffer reused across rounds).
   const DeliveryList& run_round();
@@ -384,7 +374,7 @@ class RadioNetwork {
   /// channel changes.
   void select_staging() {
     use_bitmask_plan_ =
-        adjacent_ok_ && !sinr_ &&
+        adjacent_ok_ && !channel_.sinr &&
         (kernel_ == Kernel::kAuto || kernel_ == Kernel::kAdjacent);
   }
 
@@ -395,11 +385,6 @@ class RadioNetwork {
   /// broadcasting neighbor to its plan index.
   template <typename IsTx, typename PlanOf>
   void sinr_decode(NodeId v, IsTx&& is_tx, PlanOf&& plan_of);
-
-  /// Builds (or rebuilds) the per-listener gain table for the current
-  /// SINR parameters: gain_[gain_row_[v] + j] is the gain of the j-th
-  /// neighbor of v (CSR row order) at v.
-  void build_gain_table();
 
   /// Shared final pass of the sparse and dense kernels: drops tombstoned
   /// delivery candidates, applies the senders' shared fault coins (priced
@@ -433,27 +418,13 @@ class RadioNetwork {
   void materialize_plan_payloads();
 
   const graph::Graph* graph_;
-  FaultModel fault_model_;
-  ChannelModel channel_;
+  const graph::Geometry* geometry_;
   Rng rng_;
-
-  // SINR channel state.  sinr_ mirrors channel_.kind so the hot path
-  // tests one bool; the gain table is built lazily on the first SINR
-  // reset and reused while the parameters and geometry stay unchanged.
-  bool sinr_ = false;
-  const graph::Geometry* geometry_ = nullptr;
-  bool gain_table_valid_ = false;
-  std::vector<std::int64_t> gain_row_;  // CSR row offsets (n + 1)
-  std::vector<double> gain_;            // per directed edge, listener rows
-
-  // Fixed-point coin thresholds (v4 tape: u64 compares, no doubles) and
-  // this round's tweaked mix64 salts.
-  std::uint64_t sender_threshold_ = 0;
-  std::uint64_t receiver_threshold_ = 0;
+  // The armed channel: coin flags and thresholds, SINR gain table.
+  ChannelState channel_;
+  // This round's tweaked mix64 salts.
   std::uint64_t sender_salt_ = 0;
   std::uint64_t receiver_salt_ = 0;
-  bool sender_coins_ = false;
-  bool receiver_coins_ = false;
 
   Kernel kernel_ = Kernel::kAuto;
   // Auto selection compares staged broadcasters against this count, the

@@ -109,6 +109,4 @@ std::optional<Message> LineClient::recv() {
   }
 }
 
-void LineClient::shutdown_send() { ::shutdown(fd_, SHUT_WR); }
-
 }  // namespace nrn::serve

@@ -39,10 +39,6 @@ class LineClient {
   /// connection.  Throws WireError when the line does not parse.
   std::optional<Message> recv();
 
-  /// Half-closes the write side (tells the daemon no more requests are
-  /// coming) while recv() keeps working.
-  void shutdown_send();
-
  private:
   explicit LineClient(int fd) : fd_(fd) {}
 

@@ -305,7 +305,6 @@ PlanScheduler::PlanScheduler(const sim::ProtocolRegistry& registry,
   exec_options.tuning = options.tuning;
   exec_options.use_claims = true;
   exec_options.claim_ttl_seconds = options.claim_ttl_seconds;
-  exec_options.heartbeat_seconds = options.heartbeat_seconds;
   impl_->executor = std::make_unique<sim::CellExecutor>(
       registry, &impl_->cache, exec_options);
   impl_->stream =

@@ -37,7 +37,6 @@ struct SchedulerOptions {
   int trial_threads = 1;  ///< Driver threads inside each cell
   sim::Tuning tuning;
   double claim_ttl_seconds = 900.0;
-  double heartbeat_seconds = 0.0;  ///< 0 = auto (CellExecutor semantics)
   int claim_poll_ms = 200;  ///< re-probe period for externally claimed cells
 };
 

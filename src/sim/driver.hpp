@@ -136,7 +136,7 @@ class TrialWorkspace {
                                const radio::ChannelModel& channel,
                                const graph::Geometry* geometry, Rng rng) {
     if (!net_) {
-      net_.emplace(graph, channel, geometry, rng);
+      net_.emplace(graph, channel, rng, geometry);
     } else {
       // reset() keeps the bound graph; a workspace is per-experiment, so
       // a different graph means the caller is holding it too long.

@@ -15,7 +15,10 @@
 //
 // Edits to the serialization files that keep every byte are noted here
 // instead, with their proof: v6 also covers CellExecutor's per-scenario
-// setup memo (the goldens under tests/golden/ did not change).
+// setup memo (the goldens under tests/golden/ did not change), and the
+// removal of BroadcastProtocol::name() and of the never-set heartbeat
+// option (goldens and the record hashes pinned in tests/test_channel.cpp
+// unchanged).
 #pragma once
 
 namespace nrn::sim {

@@ -270,8 +270,6 @@ class BroadcastProtocol {
  public:
   virtual ~BroadcastProtocol() = default;
 
-  virtual const std::string& name() const = 0;
-
   virtual Outcome run(radio::RadioNetwork& net, Rng& rng,
                       radio::TraceRecorder* trace = nullptr) const = 0;
 

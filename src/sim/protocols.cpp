@@ -33,14 +33,9 @@ class DecayProtocol final : public BroadcastProtocol {
   explicit DecayProtocol(const ProtocolContext& ctx)
       : source_(ctx.scenario.source),
         node_count_(ctx.graph.node_count()),
-        effective_loss_(ctx.scenario.fault.effective_loss()),
+        effective_loss_(ctx.scenario.channel.effective_loss()),
         algo_(core::DecayParams{ctx.tuning.decay_phase,
                                 ctx.tuning.max_rounds}) {}
-
-  const std::string& name() const override {
-    static const std::string n = "decay";
-    return n;
-  }
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* trace) const override {
@@ -62,16 +57,11 @@ class DecayProtocol final : public BroadcastProtocol {
 class FastbcProtocol final : public BroadcastProtocol {
  public:
   explicit FastbcProtocol(const ProtocolContext& ctx)
-      : effective_loss_(ctx.scenario.fault.effective_loss()),
+      : effective_loss_(ctx.scenario.channel.effective_loss()),
         algo_(ctx.graph, ctx.gbst(),
               core::FastbcParams{ctx.tuning.rank_modulus,
                                  ctx.tuning.decay_phase,
                                  ctx.tuning.max_rounds}) {}
-
-  const std::string& name() const override {
-    static const std::string n = "fastbc";
-    return n;
-  }
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* trace) const override {
@@ -100,20 +90,15 @@ core::RobustFastbcParams robust_params(const ProtocolContext& ctx) {
       ctx.tuning.window_multiplier != 0
           ? ctx.tuning.window_multiplier
           : core::RobustFastbc::recommended_window_multiplier(
-                ctx.scenario.fault.effective_loss());
+                ctx.scenario.channel.effective_loss());
   return params;
 }
 
 class RobustFastbcProtocol final : public BroadcastProtocol {
  public:
   explicit RobustFastbcProtocol(const ProtocolContext& ctx)
-      : effective_loss_(ctx.scenario.fault.effective_loss()),
+      : effective_loss_(ctx.scenario.channel.effective_loss()),
         algo_(ctx.graph, ctx.gbst(), robust_params(ctx)) {}
-
-  const std::string& name() const override {
-    static const std::string n = "robust";
-    return n;
-  }
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* trace) const override {
@@ -152,13 +137,9 @@ std::shared_ptr<const trees::RankedBfsTree> rlnc_tree(
 
 class RlncProtocol final : public BroadcastProtocol {
  public:
-  RlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern,
-               std::string name)
-      : name_(std::move(name)),
-        algo_(ctx.graph, ctx.scenario.source, rlnc_params(ctx, pattern, 0),
+  RlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern)
+      : algo_(ctx.graph, ctx.scenario.source, rlnc_params(ctx, pattern, 0),
               rlnc_tree(ctx, pattern)) {}
-
-  const std::string& name() const override { return name_; }
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
@@ -166,7 +147,6 @@ class RlncProtocol final : public BroadcastProtocol {
   }
 
  private:
-  std::string name_;
   core::RlncBroadcast algo_;
 };
 
@@ -205,17 +185,13 @@ Outcome verified_outcome(std::size_t k, std::size_t block_len,
 
 class VerifiedRlncProtocol final : public BroadcastProtocol {
  public:
-  VerifiedRlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern,
-                       std::string name)
-      : name_(std::move(name)),
-        nodes_(ctx.graph.node_count()),
+  VerifiedRlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern)
+      : nodes_(ctx.graph.node_count()),
         k_(static_cast<std::size_t>(ctx.scenario.k)),
         block_len_(verified_block_len(ctx)),
         algo_(ctx.graph, ctx.scenario.source,
               rlnc_params(ctx, pattern, verified_block_len(ctx)),
               rlnc_tree(ctx, pattern)) {}
-
-  const std::string& name() const override { return name_; }
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
@@ -226,7 +202,6 @@ class VerifiedRlncProtocol final : public BroadcastProtocol {
   }
 
  private:
-  std::string name_;
   std::int64_t nodes_;
   std::size_t k_;
   std::size_t block_len_;
@@ -240,11 +215,6 @@ class ErasureProtocol final : public BroadcastProtocol {
         k_(static_cast<std::size_t>(ctx.scenario.k)),
         block_len_(verified_block_len(ctx)),
         algo_(ctx.graph, ctx.scenario.source, erasure_params(ctx)) {}
-
-  const std::string& name() const override {
-    static const std::string n = "erasure-decay";
-    return n;
-  }
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
@@ -286,11 +256,6 @@ class PipelineProtocol final : public BroadcastProtocol {
     params_.decay_phase = ctx.tuning.decay_phase;
   }
 
-  const std::string& name() const override {
-    static const std::string n = "pipeline";
-    return n;
-  }
-
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
     return Outcome::from(
@@ -308,11 +273,6 @@ class GreedyRouterProtocol final : public BroadcastProtocol {
       : source_(ctx.scenario.source) {
     params_.k = ctx.scenario.k;
     params_.max_rounds = ctx.tuning.max_rounds;
-  }
-
-  const std::string& name() const override {
-    static const std::string n = "greedy";
-    return n;
   }
 
   Outcome run(radio::RadioNetwork& net, Rng& /*rng*/,
@@ -392,7 +352,7 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kSinrCapable,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<RlncProtocol>(
-                     ctx, core::MultiPattern::kDecay, "rlnc-decay");
+                     ctx, core::MultiPattern::kDecay);
                },
                rlnc_decay_bound);
   registry.add("rlnc-robust",
@@ -400,7 +360,7 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kSinrCapable,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<RlncProtocol>(
-                     ctx, core::MultiPattern::kRobustFastbc, "rlnc-robust");
+                     ctx, core::MultiPattern::kRobustFastbc);
                },
                rlnc_robust_bound);
   registry.add("rlnc-decay-verified",
@@ -409,7 +369,7 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kVerifiedPayload | kSinrCapable,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<VerifiedRlncProtocol>(
-                     ctx, core::MultiPattern::kDecay, "rlnc-decay-verified");
+                     ctx, core::MultiPattern::kDecay);
                },
                rlnc_decay_bound);
   registry.add("rlnc-robust-verified",
@@ -418,8 +378,7 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kVerifiedPayload | kSinrCapable,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<VerifiedRlncProtocol>(
-                     ctx, core::MultiPattern::kRobustFastbc,
-                     "rlnc-robust-verified");
+                     ctx, core::MultiPattern::kRobustFastbc);
                },
                rlnc_robust_bound);
   registry.add("erasure-decay",

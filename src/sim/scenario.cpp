@@ -315,7 +315,7 @@ radio::ChannelModel parse_channel_spec(const std::string& spec,
   const std::string& kind = parts[0];
   if (kind == "none") {
     if (parts.size() != 1) bad_spec("channel 'none' takes no arguments");
-    return radio::ChannelModel::edge_fault(fault);
+    return fault;
   }
   if (kind == "sinr") {
     if (parts.size() != 4)
@@ -352,14 +352,14 @@ Scenario Scenario::parse(const std::string& topology_spec,
   Scenario sc;
   sc.topology = TopologySpec::parse(topology_spec);
   sc.fault_text = fault_spec;
-  sc.fault = parse_fault_spec(fault_spec);
+  const radio::FaultModel fault = parse_fault_spec(fault_spec);
   sc.channel_text = channel_spec.empty() ? "none" : channel_spec;
-  sc.channel = parse_channel_spec(sc.channel_text, sc.fault);
+  sc.channel = parse_channel_spec(sc.channel_text, fault);
   if (!sc.channel.is_edge_fault()) {
     // SINR replaces the edge-fault layer (it prices no fault coins) and
     // needs node coordinates to price gains: reject contradictions at
     // parse time instead of deep inside the engine.
-    if (!sc.fault.is_faultless())
+    if (!fault.is_faultless())
       bad_spec("channel '" + sc.channel_text + "': cannot combine with fault '" +
                fault_spec + "'");
     if (!sc.topology.geometric())

@@ -111,14 +111,15 @@ radio::ChannelModel parse_channel_spec(const std::string& spec,
 /// Every topology family name the grammar accepts, sorted.
 const std::vector<std::string>& topology_kinds();
 
-/// A complete experiment scenario.
+/// A complete experiment scenario.  The fault and channel specs parse into
+/// one channel: an edge-fault channel carrying the fault model, or SINR.
+/// The spec texts are kept as written -- record bytes and cache keys are
+/// built from them.
 struct Scenario {
   TopologySpec topology;
   std::string fault_text = "none";
-  radio::FaultModel fault = radio::FaultModel::faultless();
   std::string channel_text = "none";
-  radio::ChannelModel channel =
-      radio::ChannelModel::edge_fault(radio::FaultModel::faultless());
+  radio::ChannelModel channel;  ///< faultless edge-fault by default
   graph::NodeId source = 0;
   std::int64_t k = 1;            ///< messages for multi-message protocols
   std::uint64_t seed = 1;        ///< master seed for graph + trials

@@ -48,19 +48,17 @@ core::TransformParams transform_params(const ProtocolContext& ctx) {
   params.eta = ctx.tuning.transform_eta > 0.0
                    ? ctx.tuning.transform_eta
                    : core::recommended_transform_eta(
-                         ctx.scenario.fault.effective_loss());
+                         ctx.scenario.channel.effective_loss());
   return params;
 }
 
 class TransformProtocol final : public BroadcastProtocol {
  public:
   TransformProtocol(const ProtocolContext& ctx, bool coding)
-      : name_(coding ? "transform-coding" : "transform-routing"),
-        coding_(coding),
-        base_(base_schedule_for(ctx, name_)),
+      : coding_(coding),
+        base_(base_schedule_for(
+            ctx, coding ? "transform-coding" : "transform-routing")),
         params_(transform_params(ctx)) {}
-
-  const std::string& name() const override { return name_; }
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
@@ -73,7 +71,6 @@ class TransformProtocol final : public BroadcastProtocol {
   }
 
  private:
-  std::string name_;
   bool coding_;
   std::unique_ptr<core::BaseSchedule> base_;
   core::TransformParams params_;
@@ -83,19 +80,18 @@ enum class LinkMode { kNonadaptive, kAdaptive, kCoding };
 
 class LinkProtocol final : public BroadcastProtocol {
  public:
-  LinkProtocol(const ProtocolContext& ctx, LinkMode mode, std::string name)
-      : name_(std::move(name)), mode_(mode), k_(ctx.scenario.k) {
+  LinkProtocol(const ProtocolContext& ctx, LinkMode mode,
+               const std::string& name)
+      : mode_(mode), k_(ctx.scenario.k) {
     if (ctx.scenario.topology.kind != "link")
-      throw SpecError(name_ + " needs the 'link' topology, got '" +
+      throw SpecError(name + " needs the 'link' topology, got '" +
                       ctx.scenario.topology.text + "'");
-    const double loss = ctx.scenario.fault.effective_loss();
+    const double loss = ctx.scenario.channel.effective_loss();
     reps_ = loss > 0.0 ? core::link_nonadaptive_reps(k_, loss) : 1;
     packets_ = core::link_rs_packet_count(k_, loss);
     max_rounds_ =
         ctx.tuning.max_rounds > 0 ? ctx.tuning.max_rounds : 1'000'000'000;
   }
-
-  const std::string& name() const override { return name_; }
 
   Outcome run(radio::RadioNetwork& net, Rng& /*rng*/,
               radio::TraceRecorder* /*trace*/) const override {
@@ -115,7 +111,6 @@ class LinkProtocol final : public BroadcastProtocol {
   }
 
  private:
-  std::string name_;
   LinkMode mode_;
   std::int64_t k_;
   std::int64_t reps_ = 1;
@@ -141,12 +136,10 @@ enum class StarMode { kAdaptive, kNonadaptive, kCoding };
 
 class StarProtocol final : public BroadcastProtocol {
  public:
-  StarProtocol(const ProtocolContext& ctx, StarMode mode, std::string name)
-      : name_(std::move(name)),
-        mode_(mode),
-        star_(star_for(ctx, name_)),
-        k_(ctx.scenario.k) {
-    const double p = ctx.scenario.fault.effective_loss();
+  StarProtocol(const ProtocolContext& ctx, StarMode mode,
+               const std::string& name)
+      : mode_(mode), star_(star_for(ctx, name)), k_(ctx.scenario.k) {
+    const double p = ctx.scenario.channel.effective_loss();
     const auto n = static_cast<std::int64_t>(star_.leaves.size());
     // Lemma 15 ablation: repetitions for per-leaf, per-message failure
     // below 1/(n k): p^r <= 1/(n k^2), i.e. r = ceil(log_{1/p}(n k^2)).
@@ -162,8 +155,6 @@ class StarProtocol final : public BroadcastProtocol {
     max_rounds_ =
         ctx.tuning.max_rounds > 0 ? ctx.tuning.max_rounds : 1'000'000'000;
   }
-
-  const std::string& name() const override { return name_; }
 
   Outcome run(radio::RadioNetwork& net, Rng& /*rng*/,
               radio::TraceRecorder* /*trace*/) const override {
@@ -184,7 +175,6 @@ class StarProtocol final : public BroadcastProtocol {
   }
 
  private:
-  std::string name_;
   StarMode mode_;
   topology::Star star_;
   std::int64_t k_;
@@ -229,11 +219,6 @@ class WctCodingProtocol final : public BroadcastProtocol {
     params_.max_rounds = ctx.tuning.max_rounds;
   }
 
-  const std::string& name() const override {
-    static const std::string n = "wct-coding";
-    return n;
-  }
-
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
     return Outcome::from(core::run_wct_rs_coding(net, wct_, params_, rng));
@@ -253,11 +238,6 @@ class WctUniqueProbeProtocol final : public BroadcastProtocol {
  public:
   explicit WctUniqueProbeProtocol(const ProtocolContext& ctx)
       : wct_(wct_for(ctx, "wct-unique-probe")) {}
-
-  const std::string& name() const override {
-    static const std::string n = "wct-unique-probe";
-    return n;
-  }
 
   Outcome run(radio::RadioNetwork& /*net*/, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
@@ -308,7 +288,7 @@ double coded_stream_bound(const TheoryContext& ctx) {
 
 double star_adaptive_bound(const TheoryContext& ctx) {
   // Lemma 15: log_{1/p} n rounds/message (last-of-n coupons).
-  const double p = ctx.scenario.fault.effective_loss();
+  const double p = ctx.scenario.channel.effective_loss();
   if (p <= 0.0) return kd(ctx);
   return kd(ctx) *
          std::max(1.0, std::log(star_leaves(ctx)) / std::log(1.0 / p));
@@ -317,7 +297,7 @@ double star_adaptive_bound(const TheoryContext& ctx) {
 double star_nonadaptive_bound(const TheoryContext& ctx) {
   // The repetition law the adapter implements: log_{1/p}(n k^2)
   // rounds/message (one round/message when faultless).
-  const double p = ctx.scenario.fault.effective_loss();
+  const double p = ctx.scenario.channel.effective_loss();
   if (p <= 0.0) return kd(ctx);
   return kd(ctx) *
          std::max(1.0, std::log(star_leaves(ctx) * kd(ctx) * kd(ctx)) /

@@ -578,10 +578,6 @@ CellExecutor::CellExecutor(const ProtocolRegistry& registry,
   NRN_EXPECTS(options_.trial_threads >= 1, "trial threads must be positive");
   NRN_EXPECTS(!options_.use_claims || cache_ != nullptr,
               "claim markers need a result cache");
-  heartbeat_interval_ = options_.heartbeat_seconds;
-  if (heartbeat_interval_ == 0.0)
-    heartbeat_interval_ = std::max(options_.claim_ttl_seconds / 4.0, 0.05);
-  if (options_.claim_ttl_seconds <= 0.0) heartbeat_interval_ = -1.0;
 }
 
 std::string CellExecutor::key(const SweepCell& cell) const {
@@ -624,9 +620,11 @@ CellExecutor::Result CellExecutor::resolve(const SweepCell& cell) const {
   // the entry and died between store and release.
   if (auto cached = cache_->load(cache_key))
     return {Resolution::kCached, std::move(*cached)};
+  // A ttl <= 0 makes every claim fair game at once: nothing to refresh.
   std::optional<ClaimHeartbeat> heartbeat;  // destroyed before the guard
-  if (heartbeat_interval_ > 0.0)
-    heartbeat.emplace(*cache_, cache_key, heartbeat_interval_);
+  if (options_.claim_ttl_seconds > 0.0)
+    heartbeat.emplace(*cache_, cache_key,
+                      std::max(options_.claim_ttl_seconds / 4.0, 0.05));
   Result result{stole ? Resolution::kStolen : Resolution::kComputed,
                 compute(cell)};
   cache_->store(cache_key, result.experiment);
@@ -750,7 +748,6 @@ SweepReport SweepRunner::run_fleet(const SweepPlan& plan,
   exec_options.tuning = options.tuning;
   exec_options.use_claims = true;
   exec_options.claim_ttl_seconds = options.claim_ttl_seconds;
-  exec_options.heartbeat_seconds = options.heartbeat_seconds;
   const CellExecutor executor(*registry_, &cache, exec_options);
 
   std::atomic<int> claimed{0}, stolen{0}, skipped{0};

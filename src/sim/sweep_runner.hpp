@@ -167,12 +167,11 @@ class CellExecutor {
     int trial_threads = 1;  ///< Driver threads inside the cell
     Tuning tuning;
     bool use_claims = false;  ///< claim markers around computes (fleet/serve)
+    /// While computing, the claim's mtime is refreshed every ttl/4 (at
+    /// least every 50ms).  No heartbeat runs when the ttl is <= 0 (claims
+    /// are then already fair game, e.g. `--claim-ttl=0` resumes over a
+    /// dead fleet).
     double claim_ttl_seconds = 900.0;
-    /// Claim mtime refresh period while computing; 0 derives ttl/4
-    /// (clamped to >= 50ms), < 0 disables the heartbeat.  No heartbeat
-    /// runs when the ttl itself is <= 0 (claims are then already fair
-    /// game, e.g. `--claim-ttl=0` resumes over a dead fleet).
-    double heartbeat_seconds = 0.0;
   };
 
   enum class Resolution {
@@ -206,7 +205,6 @@ class CellExecutor {
   const ResultCache* cache_;
   Options options_;
   Driver driver_;
-  double heartbeat_interval_;  ///< resolved; <= 0 disables
   mutable ScenarioSetupMemo setups_;
 };
 
@@ -232,8 +230,6 @@ struct SweepOptions {
   double claim_ttl_seconds = 900.0;  ///< fleet: steal claims older than this
   int fleet_poll_ms = 20;  ///< fleet: sleep between probe passes when every
                            ///< remaining cell is claimed by a live peer
-  double heartbeat_seconds = 0.0;  ///< fleet claim refresh; 0 = ttl/4
-                                   ///< (CellExecutor::Options semantics)
 
   /// Live progress sink (sim/progress.hpp); null disables.  Invocations
   /// are serialized by the runner but arrive on worker threads.

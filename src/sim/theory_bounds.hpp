@@ -24,7 +24,7 @@ inline double loglog2n(const TheoryContext& ctx) {
 
 /// 1/(1-p) loss inflation; every noisy bound pays it.
 inline double loss_factor(const TheoryContext& ctx) {
-  return 1.0 / (1.0 - ctx.scenario.fault.effective_loss());
+  return 1.0 / (1.0 - ctx.scenario.channel.effective_loss());
 }
 
 /// The paper's D: the source's BFS eccentricity, floored at 1.

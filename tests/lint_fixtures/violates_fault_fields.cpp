@@ -5,7 +5,8 @@
 // expect: fault-fields
 // expect: fault-fields
 // expect: fault-fields
-#include "radio/fault_model.hpp"
+// expect: fault-fields
+#include "radio/channel_model.hpp"
 
 bool bad_kind_enum(const nrn::radio::FaultModel& fault) {
   const auto sender = nrn::radio::FaultKind::kSender;  // raw enum access
@@ -18,4 +19,8 @@ double bad_probability(const nrn::radio::FaultModel& fault) {
 
 double bad_receiver_probability(const nrn::radio::FaultModel& fault) {
   return fault.p_receiver;
+}
+
+double bad_coin_probability(const nrn::radio::ChannelModel& channel) {
+  return channel.coins().p;  // raw coin field, bypassing effective_loss()
 }

@@ -3,8 +3,9 @@
 // ties), determinism (the channel draws no coins, so the engine rng is
 // irrelevant), bit-identical agreement across the scalar kernel routes
 // (SINR never takes the adjacent kernel, even across channel switches),
-// lockstep-lane-vs-scalar bit-identity, and driver-level report equality
-// plus the interference trace series.
+// lockstep-lane-vs-scalar bit-identity, re-arming one engine across
+// channels, driver-level report equality plus the interference trace
+// series, and pinned record bytes for both channels on every kernel route.
 #include "radio/channel_model.hpp"
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 #include "radio/network.hpp"
 #include "sim/driver.hpp"
 #include "sim/scenario.hpp"
+#include "sim/sweep.hpp"
+#include "sim/sweep_runner.hpp"
 
 namespace nrn::radio {
 namespace {
@@ -43,7 +46,7 @@ TEST(SinrChannel, CaptureBeatsCollisionWhenTheStrongSignalClears) {
   LineFixture fx;
   // alpha=2: gain(1->0) = 1.0, gain(2->0) = 0.25.
   const auto channel = ChannelModel::sinr_channel(2.0, 0.1, 1.0);
-  RadioNetwork net(fx.graph, channel, &fx.geometry, Rng(1));
+  RadioNetwork net(fx.graph, channel, Rng(1), &fx.geometry);
   net.set_broadcast(1, Packet{7});
   net.set_broadcast(2, Packet{8});
   const auto& deliveries = net.run_round();
@@ -69,7 +72,7 @@ TEST(SinrChannel, CaptureBeatsCollisionWhenTheStrongSignalClears) {
 TEST(SinrChannel, ThresholdFailureCountsAnInterferenceLoss) {
   LineFixture fx;
   const auto channel = ChannelModel::sinr_channel(2.0, 0.1, 4.0);
-  RadioNetwork net(fx.graph, channel, &fx.geometry, Rng(1));
+  RadioNetwork net(fx.graph, channel, Rng(1), &fx.geometry);
   net.set_broadcast(1, Packet{7});
   net.set_broadcast(2, Packet{8});
   // 1.0 < 4.0 * (0.1 + 0.25): the listener heard transmitters but decoded
@@ -98,7 +101,7 @@ TEST(SinrChannel, GainTieResolvesToTheLowestSenderId) {
   Graph g(3, {{0, 1}, {0, 2}});
   Geometry geo{{0.0, 1.0, -1.0}, {0.0, 0.0, 0.0}, {1.0, 1.0, 1.0}};
   const auto channel = ChannelModel::sinr_channel(2.0, 0.0, 0.5);
-  RadioNetwork net(g, channel, &geo, Rng(1));
+  RadioNetwork net(g, channel, Rng(1), &geo);
   net.set_broadcast(2, Packet{8});  // staged first: staging order must not
   net.set_broadcast(1, Packet{7});  // override the id-order tie break
   const auto& deliveries = net.run_round();
@@ -114,8 +117,8 @@ TEST(SinrChannel, DeterministicRegardlessOfEngineSeed) {
       sim::Scenario::parse("disk:80:0.3", "none", 0, 1, 17, "sinr:2.5:0.01:0.8");
   Geometry geo;
   const Graph g = scenario.build_graph(&geo);
-  RadioNetwork a(g, scenario.channel, &geo, Rng(1));
-  RadioNetwork b(g, scenario.channel, &geo, Rng(999));
+  RadioNetwork a(g, scenario.channel, Rng(1), &geo);
+  RadioNetwork b(g, scenario.channel, Rng(999), &geo);
   Rng plan_rng(5);
   for (int round = 0; round < 25; ++round) {
     for (NodeId u = 0; u < g.node_count(); ++u) {
@@ -135,8 +138,8 @@ TEST(SinrChannel, ScalarKernelRoutesAgree) {
                                              "sinr:2.5:0.01:0.5");
   Geometry geo;
   const Graph g = scenario.build_graph(&geo);
-  RadioNetwork sparse(g, scenario.channel, &geo, Rng(1));
-  RadioNetwork dense(g, scenario.channel, &geo, Rng(1));
+  RadioNetwork sparse(g, scenario.channel, Rng(1), &geo);
+  RadioNetwork dense(g, scenario.channel, Rng(1), &geo);
   sparse.set_kernel(RadioNetwork::Kernel::kSparse);
   dense.set_kernel(RadioNetwork::Kernel::kDense);
   Rng plan_rng(11);
@@ -173,8 +176,8 @@ TEST(SinrChannel, ConsecutiveIdTopologiesTakeTheRowWalk) {
   // error, and auto selection matches the forced sparse row walk.
   PathFixture fx;
   const auto channel = ChannelModel::sinr_channel(3.0, 0.005, 0.9);
-  RadioNetwork automatic(fx.graph, channel, &fx.geometry, Rng(1));
-  RadioNetwork sparse(fx.graph, channel, &fx.geometry, Rng(1));
+  RadioNetwork automatic(fx.graph, channel, Rng(1), &fx.geometry);
+  RadioNetwork sparse(fx.graph, channel, Rng(1), &fx.geometry);
   EXPECT_THROW(automatic.set_kernel(RadioNetwork::Kernel::kAdjacent),
                ContractViolation);
   sparse.set_kernel(RadioNetwork::Kernel::kSparse);
@@ -200,15 +203,15 @@ TEST(SinrChannel, ResetRederivesTheStagingPlanWhenTheChannelChanges) {
   // phases into the row walks' node slots, and no broadcaster bit leaks.
   PathFixture fx;
   const ChannelModel channels[] = {
-      ChannelModel::edge_fault(FaultModel::receiver(0.3)),
+      FaultModel::receiver(0.3),
       ChannelModel::sinr_channel(3.0, 0.005, 0.9)};
-  RadioNetwork reused(fx.graph, channels[0], &fx.geometry, Rng(1));
+  RadioNetwork reused(fx.graph, channels[0], Rng(1), &fx.geometry);
   Rng plan_rng(31);
   for (int phase = 0; phase < 4; ++phase) {
     const ChannelModel& channel = channels[phase % 2];
     reused.set_broadcast(phase, Packet{phase});
     reused.reset(channel, Rng(100 + phase));
-    RadioNetwork fresh(fx.graph, channel, &fx.geometry, Rng(100 + phase));
+    RadioNetwork fresh(fx.graph, channel, Rng(100 + phase), &fx.geometry);
     for (int round = 0; round < 10; ++round) {
       for (NodeId u = 0; u < PathFixture::kN; ++u) {
         if (!plan_rng.bernoulli(0.4)) continue;
@@ -241,7 +244,7 @@ TEST(SinrChannel, LockstepLanesMatchScalarRoundByRound) {
   for (int l = 0; l < lanes; ++l) {
     const std::uint64_t seed = meta();
     ASSERT_EQ(bank.add_lane(Rng(seed)), l);
-    scalars.emplace_back(g, scenario.channel, &geo, Rng(seed));
+    scalars.emplace_back(g, scenario.channel, Rng(seed), &geo);
     plan_rngs.emplace_back(seed ^ 0xfeed);
   }
   for (int round = 0; round < 25; ++round) {
@@ -266,6 +269,61 @@ TEST(SinrChannel, LockstepLanesMatchScalarRoundByRound) {
           << "lane " << l << " round " << round;
       ASSERT_EQ(bank.last_round(l), scalar.last_round())
           << "lane " << l << " round " << round;
+    }
+  }
+}
+
+TEST(SinrChannel, LockstepResetReArmsAcrossChannels) {
+  // One bank re-armed for an edge-fault channel, then SINR at alpha 3,
+  // then SINR at alpha 2 -- each reset abandoning a staged lane -- must
+  // match a fresh bank lane for lane: coin thresholds are re-derived on
+  // every reset, and the gain table is rebuilt whenever the SINR
+  // parameters change (a stale alpha-3 table misprices every alpha-2 gain).
+  const auto scenario = sim::Scenario::parse("uniform:90:2.5", "none", 0, 1,
+                                             31);
+  Geometry geo;
+  const Graph g = scenario.build_graph(&geo);
+  const ChannelModel channels[] = {
+      FaultModel::combined(0.2, 0.3),
+      ChannelModel::sinr_channel(3.0, 0.002, 0.7),
+      ChannelModel::sinr_channel(2.0, 0.002, 0.7)};
+  const int lanes = LockstepNetwork::kMaxLanes;
+  const unsigned all = (1u << lanes) - 1;
+  LockstepNetwork reused(g, channels[0], &geo);
+  reused.add_lane(Rng(1));
+  Rng meta(2718);
+  for (int phase = 0; phase < 3; ++phase) {
+    const ChannelModel& channel = channels[phase];
+    reused.stage(0, phase);  // abandoned by the reset
+    reused.reset(channel);
+    LockstepNetwork fresh(g, channel, &geo);
+    std::vector<Rng> plan_rngs;
+    for (int l = 0; l < lanes; ++l) {
+      const std::uint64_t seed = meta();
+      reused.add_lane(Rng(seed));
+      fresh.add_lane(Rng(seed));
+      plan_rngs.emplace_back(seed ^ 0xbeef);
+    }
+    for (int round = 0; round < 12; ++round) {
+      for (int l = 0; l < lanes; ++l) {
+        auto& rng = plan_rngs[static_cast<std::size_t>(l)];
+        for (NodeId u = 0; u < g.node_count(); ++u) {
+          if (!rng.bernoulli(0.3)) continue;
+          reused.stage(l, u);
+          fresh.stage(l, u);
+        }
+      }
+      reused.run_round(all);
+      fresh.run_round(all);
+      for (int l = 0; l < lanes; ++l) {
+        const auto got = reused.receivers(l);
+        const auto want = fresh.receivers(l);
+        ASSERT_EQ(std::vector<NodeId>(got.begin(), got.end()),
+                  std::vector<NodeId>(want.begin(), want.end()))
+            << "phase " << phase << " lane " << l << " round " << round;
+        ASSERT_EQ(reused.last_round(l), fresh.last_round(l))
+            << "phase " << phase << " lane " << l << " round " << round;
+      }
     }
   }
 }
@@ -301,6 +359,49 @@ TEST(SinrChannel, TracedRunsCarryTheInterferenceSeries) {
   const auto edge_keys = edge_traced.series_keys();
   EXPECT_EQ(std::find(edge_keys.begin(), edge_keys.end(), "interference"),
             edge_keys.end());
+}
+
+TEST(ChannelBytes, RecordsMatchPinnedHashes) {
+  // FNV-1a of experiment_record for 9-trial runs of both channels on every
+  // kernel route the Driver picks, pinned from the engines as they were
+  // before the channel was armed in one place (radio/channel_state.hpp):
+  // the lockstep bank (n <= 512, ids not consecutive), the scalar adjacent
+  // kernel (path), and the scalar SINR row walk (n > 512).
+  struct Pinned {
+    const char* topology;
+    const char* fault;
+    const char* channel;
+    const char* protocol;
+    bool trace;
+    std::uint64_t hash;
+  };
+  const Pinned pinned[] = {
+      {"gnp:64:0.1", "combined:0.2:0.3", "none", "decay", false,
+       0x71bc479bfe813e9cULL},
+      {"path:64", "combined:0.2:0.3", "none", "decay", false,
+       0x508ca260fac96a00ULL},
+      {"grid:8x8", "sender:0.3", "none", "robust", false,
+       0x53804ba0354dc35eULL},
+      {"disk:96:0.3", "none", "sinr:2.5:0.001:1.0", "decay", true,
+       0x25554a9590dd814aULL},
+      {"disk:96:0.3", "none", "sinr:2.5:0.001:1.0", "fastbc", true,
+       0x2dfe31b4d594acd1ULL},
+      {"disk:600:0.1", "none", "sinr:2.5:0.001:1.0", "decay", true,
+       0x6150dac836f8cf97ULL},
+      {"disk:600:0.1", "none", "sinr:2.5:0.001:1.0", "fastbc", true,
+       0xf0e1e2074ccdd0bbULL},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(std::string(p.protocol) + " on " + p.topology + " under " +
+                 p.fault + " / " + p.channel);
+    const auto scenario =
+        sim::Scenario::parse(p.topology, p.fault, 0, 1, 7, p.channel);
+    sim::DriverOptions options;
+    options.trace = p.trace;
+    const auto report = sim::Driver().run(scenario, p.protocol, 9, options);
+    EXPECT_TRUE(report.all_completed());
+    EXPECT_EQ(sim::fnv1a64(sim::experiment_record(report)), p.hash);
+  }
 }
 
 TEST(SinrChannel, UnsupportedProtocolIsRejectedUpFront) {

@@ -239,7 +239,7 @@ TEST(LocaleHostility, ChannelAndFaultNamesIgnoreProcessLocale) {
             "combined-faults(ps=0.100000, pr=0.500000)");
   EXPECT_EQ(radio::to_string(sinr),
             "sinr(alpha=2.500000, noise=0.001000, beta=1.000000)");
-  EXPECT_EQ(radio::to_string(radio::ChannelModel::edge_fault(receiver)),
+  EXPECT_EQ(radio::to_string(radio::ChannelModel(receiver)),
             "receiver-faults(p=0.250000)");
 }
 

@@ -270,7 +270,7 @@ TEST(SpecNumbers, StrictIntegerAndRealParsing) {
 TEST(Scenario, ParseValidatesEverything) {
   const auto sc = Scenario::parse("grid:16x16", "combined:0.2:0.2", 3, 4, 7);
   EXPECT_EQ(sc.topology.kind, "grid");
-  EXPECT_EQ(sc.fault.kind, radio::FaultKind::kCombined);
+  EXPECT_EQ(sc.channel.fault.kind, radio::FaultKind::kCombined);
   EXPECT_EQ(sc.source, 3);
   EXPECT_EQ(sc.k, 4);
   EXPECT_EQ(sc.seed, 7u);

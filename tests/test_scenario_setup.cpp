@@ -108,14 +108,10 @@ ObjectLog& object_log() {
 /// derived from both, so a wrong shared object would also change bytes.
 class ObjectProbe final : public BroadcastProtocol {
  public:
-  ObjectProbe(const ProtocolContext& ctx, std::string name)
-      : name_(std::move(name)),
-        tree_(ctx.gbst()),
-        edges_(ctx.graph.edge_count()) {
+  explicit ObjectProbe(const ProtocolContext& ctx)
+      : tree_(ctx.gbst()), edges_(ctx.graph.edge_count()) {
     object_log().record(ctx, tree_);
   }
-
-  const std::string& name() const override { return name_; }
 
   Outcome run(radio::RadioNetwork& /*net*/, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
@@ -128,7 +124,6 @@ class ObjectProbe final : public BroadcastProtocol {
   }
 
  private:
-  std::string name_;
   std::shared_ptr<const trees::RankedBfsTree> tree_;
   std::int64_t edges_;
 };
@@ -139,8 +134,8 @@ const ProtocolRegistry& probe_registry() {
     register_builtin_protocols(r);
     for (const std::string name : {"probe-a", "probe-b"})
       r.add(name, "logs the graph and GBST it was built over", kSinrCapable,
-            [name](const ProtocolContext& ctx) {
-              return std::make_unique<ObjectProbe>(ctx, name);
+            [](const ProtocolContext& ctx) {
+              return std::make_unique<ObjectProbe>(ctx);
             });
     return r;
   }();

@@ -78,8 +78,6 @@ class SlowProtocol : public BroadcastProtocol {
   SlowProtocol(std::unique_ptr<BroadcastProtocol> inner, int sleep_ms)
       : inner_(std::move(inner)), sleep_ms_(sleep_ms) {}
 
-  const std::string& name() const override { return inner_->name(); }
-
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* trace) const override {
     std::this_thread::sleep_for(std::chrono::milliseconds(sleep_ms_));
@@ -141,11 +139,6 @@ TEST(ClaimHeartbeat, SlowCellUnderShortTtlIsNotRecomputedByPeers) {
 /// A protocol that always throws, to drive the executor's failure path.
 class ThrowingProtocol : public BroadcastProtocol {
  public:
-  const std::string& name() const override {
-    static const std::string name = "throwing";
-    return name;
-  }
-
   Outcome run(radio::RadioNetwork&, Rng&,
               radio::TraceRecorder*) const override {
     throw SpecError("protocol exploded mid-trial");

@@ -45,12 +45,13 @@ rng-batch         Direct scalar Rng::mix64 calls in kernel/staging
                   in a hot loop silently forfeits that.  Waive it where a
                   genuinely scalar coin is correct.
 fault-fields      Direct FaultModel field access (FaultKind::, fault.kind,
-                  fault.p, fault.p_receiver) outside src/radio/.  The
-                  channel abstraction (radio/channel_model.hpp) is the one
-                  door into the fault layer; sim/tool/bench code reads the
-                  derived helpers (is_faultless, effective_loss, to_string)
-                  or the scenario's fault_text, so an SINR channel can
-                  replace the edge-fault layer without silent misreads.
+                  fault.p, fault.p_receiver, coins().p) outside src/radio/.
+                  The channel abstraction (radio/channel_model.hpp) is the
+                  one door into the fault layer; sim/tool/bench code reads
+                  ChannelModel::effective_loss(), the derived helpers
+                  (is_faultless, to_string) or the scenario's fault_text,
+                  so an SINR channel can replace the edge-fault layer
+                  without silent misreads.
 waiver-reason     A waiver comment that names no reason.  Waivers are
                   `// nrn-lint: allow(<rule>): <reason>` on the offending
                   line or the line above; the reason string is mandatory.
@@ -159,12 +160,12 @@ LINE_RULES = [
      "raw std::thread bypasses TaskPool slot discipline; use common/task_pool"),
     ("fault-fields",
      re.compile(r"\bFaultKind\s*::"
-                r"|\b(?:fault|fault_model\(\))\s*\.\s*(?:kind|p|p_receiver)\b"),
+                r"|\b(?:fault|coins\(\))\s*\.\s*(?:kind|p|p_receiver)\b"),
      FAULT_FIELD_EXEMPT,
-     "direct FaultModel field access outside src/radio/: read the derived "
-     "helpers (is_faultless, effective_loss, to_string) or the scenario's "
-     "fault_text instead, so the ChannelModel abstraction stays the only "
-     "door into the fault layer"),
+     "direct FaultModel field access outside src/radio/: read "
+     "ChannelModel::effective_loss(), the derived helpers (is_faultless, "
+     "to_string) or the scenario's fault_text instead, so the ChannelModel "
+     "abstraction stays the only door into the fault layer"),
 ]
 
 
