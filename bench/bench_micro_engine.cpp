@@ -3,6 +3,9 @@
 // collision counters, table-driven GF arithmetic, and GF(2^8) for RLNC.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <utility>
+
 #include "coding/binary_field.hpp"
 #include "coding/reed_solomon.hpp"
 #include "coding/rlnc.hpp"
@@ -112,30 +115,49 @@ void BM_EngineSilentRounds(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSilentRounds);
 
-void BM_EngineDecayTrials(benchmark::State& state,
-                          sim::TrialExecution execution) {
-  // Eight Decay trials through the Driver: the scalar variant runs one
-  // RadioNetwork per trial, the lockstep variant one 8-lane bank sharing
-  // an adjacency pass per round.  Outcomes are bit-identical; only the
-  // wall clock differs.
-  const auto n = state.range(0);
+void BM_EngineTrials(benchmark::State& state, const std::string& topology,
+                     const std::string& protocol,
+                     sim::TrialExecution execution) {
+  // Eight trials (one full lockstep bank) through the Driver over a setup
+  // built once, forced scalar or left to auto.  Auto banks every cell of
+  // the matrix (none is consecutive-id), so each scalar/auto pair prices
+  // the lockstep bank against the scalar engine.  Outcomes are
+  // bit-identical; only the wall clock differs.
+  const bool sinr = topology.rfind("disk:", 0) == 0;
   const auto scenario = sim::Scenario::parse(
-      "path:" + std::to_string(n), "receiver:0.3", 0, 1, 21);
+      topology, sinr ? "none" : "receiver:0.3", 0, 1, 21,
+      sinr ? "sinr:2.5:0.001:1.0" : "none");
+  const sim::ScenarioSetup setup(scenario);
   sim::DriverOptions options;
   options.execution = execution;
   const sim::Driver driver;
   for (auto _ : state)
-    benchmark::DoNotOptimize(driver.run(scenario, "decay", 8, options));
+    benchmark::DoNotOptimize(
+        driver.run(setup, scenario, protocol, 8, options));
   state.SetItemsProcessed(state.iterations() * 8);
 }
-void BM_EngineDecayTrialsScalar(benchmark::State& state) {
-  BM_EngineDecayTrials(state, sim::TrialExecution::kScalar);
-}
-void BM_EngineDecayTrialsLockstep(benchmark::State& state) {
-  BM_EngineDecayTrials(state, sim::TrialExecution::kLockstep);
-}
-BENCHMARK(BM_EngineDecayTrialsScalar)->Arg(64)->Arg(256);
-BENCHMARK(BM_EngineDecayTrialsLockstep)->Arg(64)->Arg(256);
+
+// The scalar-vs-auto matrix: decay and robust on edge-fault gnp and grid
+// graphs and SINR unit-disk graphs at n = 256 and 2048, named
+// BM_EngineTrials/<protocol>/<topology>/<scalar|auto>.
+const bool kTrialMatrixRegistered = [] {
+  const std::pair<const char*, sim::TrialExecution> modes[] = {
+      {"scalar", sim::TrialExecution::kScalar},
+      {"auto", sim::TrialExecution::kAuto}};
+  for (const char* protocol : {"decay", "robust"})
+    for (const char* topology :
+         {"gnp:256:0.04", "gnp:2048:0.005", "grid:16x16", "grid:32x64",
+          "disk:256:0.15", "disk:2048:0.05"})
+      for (const auto& [mode, execution] : modes)
+        benchmark::RegisterBenchmark(
+            (std::string("BM_EngineTrials/") + protocol + "/" + topology +
+             "/" + mode)
+                .c_str(),
+            BM_EngineTrials, std::string(topology), std::string(protocol),
+            execution)
+            ->Unit(benchmark::kMillisecond);
+  return true;
+}();
 
 void BM_SweepThroughput(benchmark::State& state) {
   // End-to-end: SweepRunner -> Driver -> protocol -> engine, the path a

@@ -7,7 +7,9 @@
 //   * fast rounds (even, index t): informed *fast* nodes at level l and
 //     rank r broadcast iff t = l - 6r (mod 6 * rank_modulus); the GBST
 //     property makes these waves collision-free, so a message entering a
-//     fast stretch rides to its tail in D_i + O(log n) rounds.
+//     fast stretch rides to its tail in D_i + O(log n) rounds.  The
+//     constructor evaluates this rule once into a WaveSchedule
+//     (core/wave_schedule.hpp) that every stepper reads.
 //
 // In the faultless model this gives D + O(log^2 n) (Lemma 8).  Under
 // constant-probability faults the wave loses its payload with probability
@@ -22,6 +24,7 @@
 #include "common/rng.hpp"
 #include "core/run_result.hpp"
 #include "core/stepper.hpp"
+#include "core/wave_schedule.hpp"
 #include "radio/network.hpp"
 #include "radio/trace.hpp"
 #include "trees/gbst.hpp"
@@ -52,6 +55,8 @@ class Fastbc {
 
   const trees::RankedBfsTree& tree() const { return *tree_; }
   std::int32_t rank_modulus() const { return rank_modulus_; }
+  /// The fast-round schedule, built by the constructor.
+  const WaveSchedule& schedule() const { return schedule_; }
 
   /// Runs the alternating schedule until everyone is informed or the
   /// budget is exhausted.  Implemented as run_stepped over make_stepper.
@@ -70,6 +75,7 @@ class Fastbc {
   std::shared_ptr<const trees::RankedBfsTree> tree_;
   std::int32_t rank_modulus_;
   std::int32_t decay_phase_;
+  WaveSchedule schedule_;
 };
 
 }  // namespace nrn::core

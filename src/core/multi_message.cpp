@@ -1,44 +1,30 @@
 #include "core/multi_message.hpp"
 
-#include <cmath>
-#include <utility>
-
 #include "core/decay.hpp"
 #include "trees/gbst.hpp"
 
 namespace nrn::core {
 
-namespace {
-
-std::int32_t ceil_log2(std::int32_t n) {
-  std::int32_t bits = 0;
-  while ((std::int64_t{1} << bits) < n) ++bits;
-  return std::max(bits, 1);
-}
-
-}  // namespace
-
-RlncBroadcast::RlncBroadcast(const graph::Graph& g, radio::NodeId source,
-                             MultiMessageParams params,
-                             std::shared_ptr<const trees::RankedBfsTree> tree)
-    : graph_(&g), source_(source), params_(params), tree_(std::move(tree)) {
+RlncBroadcast::RlncBroadcast(
+    const graph::Graph& g, radio::NodeId source, MultiMessageParams params,
+    const std::shared_ptr<const trees::RankedBfsTree>& tree)
+    : graph_(&g), source_(source), params_(params) {
   NRN_EXPECTS(params.k >= 1, "need at least one message");
   decay_phase_ = params.decay_phase > 0
                      ? params.decay_phase
                      : Decay::default_phase_length(g.node_count());
   if (params.pattern == MultiPattern::kRobustFastbc) {
-    NRN_EXPECTS(tree_ != nullptr && tree_->node_count() == g.node_count() &&
-                    tree_->source == source,
+    NRN_EXPECTS(tree != nullptr && tree->node_count() == g.node_count() &&
+                    tree->source == source,
                 "the Robust FASTBC pattern needs a GBST of (graph, source)");
-    const std::int32_t log_n = ceil_log2(g.node_count());
-    block_size_ = params.block_size > 0
-                      ? params.block_size
-                      : std::max<std::int32_t>(
-                            2, 2 * ceil_log2(std::max<std::int32_t>(2, log_n)));
-    window_multiplier_ =
+    block_size_ = params.block_size > 0 ? params.block_size
+                                        : default_block_size(g.node_count());
+    const std::int32_t window_multiplier =
         params.window_multiplier > 0 ? params.window_multiplier : 8;
-    rank_modulus_ = log_n;
-    NRN_EXPECTS(tree_->max_rank <= rank_modulus_, "rank modulus too small");
+    const std::int32_t rank_modulus = default_rank_modulus(g.node_count());
+    NRN_EXPECTS(tree->max_rank <= rank_modulus, "rank modulus too small");
+    schedule_ = WaveSchedule::robust(*tree, rank_modulus, block_size_,
+                                     window_multiplier);
   }
 }
 
@@ -68,7 +54,7 @@ MultiRunResult RlncBroadcast::run_impl(
   const std::int32_t n = graph_->node_count();
   const auto k = params_.k;
   const double p = net.channel().effective_loss();
-  const std::int32_t log_n = ceil_log2(n);
+  const std::int32_t log_n = default_rank_modulus(n);
 
   const std::int64_t budget =
       params_.max_rounds > 0
@@ -98,10 +84,6 @@ MultiRunResult RlncBroadcast::run_impl(
 
   // Pool of packets emitted this round; radio::Packet carries an index.
   std::vector<coding::RlncPacket> pool;
-
-  const std::int64_t period = 6LL * rank_modulus_;
-  const std::int64_t window =
-      static_cast<std::int64_t>(window_multiplier_) * block_size_;
 
   MultiRunResult result;
   result.messages = static_cast<std::int64_t>(k);
@@ -141,20 +123,7 @@ MultiRunResult RlncBroadcast::run_impl(
           static_cast<std::size_t>(n), sub,
           [&](std::size_t u) { stage(static_cast<radio::NodeId>(u)); });
     } else {
-      const std::int64_t t_half = round / 2;
-      const std::int64_t band = t_half / window;
-      for (radio::NodeId u = 0; u < n; ++u) {
-        const auto ui = static_cast<std::size_t>(u);
-        if (!tree_->is_fast(u)) continue;
-        const std::int32_t l = tree_->level[ui];
-        const std::int32_t r = tree_->rank[ui];
-        const std::int64_t block = l / block_size_;
-        // +6: rank-1 block-0 active at band 0 (see robust_fastbc.cpp).
-        const std::int64_t lhs =
-            ((block - 6LL * r + 6 - band) % period + period) % period;
-        if (lhs != 0 || (l % 3) != (t_half % 3)) continue;
-        stage(u);
-      }
+      for (const radio::NodeId u : schedule_.fast_round(round / 2)) stage(u);
     }
     net.stage_broadcasts(senders, packet_ids);
 

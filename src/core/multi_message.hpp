@@ -26,6 +26,7 @@
 #include "common/rng.hpp"
 #include "coding/rlnc.hpp"
 #include "core/run_result.hpp"
+#include "core/wave_schedule.hpp"
 #include "radio/network.hpp"
 #include "trees/gbst.hpp"
 
@@ -48,15 +49,19 @@ struct MultiMessageParams {
 
 class RlncBroadcast {
  public:
-  /// The Robust FASTBC pattern runs over `tree`, a GBST of (g, source)
-  /// shared read-only; the Decay pattern needs none (`tree` may be null).
+  /// The Robust FASTBC pattern builds its fast-round schedule from `tree`,
+  /// a GBST of (g, source); the Decay pattern needs none (`tree` may be
+  /// null).
   RlncBroadcast(const graph::Graph& g, radio::NodeId source,
                 MultiMessageParams params,
-                std::shared_ptr<const trees::RankedBfsTree> tree);
+                const std::shared_ptr<const trees::RankedBfsTree>& tree);
 
   /// Builds the GBST here when the pattern needs one.
   RlncBroadcast(const graph::Graph& g, radio::NodeId source,
                 MultiMessageParams params);
+
+  /// The Robust FASTBC pattern's fast-round schedule (empty for kDecay).
+  const WaveSchedule& schedule() const { return schedule_; }
 
   /// Runs until every node reaches rank k (completed) or the budget ends.
   MultiRunResult run(radio::RadioNetwork& net, Rng& rng) const;
@@ -76,11 +81,9 @@ class RlncBroadcast {
   const graph::Graph* graph_;
   radio::NodeId source_;
   MultiMessageParams params_;
-  std::shared_ptr<const trees::RankedBfsTree> tree_;  // kRobustFastbc only
   std::int32_t decay_phase_;
-  std::int32_t block_size_ = 0;
-  std::int32_t window_multiplier_ = 0;
-  std::int32_t rank_modulus_ = 0;
+  std::int32_t block_size_ = 0;  ///< feeds the budget; kRobustFastbc only
+  WaveSchedule schedule_;        ///< fast rounds; empty for kDecay
 };
 
 }  // namespace nrn::core

@@ -15,7 +15,8 @@
 //     broadcast  iff  floor(l/S) - 6r = floor(t'/(cS))  (mod 6*rank_modulus)
 //                and  l = t'  (mod 3)
 // Odd rounds run a standard Decay step over all informed nodes, exactly as
-// in FASTBC.
+// in FASTBC.  The constructor evaluates the even-round rule once into a
+// WaveSchedule (core/wave_schedule.hpp) that every stepper reads.
 #pragma once
 
 #include <algorithm>
@@ -25,6 +26,7 @@
 #include "common/rng.hpp"
 #include "core/run_result.hpp"
 #include "core/stepper.hpp"
+#include "core/wave_schedule.hpp"
 #include "radio/network.hpp"
 #include "radio/trace.hpp"
 #include "trees/gbst.hpp"
@@ -74,6 +76,8 @@ class RobustFastbc {
   std::int32_t block_size() const { return block_size_; }
   std::int32_t window_multiplier() const { return window_multiplier_; }
   std::int32_t rank_modulus() const { return rank_modulus_; }
+  /// The fast-round schedule, built by the constructor.
+  const WaveSchedule& schedule() const { return schedule_; }
 
   /// Implemented as run_stepped over make_stepper.
   BroadcastRunResult run(radio::RadioNetwork& net, Rng& rng,
@@ -93,6 +97,7 @@ class RobustFastbc {
   std::int32_t window_multiplier_;
   std::int32_t rank_modulus_;
   std::int32_t decay_phase_;
+  WaveSchedule schedule_;
 };
 
 }  // namespace nrn::core

@@ -201,8 +201,10 @@ ExperimentReport Driver::run(const ScenarioSetup& setup,
     // which beats the bank's shared per-edge pass even across 8 lanes.
     // SINR rounds never take that kernel, but random placement links
     // only consecutive ids on tiny graphs such as disk:2.
+    // Every other multi-trial cell banks, whatever its size: the bank's
+    // shared adjacency pass wins at every measured n (kLockstepAutoMaxNodes).
     lockstep = options.execution == TrialExecution::kLockstep ||
-               (trials >= 2 && report.node_count <= kLockstepAutoMaxNodes &&
+               (trials >= 2 &&
                 !radio::RadioNetwork::consecutive_adjacency(graph));
   }
   if (lockstep) {

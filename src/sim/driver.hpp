@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -32,18 +33,26 @@
 
 namespace nrn::sim {
 
-/// Largest node count at which kAuto picks the lockstep bank: the bank's
-/// win is the shared adjacency pass and the per-node O(n) scan, which pay
-/// off on the small-n cells that dominate sweep grids and lose to the
-/// sparse kernel's epoch slots once rounds touch a small fraction of a
-/// large graph.
-inline constexpr std::int32_t kLockstepAutoMaxNodes = 512;
+/// Largest node count at which kAuto picks the lockstep bank: none, every
+/// graph qualifies.  With FASTBC's fast rounds read from precomputed
+/// schedules (core/wave_schedule.hpp), forced-lockstep / scalar wall time
+/// over 16 trials (Release, g++ 12, one core of a 4-vCPU Xeon VM) is
+/// 0.34-0.72 on gnp, grid, random-tree and SINR disk cells at n = 1024-8192
+/// for decay, fastbc and robust, and the BM_EngineTrials matrix
+/// (bench/bench_micro_engine.cpp) reads auto / scalar below 1 at n = 256 and
+/// 2048, so a size cap only sent large cells to the slower engine.  Stars are
+/// banked too, without a predicate of their own: 1.0-1.15 at n = 1024-4096,
+/// in cells under 11 ms.  The constant stays so that code mirroring the auto
+/// predicate (perfbench/src/layers.cpp) keeps its form.
+inline constexpr std::int32_t kLockstepAutoMaxNodes =
+    std::numeric_limits<std::int32_t>::max();
 
 /// How the Driver executes a protocol's trials.  Every mode produces
 /// bit-identical reports: lockstep lanes replay exactly the scalar tape.
 enum class TrialExecution {
-  /// Lockstep for multi-trial experiments of steppable protocols at
-  /// n <= kLockstepAutoMaxNodes; scalar otherwise.
+  /// Lockstep for multi-trial experiments of steppable protocols on any
+  /// graph whose edges do not all join consecutive ids; scalar otherwise
+  /// (see kLockstepAutoMaxNodes for the measurements).
   kAuto,
   /// Always the scalar engine (one RadioNetwork per trial).
   kScalar,

@@ -18,7 +18,8 @@
 // setup memo (the goldens under tests/golden/ did not change), and the
 // removal of BroadcastProtocol::name() and of the never-set heartbeat
 // option (goldens and the record hashes pinned in tests/test_channel.cpp
-// unchanged).
+// unchanged), and BroadcastProtocol::make_stepper's comment on the
+// uncapped lockstep bank (a comment only).
 #pragma once
 
 namespace nrn::sim {

@@ -275,7 +275,7 @@ class BroadcastProtocol {
 
   /// The protocol's per-round logic as a core::RoundStepper, or nullptr if
   /// the protocol cannot step (the default).  A non-null stepper lets the
-  /// Driver run small-n trials in the lockstep bank; the protocol's own
+  /// Driver run multi-trial cells in the lockstep bank; the protocol's own
   /// run() must be run_stepped over the identical stepper so scalar and
   /// lockstep trials are bit-identical by construction.  One stepper per
   /// trial: steppers hold trial state and are never shared.

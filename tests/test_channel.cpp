@@ -362,45 +362,71 @@ TEST(SinrChannel, TracedRunsCarryTheInterferenceSeries) {
 }
 
 TEST(ChannelBytes, RecordsMatchPinnedHashes) {
-  // FNV-1a of experiment_record for 9-trial runs of both channels on every
-  // kernel route the Driver picks, pinned from the engines as they were
-  // before the channel was armed in one place (radio/channel_state.hpp):
-  // the lockstep bank (n <= 512, ids not consecutive), the scalar adjacent
-  // kernel (path), and the scalar SINR row walk (n > 512).
+  // FNV-1a of experiment_record for 9-trial, seed-7 runs of both channels,
+  // pinned from a library built before the channel was armed in one place
+  // (radio/channel_state.hpp) for the first seven, and before the FASTBC
+  // fast rounds read precomputed schedules and auto banked every size
+  // (core/wave_schedule.hpp) for the rest.  Every pin runs under kAuto and
+  // kScalar against the same hash, so each cell covers the scalar kernel
+  // and the route auto takes: the lockstep bank for every multi-trial cell
+  // whose ids are not consecutive (n = 64 to 2048, edge and SINR), the
+  // scalar adjacent kernel for the path.  rlnc-robust cannot step and runs
+  // scalar both times; it pins the Lemma 13 pattern's schedule.
   struct Pinned {
     const char* topology;
     const char* fault;
     const char* channel;
     const char* protocol;
+    std::int64_t k;
     bool trace;
     std::uint64_t hash;
   };
   const Pinned pinned[] = {
-      {"gnp:64:0.1", "combined:0.2:0.3", "none", "decay", false,
+      {"gnp:64:0.1", "combined:0.2:0.3", "none", "decay", 1, false,
        0x71bc479bfe813e9cULL},
-      {"path:64", "combined:0.2:0.3", "none", "decay", false,
+      {"path:64", "combined:0.2:0.3", "none", "decay", 1, false,
        0x508ca260fac96a00ULL},
-      {"grid:8x8", "sender:0.3", "none", "robust", false,
+      {"grid:8x8", "sender:0.3", "none", "robust", 1, false,
        0x53804ba0354dc35eULL},
-      {"disk:96:0.3", "none", "sinr:2.5:0.001:1.0", "decay", true,
+      {"disk:96:0.3", "none", "sinr:2.5:0.001:1.0", "decay", 1, true,
        0x25554a9590dd814aULL},
-      {"disk:96:0.3", "none", "sinr:2.5:0.001:1.0", "fastbc", true,
+      {"disk:96:0.3", "none", "sinr:2.5:0.001:1.0", "fastbc", 1, true,
        0x2dfe31b4d594acd1ULL},
-      {"disk:600:0.1", "none", "sinr:2.5:0.001:1.0", "decay", true,
+      {"disk:600:0.1", "none", "sinr:2.5:0.001:1.0", "decay", 1, true,
        0x6150dac836f8cf97ULL},
-      {"disk:600:0.1", "none", "sinr:2.5:0.001:1.0", "fastbc", true,
+      {"disk:600:0.1", "none", "sinr:2.5:0.001:1.0", "fastbc", 1, true,
        0xf0e1e2074ccdd0bbULL},
+      {"gnp:2048:0.005", "receiver:0.3", "none", "fastbc", 1, true,
+       0xbea2637ba8acb415ULL},
+      {"gnp:2048:0.005", "receiver:0.3", "none", "robust", 1, true,
+       0x349fd5e2ae47016fULL},
+      {"grid:32x64", "receiver:0.3", "none", "fastbc", 1, true,
+       0xea26d2f93b9a8826ULL},
+      {"grid:32x64", "receiver:0.3", "none", "robust", 1, true,
+       0xb366b1b7c0ec97b4ULL},
+      {"disk:2048:0.05", "none", "sinr:2.5:0.001:1.0", "fastbc", 1, true,
+       0xa2b70fc6fc287c9dULL},
+      {"disk:2048:0.05", "none", "sinr:2.5:0.001:1.0", "robust", 1, true,
+       0x7b461a70d1e8f75aULL},
+      {"gnp:256:0.04", "receiver:0.3", "none", "rlnc-robust", 8, false,
+       0x543c73695f68b547ULL},
   };
   for (const Pinned& p : pinned) {
-    SCOPED_TRACE(std::string(p.protocol) + " on " + p.topology + " under " +
-                 p.fault + " / " + p.channel);
     const auto scenario =
-        sim::Scenario::parse(p.topology, p.fault, 0, 1, 7, p.channel);
-    sim::DriverOptions options;
-    options.trace = p.trace;
-    const auto report = sim::Driver().run(scenario, p.protocol, 9, options);
-    EXPECT_TRUE(report.all_completed());
-    EXPECT_EQ(sim::fnv1a64(sim::experiment_record(report)), p.hash);
+        sim::Scenario::parse(p.topology, p.fault, 0, p.k, 7, p.channel);
+    for (const auto execution :
+         {sim::TrialExecution::kAuto, sim::TrialExecution::kScalar}) {
+      SCOPED_TRACE(std::string(p.protocol) + " on " + p.topology + " under " +
+                   p.fault + " / " + p.channel +
+                   (execution == sim::TrialExecution::kAuto ? " (auto)"
+                                                            : " (scalar)"));
+      sim::DriverOptions options;
+      options.trace = p.trace;
+      options.execution = execution;
+      const auto report = sim::Driver().run(scenario, p.protocol, 9, options);
+      EXPECT_TRUE(report.all_completed());
+      EXPECT_EQ(sim::fnv1a64(sim::experiment_record(report)), p.hash);
+    }
   }
 }
 

@@ -7,8 +7,11 @@
 // Prints one line per benchmark present in both files with the time ratio
 // (current / baseline; < 1 is faster) and items/sec where available.  A
 // benchmark whose time ratio exceeds 1 + threshold is flagged as a
-// regression.  Exit status is 0 unless --fail is given and a regression
-// was flagged, so CI can start warn-only and tighten later.
+// regression.  A benchmark present in only one file is listed by name as
+// unmatched: a new benchmark with no baseline entry, or a baseline entry
+// whose benchmark is gone, would otherwise escape the gate unseen.  Exit
+// status is 0 unless --fail is given and a regression or an unmatched
+// name was found, so CI can start warn-only and tighten later.
 //
 // Both files must declare an optimized build: the bench binary stamps
 // "nrn_build_type" into the JSON context (falling back to the library's
@@ -185,12 +188,25 @@ int main(int argc, char** argv) {
                 base.real_time, it->second.real_time, ratio,
                 regressed ? "  REGRESSION" : "");
   }
+  int unmatched = 0;
+  auto list_unmatched = [&](const std::map<std::string, BenchResult>& from,
+                            const std::map<std::string, BenchResult>& other,
+                            const char* where) {
+    for (const auto& entry : from) {
+      if (other.count(entry.first) != 0) continue;
+      ++unmatched;
+      std::printf("%-44s only in %s\n", entry.first.c_str(), where);
+    }
+  };
+  list_unmatched(baseline, current, "baseline");
+  list_unmatched(current, baseline, "current");
   if (compared == 0) {
     std::fprintf(stderr, "bench_diff: no common benchmarks to compare\n");
     return 2;
   }
   // nrn-lint: allow(locale-float): human-facing summary line, same as above.
-  std::printf("%d benchmark(s) compared, %d regression(s) beyond %.0f%%\n",
-              compared, regressions, threshold * 100.0);
-  return (fail_on_regression && regressions > 0) ? 1 : 0;
+  std::printf("%d benchmark(s) compared, %d regression(s) beyond %.0f%%, "
+              "%d unmatched\n",
+              compared, regressions, threshold * 100.0, unmatched);
+  return (fail_on_regression && regressions + unmatched > 0) ? 1 : 0;
 }
