@@ -3,6 +3,7 @@
 // collision counters, table-driven GF arithmetic, and GF(2^8) for RLNC.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -25,7 +26,7 @@ void BM_EngineRoundStar(benchmark::State& state) {
   radio::RadioNetwork net(g, radio::FaultModel::receiver(0.5), Rng(1));
   std::int64_t id = 0;
   for (auto _ : state) {
-    net.set_broadcast(0, radio::Packet{id++});
+    net.set_broadcast(0, radio::PacketId{id++});
     benchmark::DoNotOptimize(net.run_round());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -39,7 +40,7 @@ void BM_EngineRoundManyBroadcasters(benchmark::State& state) {
   radio::RadioNetwork net(g, radio::FaultModel::faultless(), Rng(1));
   for (auto _ : state) {
     for (graph::NodeId u = 0; u < n / 2; ++u)
-      net.set_broadcast(u, radio::Packet{u});
+      net.set_broadcast(u, radio::PacketId{u});
     benchmark::DoNotOptimize(net.run_round());
   }
   state.SetItemsProcessed(state.iterations() * (n / 2) * (n - 1));
@@ -70,7 +71,7 @@ void BM_EngineKernel(benchmark::State& state, radio::RadioNetwork::Kernel k) {
   net.set_kernel(k);
   for (auto _ : state) {
     for (graph::NodeId u = 0; u < n; u += 2)
-      net.set_broadcast(u, radio::Packet{u});
+      net.set_broadcast(u, radio::PacketId{u});
     benchmark::DoNotOptimize(net.run_round());
   }
   state.SetItemsProcessed(state.iterations() * (n / 2));
@@ -97,23 +98,12 @@ void BM_EngineSinrDisk(benchmark::State& state) {
   radio::RadioNetwork net(g, scenario.channel, Rng(2), &geometry);
   for (auto _ : state) {
     for (graph::NodeId u = 0; u < g.node_count(); u += 2)
-      net.set_broadcast(u, radio::Packet{u});
+      net.set_broadcast(u, radio::PacketId{u});
     benchmark::DoNotOptimize(net.run_round());
   }
   state.SetItemsProcessed(state.iterations() * (n / 2));
 }
 BENCHMARK(BM_EngineSinrDisk)->Arg(256)->Arg(1024);
-
-void BM_EngineSilentRounds(benchmark::State& state) {
-  const auto g = graph::make_path(1024);
-  radio::RadioNetwork net(g, radio::FaultModel::receiver(0.3), Rng(3));
-  for (auto _ : state) {
-    net.run_silent_rounds(1024);
-    benchmark::DoNotOptimize(net.round_number());
-  }
-  state.SetItemsProcessed(state.iterations() * 1024);
-}
-BENCHMARK(BM_EngineSilentRounds);
 
 void BM_EngineTrials(benchmark::State& state, const std::string& topology,
                      const std::string& protocol,
@@ -156,6 +146,61 @@ const bool kTrialMatrixRegistered = [] {
             BM_EngineTrials, std::string(topology), std::string(protocol),
             execution)
             ->Unit(benchmark::kMillisecond);
+  return true;
+}();
+
+enum class SetupLayer { kGraph, kGbst, kFactory };
+
+void BM_CellSetup(benchmark::State& state, const std::string& topology,
+                  SetupLayer layer) {
+  // The per-cell setup a sweep pays once per graph identity, one layer at
+  // a time: the ScenarioSetup build (graph, placement, source depth), the
+  // GBST its first gbst() call builds, and one robust factory call over
+  // the built tree (the wave schedule precompute).
+  const bool sinr = topology.rfind("disk:", 0) == 0;
+  const auto scenario = sim::Scenario::parse(
+      topology, sinr ? "none" : "receiver:0.3", 0, 1, 21,
+      sinr ? "sinr:2.5:0.001:1.0" : "none");
+  const sim::ScenarioSetup built(scenario);
+  built.gbst();
+  const sim::ProtocolContext ctx{built.graph(), scenario, {}, &built};
+  const auto& registry = sim::ProtocolRegistry::global();
+  for (auto _ : state) {
+    switch (layer) {
+      case SetupLayer::kGraph: {
+        const sim::ScenarioSetup setup(scenario);
+        benchmark::DoNotOptimize(setup.depth());
+        break;
+      }
+      case SetupLayer::kGbst: {
+        state.PauseTiming();
+        auto setup = std::make_unique<sim::ScenarioSetup>(scenario);
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(setup->gbst());
+        state.PauseTiming();
+        setup.reset();
+        state.ResumeTiming();
+        break;
+      }
+      case SetupLayer::kFactory:
+        benchmark::DoNotOptimize(registry.create("robust", ctx));
+        break;
+    }
+  }
+}
+
+// Named BM_CellSetup/<graph|gbst|robust_factory>/<topology>.
+const bool kCellSetupRegistered = [] {
+  const std::pair<const char*, SetupLayer> layers[] = {
+      {"graph", SetupLayer::kGraph},
+      {"gbst", SetupLayer::kGbst},
+      {"robust_factory", SetupLayer::kFactory}};
+  for (const auto& [name, layer] : layers)
+    for (const char* topology : {"gnp:512:0.02", "grid:16x32", "disk:512:0.1"})
+      benchmark::RegisterBenchmark(
+          (std::string("BM_CellSetup/") + name + "/" + topology).c_str(),
+          BM_CellSetup, std::string(topology), layer)
+          ->Unit(benchmark::kMicrosecond);
   return true;
 }();
 

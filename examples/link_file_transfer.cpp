@@ -3,12 +3,14 @@
 //
 // A ground station sends a firmware image to a probe over a half-duplex
 // link that corrupts half of all frames (receiver faults, p = 0.5).  Three
-// strategies race, with *real bytes* carried end to end:
+// strategies race:
 //   1. fixed repetition (Lemma 29)  -- each chunk sent ~2 log2(k) times;
 //   2. stop-and-wait ACK (Lemma 32) -- resend the chunk until it lands;
 //   3. Reed-Solomon fountain-style streaming (Lemma 30) -- no feedback at
 //      all, decode once any k coded frames arrive.
-// The received image is reassembled and compared byte-for-byte.
+// The radio carries each coded frame's index; the RS stream keeps the
+// frames it hears by that index, decodes the image from them, and compares
+// it byte-for-byte with the original.
 #include <iostream>
 
 #include "coding/reed_solomon.hpp"
@@ -56,36 +58,26 @@ int main() {
               << (r.completed ? "file complete" : "FAILED") << "\n";
   }
 
-  // --- Strategy 3: Reed-Solomon streaming with real payload decode.
+  // --- Strategy 3: Reed-Solomon streaming, decoded from the frames heard.
   {
     radio::RadioNetwork net(link, radio::FaultModel::receiver(kLossRate),
                             Rng(3));
     const coding::ReedSolomon<Field> rs(kChunks, kSymbolsPerChunk);
     const auto frame_count = core::link_rs_packet_count(kChunks, kLossRate);
 
+    // Frame j goes on the air as packet id j.
+    std::vector<coding::RsPacket<Field>> frames;
     std::vector<coding::RsPacket<Field>> received;
     std::int64_t frames_sent = 0;
     for (std::int64_t j = 0; j < frame_count; ++j) {
-      auto pkt = rs.encode_packet(file, static_cast<std::uint32_t>(j));
-      // Ship the symbols as the radio payload (bytes on the wire).
-      std::vector<std::uint8_t> wire(pkt.symbols.size() * 2);
-      for (std::size_t s = 0; s < pkt.symbols.size(); ++s) {
-        wire[2 * s] = static_cast<std::uint8_t>(pkt.symbols[s] >> 8);
-        wire[2 * s + 1] = static_cast<std::uint8_t>(pkt.symbols[s] & 0xff);
-      }
-      net.set_broadcast(0, radio::Packet{j, radio::make_payload(wire)});
+      frames.push_back(rs.encode_packet(file, static_cast<std::uint32_t>(j)));
+      net.set_broadcast(0, j);
       const auto& deliveries = net.run_round();
       ++frames_sent;
       if (!deliveries.empty()) {
-        // Decode the wire bytes back into a packet at the receiver.
-        const auto& bytes = *deliveries.front().packet.payload;
-        coding::RsPacket<Field> back;
-        back.index = static_cast<std::uint32_t>(deliveries.front().packet.id);
-        back.symbols.resize(bytes.size() / 2);
-        for (std::size_t s = 0; s < back.symbols.size(); ++s)
-          back.symbols[s] = static_cast<Field::Symbol>(
-              (bytes[2 * s] << 8) | bytes[2 * s + 1]);
-        received.push_back(std::move(back));
+        // The probe keeps the frame it heard, by the index it carried.
+        received.push_back(
+            frames[static_cast<std::size_t>(deliveries.front().id)]);
         if (received.size() >= static_cast<std::size_t>(kChunks)) break;
       }
     }

@@ -137,7 +137,7 @@ MultiRunResult run_layered_pipeline_routing(radio::RadioNetwork& net,
       for (const auto& d : deliveries) {
         auto& flag =
             has[static_cast<std::size_t>(d.receiver)]
-               [static_cast<std::size_t>(d.packet.id)];
+               [static_cast<std::size_t>(d.id)];
         if (flag) continue;
         flag = 1;
         // Credit the boundary waiting on this (receiver-layer, message).
@@ -145,7 +145,7 @@ MultiRunResult run_layered_pipeline_routing(radio::RadioNetwork& net,
         if (rl >= 1) {
           auto& w = work[static_cast<std::size_t>(rl) - 1];
           const std::int64_t msg = w.batch * batch_size + w.next_in_batch;
-          if (w.active && msg == d.packet.id && w.remaining_targets > 0) {
+          if (w.active && msg == d.id && w.remaining_targets > 0) {
             if (--w.remaining_targets == 0) {
               ++w.next_in_batch;
               w.local_round = 0;

@@ -1,21 +1,18 @@
 #include "core/decay.hpp"
 
-#include <cmath>
+#include "common/int_math.hpp"
 
 namespace nrn::core {
 
 std::int32_t Decay::default_phase_length(std::int32_t node_count) {
   NRN_EXPECTS(node_count >= 1, "empty network");
-  std::int32_t bits = 1;
-  while ((std::int64_t{1} << bits) < node_count) ++bits;
-  return bits + 1;
+  return ceil_log2(node_count) + 1;
 }
 
 std::int64_t Decay::default_budget(std::int32_t node_count,
                                    std::int32_t diameter_hint, double p) {
   const auto phase = static_cast<std::int64_t>(default_phase_length(node_count));
-  const auto log_n = static_cast<std::int64_t>(
-      std::ceil(std::log2(std::max(2, node_count))));
+  const auto log_n = static_cast<std::int64_t>(ceil_log2(node_count));
   const double stretch = 1.0 / (1.0 - p);
   const auto base = static_cast<std::int64_t>(diameter_hint) + 4 * log_n + 32;
   return static_cast<std::int64_t>(16.0 * stretch *
@@ -37,8 +34,7 @@ class DecayStepper final : public InformedSetStepper {
   bool stage_round(radio::StagingPort& port, Rng& rng) override {
     if (!another_round()) return false;
     const auto sub_round = static_cast<std::int32_t>(round_ % phase_);
-    port.stage_bernoulli_pow2(informed_list_, sub_round, radio::PacketId{0},
-                              rng);
+    port.stage_bernoulli_pow2(informed_list_, sub_round, rng);
     return true;
   }
 

@@ -1,28 +1,16 @@
 #include "core/erasure_broadcast.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 #include "coding/reed_solomon.hpp"
+#include "common/int_math.hpp"
 #include "core/decay.hpp"
 
 namespace nrn::core {
 
-namespace {
-
 using Codec = coding::ReedSolomon<coding::Gf256>;
-
-std::int32_t ceil_log2(std::int64_t n) {
-  std::int32_t bits = 0;
-  while ((std::int64_t{1} << bits) < n) ++bits;
-  return std::max(bits, 1);
-}
-
-}  // namespace
 
 std::int64_t ErasureBroadcast::default_packet_count(std::int64_t n,
                                                     std::int64_t k) {
-  return k + 4 * ceil_log2(std::max<std::int64_t>(2, n * k)) + 8;
+  return k + 4 * ceil_log2(n * k) + 8;
 }
 
 ErasureBroadcast::ErasureBroadcast(const graph::Graph& g, radio::NodeId source,
@@ -118,10 +106,10 @@ MultiRunResult ErasureBroadcast::run_and_verify(
       const auto& deliveries = net.run_round();
       for (const auto& d : deliveries) {
         const auto ri = static_cast<std::size_t>(d.receiver);
-        const auto idx = static_cast<std::size_t>(d.packet.id);
+        const auto idx = static_cast<std::size_t>(d.id);
         if (has[ri][idx]) continue;
         has[ri][idx] = 1;
-        held[ri].push_back(static_cast<std::uint32_t>(d.packet.id));
+        held[ri].push_back(static_cast<std::uint32_t>(d.id));
         if (static_cast<std::int64_t>(held[ri].size()) == k &&
             !complete[ri]) {
           complete[ri] = 1;

@@ -157,11 +157,11 @@ MultiRunResult run_greedy_adaptive_routing(radio::RadioNetwork& net,
     const auto& deliveries = net.run_round();
     ++result.rounds;
     for (const auto& d : deliveries) {
-      auto& flag = has[cell(d.receiver, d.packet.id)];
+      auto& flag = has[cell(d.receiver, d.id)];
       if (flag) continue;
       flag = 1;
       for (const radio::NodeId w : g.neighbors(d.receiver))
-        --lack[cell(w, d.packet.id)];
+        --lack[cell(w, d.id)];
       if (--missing[static_cast<std::size_t>(d.receiver)] == 0)
         --incomplete_nodes;
     }

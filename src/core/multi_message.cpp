@@ -82,7 +82,8 @@ MultiRunResult RlncBroadcast::run_impl(
   std::vector<char> complete(static_cast<std::size_t>(n), 0);
   complete[static_cast<std::size_t>(source_)] = 1;
 
-  // Pool of packets emitted this round; radio::Packet carries an index.
+  // Pool of packets emitted this round; a staged broadcast carries its
+  // index into the pool.
   std::vector<coding::RlncPacket> pool;
 
   MultiRunResult result;
@@ -131,7 +132,7 @@ MultiRunResult RlncBroadcast::run_impl(
     for (const auto& d : deliveries) {
       auto& st = state[static_cast<std::size_t>(d.receiver)];
       if (st.complete()) continue;
-      st.absorb(pool[static_cast<std::size_t>(d.packet.id)]);
+      st.absorb(pool[static_cast<std::size_t>(d.id)]);
       if (st.complete()) {
         auto& flag = complete[static_cast<std::size_t>(d.receiver)];
         if (!flag) {

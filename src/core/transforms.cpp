@@ -75,8 +75,8 @@ TransformResult run_routing_transform(radio::RadioNetwork& net,
       const auto& deliveries = net.run_round();
       ++out.run.rounds;
       for (const auto& d : deliveries) {
-        const std::int64_t m = d.packet.id / x;
-        const std::int64_t s = d.packet.id % x;
+        const std::int64_t m = d.id / x;
+        const std::int64_t s = d.id % x;
         received[static_cast<std::size_t>(d.receiver)]
                 [static_cast<std::size_t>(m)] |= (std::uint64_t{1} << s);
         // Adaptive feedback: the sender observed a clean transmission.
@@ -146,7 +146,7 @@ TransformResult run_coding_transform(radio::RadioNetwork& net,
       ++out.run.rounds;
       for (const auto& d : deliveries) {
         ++count[static_cast<std::size_t>(d.receiver)];
-        msg_of[static_cast<std::size_t>(d.receiver)] = d.packet.id;
+        msg_of[static_cast<std::size_t>(d.receiver)] = d.id;
       }
     }
     // A receiver that caught >= x coded packets reconstructs the x

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 
+#include "common/int_math.hpp"
+
 namespace nrn::core {
 
 std::int32_t default_rank_modulus(std::int32_t node_count) {
-  std::int32_t bits = 0;
-  while ((std::int64_t{1} << bits) < node_count) ++bits;
-  return std::max(bits, 1);
+  return ceil_log2(node_count);
 }
 
 std::int32_t default_block_size(std::int32_t node_count) {
@@ -94,13 +94,13 @@ class WaveStepper final : public InformedSetStepper {
       // Slow round 2t+1: Decay step over informed nodes.
       const auto t = (round - 1) / 2;
       const auto sub = static_cast<std::int32_t>(t % decay_phase_);
-      port.stage_bernoulli_pow2(informed_list_, sub, radio::PacketId{0}, rng);
+      port.stage_bernoulli_pow2(informed_list_, sub, rng);
     } else {
       // Fast round 2t: the scheduled wave step.
       eligible_.clear();
       for (const radio::NodeId u : schedule_->fast_round(round / 2))
         if (informed_[static_cast<std::size_t>(u)]) eligible_.push_back(u);
-      port.stage_many(eligible_, radio::PacketId{0});
+      port.stage_many(eligible_);
     }
     return true;
   }

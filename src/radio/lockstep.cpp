@@ -45,32 +45,12 @@ int LockstepNetwork::add_lane(Rng rng) {
   return lanes_++;
 }
 
-void LockstepNetwork::stage(int lane, NodeId u) {
-  NRN_EXPECTS(lane >= 0 && lane < lanes_, "lane out of range");
-  NRN_EXPECTS(u >= 0 && u < graph_->node_count(), "broadcaster out of range");
-  const auto bit = static_cast<LaneMask>(1u << lane);
-  auto& mask = bcast_mask_[static_cast<std::size_t>(u)];
-  NRN_EXPECTS((mask & bit) == 0, "node staged to broadcast twice in one round");
-  if (mask == 0) union_.push_back(u);
-  mask = static_cast<LaneMask>(mask | bit);
-  plan_[static_cast<std::size_t>(lane)].push_back(u);
-}
-
 void LockstepNetwork::stage_many(int lane, std::span<const NodeId> senders) {
   NRN_EXPECTS(lane >= 0 && lane < lanes_, "lane out of range");
   const auto bit = static_cast<LaneMask>(1u << lane);
-  const NodeId n = graph_->node_count();
   auto& plan = plan_[static_cast<std::size_t>(lane)];
   plan.reserve(plan.size() + senders.size());
-  for (const NodeId u : senders) {
-    NRN_EXPECTS(u >= 0 && u < n, "broadcaster out of range");
-    auto& mask = bcast_mask_[static_cast<std::size_t>(u)];
-    NRN_EXPECTS((mask & bit) == 0,
-                "node staged to broadcast twice in one round");
-    if (mask == 0) union_.push_back(u);
-    mask = static_cast<LaneMask>(mask | bit);
-    plan.push_back(u);
-  }
+  for (const NodeId u : senders) mark_broadcaster(bit, plan, u);
 }
 
 std::size_t LockstepNetwork::stage_bernoulli_pow2(
@@ -81,18 +61,10 @@ std::size_t LockstepNetwork::stage_bernoulli_pow2(
     return candidates.size();
   }
   const auto bit = static_cast<LaneMask>(1u << lane);
-  const NodeId n = graph_->node_count();
   auto& plan = plan_[static_cast<std::size_t>(lane)];
   std::size_t staged = 0;
   rng.for_each_bernoulli_pow2(candidates.size(), i, [&](std::size_t idx) {
-    const NodeId u = candidates[idx];
-    NRN_EXPECTS(u >= 0 && u < n, "broadcaster out of range");
-    auto& mask = bcast_mask_[static_cast<std::size_t>(u)];
-    NRN_EXPECTS((mask & bit) == 0,
-                "node staged to broadcast twice in one round");
-    if (mask == 0) union_.push_back(u);
-    mask = static_cast<LaneMask>(mask | bit);
-    plan.push_back(u);
+    mark_broadcaster(bit, plan, candidates[idx]);
     ++staged;
   });
   return staged;

@@ -16,10 +16,10 @@
 // tests/test_lockstep.cpp asserts this per round, and the Driver's
 // trial-identity suite asserts it end to end per protocol.
 //
-// Scope: the bank is counting-mode and receivers-only -- staged packet ids
-// are not tracked, which suffices for the informed-set steppers (Decay and
-// the FASTBC family broadcast one message and read receiver-id spans).
-// Protocols that need packet identity or payloads run scalar.
+// Scope: the bank is receivers-only -- it keeps no packet ids, which
+// suffices for the informed-set steppers (Decay and the FASTBC family
+// broadcast one message and read receiver-id spans).  Protocols that read
+// packet ids run scalar.
 //
 // Channel models: the bank arms its channel through the same
 // radio::ChannelState as the scalar engine (radio/channel_state.hpp), so
@@ -78,11 +78,8 @@ class LockstepNetwork {
   int add_lane(Rng rng);
   int lane_count() const { return lanes_; }
 
-  /// Stages node `u` to broadcast in `lane` this round.  A node may be
-  /// staged at most once per lane per round.
-  void stage(int lane, NodeId u);
-
-  /// Bulk form of stage(): one lane check up front, then a tight loop.
+  /// Stages every node of `senders` to broadcast in `lane` this round.  A
+  /// node may be staged at most once per lane per round.
   void stage_many(int lane, std::span<const NodeId> senders);
 
   /// Stages each candidate independently with probability 2^-i, consuming
@@ -92,22 +89,17 @@ class LockstepNetwork {
                                    std::int32_t i, Rng& rng);
 
   /// StagingPort view of one lane, so a protocol RoundStepper stages into
-  /// the bank exactly as it would into a scalar network.  Packet ids are
-  /// accepted and ignored (receivers-only bank; see file comment).
+  /// the bank exactly as it would into a scalar network.
   class LanePort final : public StagingPort {
    public:
     LanePort(LockstepNetwork& bank, int lane) : bank_(&bank), lane_(lane) {}
 
-    void stage(NodeId u, PacketId /*id*/) override { bank_->stage(lane_, u); }
-
-    void stage_many(std::span<const NodeId> senders,
-                    PacketId /*id*/) override {
+    void stage_many(std::span<const NodeId> senders) override {
       bank_->stage_many(lane_, senders);
     }
 
     std::size_t stage_bernoulli_pow2(std::span<const NodeId> candidates,
-                                     std::int32_t i, PacketId /*id*/,
-                                     Rng& rng) override {
+                                     std::int32_t i, Rng& rng) override {
       return bank_->stage_bernoulli_pow2(lane_, candidates, i, rng);
     }
 
@@ -141,6 +133,20 @@ class LockstepNetwork {
   }
 
  private:
+  /// Marks `u` as broadcasting in the lane whose mask bit is `bit` and
+  /// appends it to that lane's `plan`, enforcing the range and
+  /// staged-once contracts.  Inline: both staging loops run it per node.
+  void mark_broadcaster(LaneMask bit, std::vector<NodeId>& plan, NodeId u) {
+    NRN_EXPECTS(u >= 0 && u < graph_->node_count(),
+                "broadcaster out of range");
+    auto& mask = bcast_mask_[static_cast<std::size_t>(u)];
+    NRN_EXPECTS((mask & bit) == 0,
+                "node staged to broadcast twice in one round");
+    if (mask == 0) union_.push_back(u);
+    mask = static_cast<LaneMask>(mask | bit);
+    plan.push_back(u);
+  }
+
   /// Applies the lane's batched sender/receiver fault coins to its
   /// delivery candidates, filling receivers_[lane].
   void resolve_lane(int lane);

@@ -72,10 +72,8 @@ void RadioNetwork::reset(const ChannelModel& channel, Rng rng) {
   select_staging();  // the channel may have changed
   plan_senders_.clear();
   plan_ids_.clear();
-  plan_payloads_.clear();
   deliveries_.senders_.clear();
   deliveries_.ids_.clear();
-  deliveries_.payloads_.clear();
   deliveries_.clear();
   last_round_ = RoundStats{};
   totals_ = NetworkTotals{};
@@ -88,9 +86,9 @@ void RadioNetwork::prepare_epoch() {
   // Slot stamps are the low 32 bits of the epoch, so they are unique only
   // within one u32 cycle.  Flush the slots once a full cycle has elapsed
   // since the last flush (amortized free) -- checked as an elapsed
-  // distance, not a single epoch value, because silent/empty rounds and
-  // reset() advance epoch_ without passing through here.  Stamp 0 is
-  // reserved for "never touched" (the flushed state).
+  // distance, not a single epoch value, because empty rounds and reset()
+  // advance epoch_ without passing through here.  Stamp 0 is reserved for
+  // "never touched" (the flushed state).
   if (epoch_ + 1 - slots_valid_since_ >= (std::uint64_t{1} << 32)) {
     std::fill(slots_.begin(), slots_.end(), NodeSlot{});
     slots_valid_since_ = epoch_ + 1;
@@ -100,17 +98,6 @@ void RadioNetwork::prepare_epoch() {
 
 void RadioNetwork::materialize_plan_ids() {
   plan_ids_.assign(plan_senders_.size(), plan_uniform_id_);
-}
-
-void RadioNetwork::materialize_plan_payloads() {
-  plan_payloads_.resize(plan_senders_.size());
-}
-
-void RadioNetwork::set_broadcast(NodeId u, Packet packet) {
-  set_broadcast(u, packet.id);  // stamps the slot, records sender + id
-  if (packet.payload == nullptr) return;
-  materialize_plan_payloads();  // sized to include the entry just staged
-  plan_payloads_.back() = std::move(packet.payload);
 }
 
 void RadioNetwork::stage_broadcasts(std::span<const NodeId> senders,
@@ -125,8 +112,6 @@ void RadioNetwork::stage_broadcasts(std::span<const NodeId> senders,
     materialize_plan_ids();
     plan_ids_.insert(plan_ids_.end(), senders.size(), id);
   }
-  if (!plan_payloads_.empty())
-    plan_payloads_.resize(plan_payloads_.size() + senders.size());
   stamp_staged(senders);
 }
 
@@ -185,8 +170,6 @@ void RadioNetwork::stage_broadcasts(std::span<const NodeId> senders,
   }
   if (plan_ids_.empty()) materialize_plan_ids();
   plan_ids_.insert(plan_ids_.end(), ids.begin(), ids.end());
-  if (!plan_payloads_.empty())
-    plan_payloads_.resize(plan_payloads_.size() + senders.size());
   stamp_staged(senders);
 }
 
@@ -199,10 +182,9 @@ std::size_t RadioNetwork::stage_broadcasts_bernoulli_pow2(
   }
   // The staging prologue (epoch prepare, id-mode resolution) runs lazily on
   // the first success so a round whose every coin fails stays untouched --
-  // exactly the per-call behavior of the counting-mode set_broadcast.
+  // exactly the per-call behavior of set_broadcast.
   const NodeId n = graph_->node_count();
   bool general_ids = false;
-  bool general_payloads = false;
   std::uint32_t stamp = 0;
   bool inited = false;
   auto init = [&] {
@@ -215,7 +197,6 @@ std::size_t RadioNetwork::stage_broadcasts_bernoulli_pow2(
       materialize_plan_ids();
       general_ids = true;
     }
-    general_payloads = !plan_payloads_.empty();
     stamp = static_cast<std::uint32_t>(epoch_ + 1);
     inited = true;
   };
@@ -245,7 +226,6 @@ std::size_t RadioNetwork::stage_broadcasts_bernoulli_pow2(
           static_cast<std::uint32_t>(plan_senders_.size());
       plan_senders_.push_back(u);
       if (general_ids) plan_ids_.push_back(id);
-      if (general_payloads) plan_payloads_.emplace_back();
       ++staged;
     });
     if (cw != kNoWord) bcast_mask_[cw] = acc;
@@ -262,7 +242,6 @@ std::size_t RadioNetwork::stage_broadcasts_bernoulli_pow2(
     slot.plan_index = static_cast<std::int32_t>(plan_senders_.size());
     plan_senders_.push_back(u);
     if (general_ids) plan_ids_.push_back(id);
-    if (general_payloads) plan_payloads_.emplace_back();
     ++staged;
   });
   return staged;
@@ -635,30 +614,15 @@ const DeliveryList& RadioNetwork::run_round() {
   totals_.receiver_fault_losses += last_round_.receiver_fault_losses;
   totals_.interference_losses += last_round_.interference_losses;
 
-  // Hand the executed plan to the delivery list (its proxies reference the
-  // arrays); the buffers swap back and forth so none ever reallocates in
+  // Hand the executed plan to the delivery list (it reads senders and ids
+  // from it); the buffers swap back and forth so none ever reallocates in
   // steady state.
   plan_senders_.swap(deliveries_.senders_);
   plan_ids_.swap(deliveries_.ids_);
-  plan_payloads_.swap(deliveries_.payloads_);
   deliveries_.uniform_id_ = plan_uniform_id_;
   plan_senders_.clear();
   plan_ids_.clear();
-  plan_payloads_.clear();
   return deliveries_;
-}
-
-void RadioNetwork::run_silent_round() { run_silent_rounds(1); }
-
-void RadioNetwork::run_silent_rounds(std::int64_t k) {
-  NRN_EXPECTS(plan_senders_.empty(), "silent rounds with staged broadcasters");
-  NRN_EXPECTS(k >= 0, "negative round count");
-  if (k == 0) return;
-  // A round with no broadcasters touches no node and draws no coin; the
-  // only observable effects are the cleared round stats and the clock.
-  deliveries_.clear();
-  last_round_ = RoundStats{};
-  totals_.rounds += k;
 }
 
 }  // namespace nrn::radio

@@ -1,8 +1,11 @@
 // The round-based noisy radio network engine.
 //
 // Usage per round:
-//   net.set_broadcast(u, Packet{...});   // stage any number of broadcasters
+//   net.set_broadcast(u, id);   // stage any number of broadcasters
 //   const auto& deliveries = net.run_round();
+// A staged broadcast is a PacketId and nothing else: the model fixes who
+// hears a broadcast, not what it carries, so a protocol that ships coded
+// bytes keeps them in its own pool and reads them back by id.
 //
 // run_round applies the model's reception rule exactly:
 //   a listening node receives the packet iff exactly one of its neighbors
@@ -49,8 +52,9 @@
 //      whole fault tape hangs off one stream draw, which is what makes
 //      lockstep lanes cheap (radio/lockstep.hpp).
 //   4. Deliveries are emitted in ascending receiver id.
-//   5. Silent rounds, empty rounds, and zero-probability models draw no
-//      coins at all.
+//   5. Empty rounds (a run_round() with nothing staged, e.g. a Decay round
+//      whose every Bernoulli coin failed) and zero-probability models draw
+//      no coins at all.
 // The tape is independent of kernel choice and of any algorithm
 // randomness, so an algorithm change never perturbs the fault tape.
 // (v3 drew one sender coin per broadcaster in staging order plus a
@@ -82,11 +86,14 @@
 #include "graph/graph.hpp"
 #include "radio/channel_model.hpp"
 #include "radio/channel_state.hpp"
-#include "radio/packet.hpp"
 
 namespace nrn::radio {
 
 using graph::NodeId;
+
+/// What a broadcast carries.  For routing schedules this is the message
+/// index; coding schedules use it as a coded-packet sequence number.
+using PacketId = std::int64_t;
 
 /// Domain-separation tweaks: a round's single salt draw is XORed with
 /// these to key the sender-coin and receiver-coin families independently
@@ -97,23 +104,14 @@ inline constexpr std::uint64_t kReceiverSaltTweak = 0x524543564552ULL << 8 | 3;
 
 /// The deliveries of one round, structure-of-arrays: receiver ids plus
 /// indices into the executed round's staging plan.  Iteration yields
-/// lightweight Delivery proxies; the referenced plan arrays stay valid
-/// until the next run_round call.
+/// Delivery values; the list stays valid until the next run_round call.
 class DeliveryList {
  public:
-  /// What a receiver sees of the staged packet (proxy: id by value, payload
-  /// by reference into the executed plan -- per-delivery shared_ptr copies
-  /// were refcount traffic on the hot path).
-  struct PacketView {
-    PacketId id;
-    const Payload& payload;
-  };
-
-  /// A view of one successful reception (proxy, cheap to copy).
+  /// One successful reception.
   struct Delivery {
     NodeId receiver;
     NodeId sender;
-    PacketView packet;
+    PacketId id;
   };
 
   class const_iterator {
@@ -139,19 +137,17 @@ class DeliveryList {
 
   /// Receiver ids only (ascending).  Informed-set protocols that ignore
   /// the packet (Decay and the FASTBC family track one message) iterate
-  /// this span instead of the proxies, skipping the per-delivery staged
-  /// plan lookup.
+  /// this span instead of the Delivery values, skipping the per-delivery
+  /// staged plan lookup.
   std::span<const NodeId> receivers() const { return receivers_; }
 
   Delivery operator[](std::size_t i) const {
     const auto idx = static_cast<std::size_t>(plan_index_[i]);
     // The executed plan is structure-of-arrays with uniform-round
-    // compression: an empty ids/payloads vector means every staged packet
-    // shared uniform_id_ / a null payload (the counting-mode common case).
-    return Delivery{
-        receivers_[i], senders_[idx],
-        PacketView{ids_.empty() ? uniform_id_ : ids_[idx],
-                   payloads_.empty() ? null_payload() : payloads_[idx]}};
+    // compression: an empty ids vector means every staged packet shared
+    // uniform_id_ (the single-message common case).
+    return Delivery{receivers_[i], senders_[idx],
+                    ids_.empty() ? uniform_id_ : ids_[idx]};
   }
   Delivery front() const {
     NRN_EXPECTS(!empty(), "front() of an empty delivery list");
@@ -163,11 +159,6 @@ class DeliveryList {
 
  private:
   friend class RadioNetwork;
-
-  static const Payload& null_payload() {
-    static const Payload kNull{};
-    return kNull;
-  }
 
   void clear() {
     receivers_.clear();
@@ -189,7 +180,6 @@ class DeliveryList {
   // is self-contained and a moved RadioNetwork's deliveries never dangle.
   std::vector<NodeId> senders_;
   std::vector<PacketId> ids_;
-  std::vector<Payload> payloads_;
   PacketId uniform_id_ = 0;
 };
 
@@ -282,13 +272,9 @@ class RadioNetwork {
     select_staging();
   }
 
-  /// Stages node `u` to broadcast `packet` this round.  A node may be
-  /// staged at most once per round.
-  void set_broadcast(NodeId u, Packet packet);
-
-  /// Counting-mode fast path: stages an id-only packet without touching a
-  /// payload pointer.  Identical semantics to set_broadcast(u, Packet{id});
-  /// inline because schedule loops stage millions of these per sweep.
+  /// Stages node `u` to broadcast packet `id` this round.  A node may be
+  /// staged at most once per round.  Inline because schedule loops stage
+  /// millions of these per sweep.
   void set_broadcast(NodeId u, PacketId id) {
     NRN_EXPECTS(u >= 0 && u < graph_->node_count(),
                 "broadcaster out of range");
@@ -318,16 +304,14 @@ class RadioNetwork {
       materialize_plan_ids();  // cold: first divergent id this round
       plan_ids_.push_back(id);
     }
-    if (!plan_payloads_.empty()) plan_payloads_.emplace_back();
     plan_senders_.push_back(u);
   }
 
   /// Bulk staging: stages every node of `senders`, in order, all carrying
-  /// the id-only packet `id`.  Identical semantics and tape to calling the
-  /// counting-mode set_broadcast once per node, but the epoch prepare and
-  /// plan resize are hoisted out and the stamp/slot writes run in one
-  /// tight loop -- the staging path the schedule protocols feed whole
-  /// informed sets through.
+  /// packet `id`.  Identical semantics and tape to calling set_broadcast
+  /// once per node, but the epoch prepare and plan resize are hoisted out
+  /// and the stamp/slot writes run in one tight loop -- the staging path
+  /// the schedule protocols feed whole informed sets through.
   void stage_broadcasts(std::span<const NodeId> senders, PacketId id);
 
   /// Bulk staging with per-sender packet ids (parallel spans of equal
@@ -345,14 +329,8 @@ class RadioNetwork {
 
   /// Executes one synchronized round with the staged broadcasters, clears
   /// the plan, and returns the deliveries (buffer reused across rounds).
+  /// With nothing staged the round only advances the clock.
   const DeliveryList& run_round();
-
-  /// Runs a round where nobody broadcasts (time passes, nothing happens).
-  /// No coins are drawn; only the round clock advances.
-  void run_silent_round();
-
-  /// Runs `k` consecutive silent rounds in O(1).
-  void run_silent_rounds(std::int64_t k);
 
   const RoundStats& last_round() const { return last_round_; }
   const NetworkTotals& totals() const { return totals_; }
@@ -412,11 +390,6 @@ class RadioNetwork {
   /// round first stages a divergent packet id.
   void materialize_plan_ids();
 
-  /// Cold path of the payload compression: expands plan_payloads_ to one
-  /// (null) entry per staged broadcaster when a round first stages a
-  /// payload-carrying packet.
-  void materialize_plan_payloads();
-
   const graph::Graph* graph_;
   const graph::Geometry* geometry_;
   Rng rng_;
@@ -456,18 +429,16 @@ class RadioNetwork {
 
   // The staging plan, structure-of-arrays with uniform-round compression:
   // senders always hold one entry per staged broadcast (plan order); the
-  // ids and payloads vectors stay EMPTY while every staged packet shares
-  // plan_uniform_id_ and a null payload (the counting-mode common case --
-  // bulk staging then writes 4 bytes per broadcast, and the kernels stream
-  // the sender array instead of striding over packet structs).  The first
-  // divergent id or payload-carrying packet materializes the per-entry
-  // vector (see materialize_plan_ids / materialize_plan_payloads).
+  // ids vector stays EMPTY while every staged packet shares
+  // plan_uniform_id_ (the single-message common case -- bulk staging then
+  // writes 4 bytes per broadcast, and the kernels stream the sender array).
+  // The first divergent id materializes the per-entry vector (see
+  // materialize_plan_ids).
   std::vector<NodeId> plan_senders_;
   std::vector<PacketId> plan_ids_;
-  std::vector<Payload> plan_payloads_;
   PacketId plan_uniform_id_ = 0;
   // The last executed round's plan lives inside deliveries_ (the list owns
-  // the arrays its proxies reference); the buffers swap back and forth
+  // the sender and id arrays it reads); the buffers swap back and forth
   // with the plan_* vectors so none reallocates in steady state.
   // Sender-fault coin outcomes for the current round, one byte per staged
   // broadcaster: mix64(sender_salt_, sender) priced for the whole plan in

@@ -5,9 +5,10 @@
 // staging API: whole informed sets go through stage_many /
 // stage_bernoulli_pow2, never one set_broadcast call per node.
 //
-// Ports are counting-mode only (id-carrying packets, no payloads): the
-// protocols that step -- Decay and the FASTBC family -- track a single
-// message and read deliveries as receiver-id spans.
+// Ports carry no packet identity: the protocols that step -- Decay and the
+// FASTBC family -- track a single message and read deliveries as
+// receiver-id spans, so the scalar port stages packet 0 and the bank keeps
+// no ids at all.
 #pragma once
 
 #include <cstdint>
@@ -26,35 +27,29 @@ class StagingPort {
  public:
   virtual ~StagingPort() = default;
 
-  /// Stages one broadcaster.
-  virtual void stage(NodeId u, PacketId id) = 0;
-
-  /// Stages every node of `senders`, in order, all carrying `id`.
-  virtual void stage_many(std::span<const NodeId> senders, PacketId id) = 0;
+  /// Stages every node of `senders`, in order.
+  virtual void stage_many(std::span<const NodeId> senders) = 0;
 
   /// Stages the Bernoulli(2^-i) subset of `candidates` (coins from `rng`,
   /// exactly the Rng::for_each_bernoulli_pow2 tape); returns the number
   /// staged.
   virtual std::size_t stage_bernoulli_pow2(std::span<const NodeId> candidates,
-                                           std::int32_t i, PacketId id,
-                                           Rng& rng) = 0;
+                                           std::int32_t i, Rng& rng) = 0;
 };
 
-/// StagingPort over a scalar RadioNetwork.
+/// StagingPort over a scalar RadioNetwork; every broadcast carries packet 0.
 class NetworkStagingPort final : public StagingPort {
  public:
   explicit NetworkStagingPort(RadioNetwork& net) : net_(&net) {}
 
-  void stage(NodeId u, PacketId id) override { net_->set_broadcast(u, id); }
-
-  void stage_many(std::span<const NodeId> senders, PacketId id) override {
-    net_->stage_broadcasts(senders, id);
+  void stage_many(std::span<const NodeId> senders) override {
+    net_->stage_broadcasts(senders, PacketId{0});
   }
 
   std::size_t stage_bernoulli_pow2(std::span<const NodeId> candidates,
-                                   std::int32_t i, PacketId id,
-                                   Rng& rng) override {
-    return net_->stage_broadcasts_bernoulli_pow2(candidates, i, id, rng);
+                                   std::int32_t i, Rng& rng) override {
+    return net_->stage_broadcasts_bernoulli_pow2(candidates, i, PacketId{0},
+                                                 rng);
   }
 
  private:

@@ -1,11 +1,10 @@
 // Round-by-round trace recording.
 //
-// Tests and examples attach a TraceRecorder to observe how a broadcast
-// unfolds: informed-node counts over time, collision/fault loss series, and
-// the per-round unique-reception fraction used by the Lemma 18 experiment.
+// Protocols append one RoundStats snapshot plus a progress metric (the
+// informed-node count) per executed round; the Driver folds the recorded
+// window into an Outcome's traced series, and examples read it directly.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "radio/network.hpp"
@@ -16,21 +15,14 @@ namespace nrn::radio {
 /// (e.g. number of informed nodes) per round.
 class TraceRecorder {
  public:
-  void record(const RoundStats& stats, double progress_metric = 0.0);
+  void record(const RoundStats& stats, double progress_metric = 0.0) {
+    stats_.push_back(stats);
+    progress_.push_back(progress_metric);
+  }
 
   std::size_t round_count() const { return stats_.size(); }
   const std::vector<RoundStats>& rounds() const { return stats_; }
   const std::vector<double>& progress() const { return progress_; }
-
-  /// Totals across the recorded window.
-  RoundStats accumulate() const;
-
-  /// Rounds in which at least one delivery happened.
-  std::size_t productive_rounds() const;
-
-  /// First recorded round index at which progress reached `target`,
-  /// or -1 if never.
-  std::int64_t rounds_until_progress_at_least(double target) const;
 
  private:
   std::vector<RoundStats> stats_;

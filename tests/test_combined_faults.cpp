@@ -105,7 +105,7 @@ TEST(CombinedFaults, DegeneratesToSingleModels) {
   RadioNetwork net(g, FaultModel::combined(0.5, 0.0), Rng(17));
   int partial = 0;
   for (int r = 0; r < 1000; ++r) {
-    net.set_broadcast(0, radio::Packet{r});
+    net.set_broadcast(0, r);
     const auto got = net.run_round().size();
     if (got != 0u && got != 10u) ++partial;
   }

@@ -1,8 +1,8 @@
 // Engine v4: the sparse and dense round kernels must be observationally
 // identical (deliveries, stats, and coin tape), the v4 coin-tape contract
 // documented in radio/network.hpp must hold exactly (one salt per active
-// round, all coins stateless mixes keyed by node id), and the silent-round
-// fast path, bulk staging, and O(1) reset must preserve all bookkeeping.
+// round, none in an empty round, all coins stateless mixes keyed by node
+// id), and bulk staging and O(1) reset must preserve all bookkeeping.
 #include <gtest/gtest.h>
 
 #include <tuple>
@@ -30,10 +30,10 @@ struct RoundTrace {
 
 RoundTrace trace_round(RadioNetwork& net,
                        const std::vector<NodeId>& broadcasters) {
-  for (const NodeId u : broadcasters) net.set_broadcast(u, Packet{u});
+  for (const NodeId u : broadcasters) net.set_broadcast(u, u);
   RoundTrace trace;
   for (const auto& d : net.run_round())
-    trace.deliveries.emplace_back(d.receiver, d.sender, d.packet.id);
+    trace.deliveries.emplace_back(d.receiver, d.sender, d.id);
   trace.collisions = net.last_round().collision_losses;
   trace.sender_losses = net.last_round().sender_fault_losses;
   trace.receiver_losses = net.last_round().receiver_fault_losses;
@@ -135,7 +135,7 @@ TEST(EngineKernels, AdjacentKernelRequiresEligibleTopology) {
   // a plan already staged is a contract violation.
   const Graph path = graph::make_path(6);
   RadioNetwork path_net(path, FaultModel::faultless(), Rng(2));
-  path_net.set_broadcast(0, Packet{0});
+  path_net.set_broadcast(0, 0);
   EXPECT_THROW(path_net.set_kernel(RadioNetwork::Kernel::kSparse),
                ContractViolation);
   path_net.run_round();
@@ -152,7 +152,7 @@ TEST(EngineKernels, DeliveriesEmittedInAscendingReceiverId) {
     Rng plan_rng(9);
     for (int round = 0; round < 20; ++round) {
       const auto plan = random_plan(g, 0.2, plan_rng);
-      for (const NodeId u : plan) net.set_broadcast(u, Packet{u});
+      for (const NodeId u : plan) net.set_broadcast(u, u);
       NodeId previous = -1;
       for (const auto& d : net.run_round()) {
         EXPECT_LT(previous, d.receiver);  // strictly ascending
@@ -164,7 +164,8 @@ TEST(EngineKernels, DeliveriesEmittedInAscendingReceiverId) {
 
 // The v4 contract, predicted coin by coin with a shadow stream: one u64
 // salt per active round, tweaked into a sender salt and a receiver salt,
-// with every coin the stateless mix64 of its salt with the node's id.
+// with every coin the stateless mix64 of its salt with the node's id, and
+// no salt at all for a round with nothing staged.
 TEST(EngineKernels, V4CoinTapeIsPredictable) {
   const Graph g = graph::make_star(16);  // hub 0, leaves 1..16
   const double ps = 0.35, pr = 0.45;
@@ -178,7 +179,14 @@ TEST(EngineKernels, V4CoinTapeIsPredictable) {
     net.set_kernel(kernel);
     Rng shadow(seed);
     for (int round = 0; round < 200; ++round) {
-      net.set_broadcast(0, Packet{round});
+      if (round % 3 == 2) {
+        // Every third round stages nothing and the shadow draws nothing for
+        // it: a salt drawn here would shift every later prediction.
+        EXPECT_TRUE(net.run_round().empty());
+        EXPECT_EQ(net.last_round(), RoundStats{});
+        continue;
+      }
+      net.set_broadcast(0, round);
       // Predict: exactly one salt, then per leaf 1..16 (ascending) a
       // counter-based receiver coin iff the hub's sender coin was clean.
       const std::uint64_t salt = shadow();
@@ -196,6 +204,7 @@ TEST(EngineKernels, V4CoinTapeIsPredictable) {
       ASSERT_EQ(got, expected) << "kernel mismatch at round " << round;
       EXPECT_EQ(net.last_round().sender_fault_losses, noisy ? 16 : 0);
     }
+    EXPECT_EQ(net.round_number(), 200);
   }
 }
 
@@ -210,10 +219,10 @@ TEST(EngineKernels, SenderCoinsAreStagingOrderFree) {
   RadioNetwork backward(g, FaultModel::sender(ps), Rng(seed));
   Rng shadow(seed);
   for (int round = 0; round < 100; ++round) {
-    forward.set_broadcast(0, Packet{0});
-    forward.set_broadcast(3, Packet{3});
-    backward.set_broadcast(3, Packet{3});
-    backward.set_broadcast(0, Packet{0});
+    forward.set_broadcast(0, 0);
+    forward.set_broadcast(3, 3);
+    backward.set_broadcast(3, 3);
+    backward.set_broadcast(0, 0);
     const std::uint64_t sender_salt = shadow() ^ kSenderSaltTweak;
     const bool noisy0 = Rng::mix64(sender_salt, 0) < thr;
     const bool noisy3 = Rng::mix64(sender_salt, 3) < thr;
@@ -247,7 +256,7 @@ TEST(EngineKernels, BulkStagingMatchesPerNodeStaging) {
     std::vector<PacketId> ids;
     for (const NodeId u : plan) ids.push_back(PacketId{u + round});
     for (std::size_t i = 0; i < plan.size(); ++i)
-      scalar.set_broadcast(plan[i], Packet{ids[i]});
+      scalar.set_broadcast(plan[i], ids[i]);
     if (round % 2 == 0) {
       bulk.stage_broadcasts(plan, ids);
     } else {
@@ -255,7 +264,7 @@ TEST(EngineKernels, BulkStagingMatchesPerNodeStaging) {
       for (std::size_t i = 0; i < plan.size(); ++i) ids[i] = PacketId{7};
       scalar.reset(fm, Rng(seed));
       bulk.reset(fm, Rng(seed));
-      for (const NodeId u : plan) scalar.set_broadcast(u, Packet{7});
+      for (const NodeId u : plan) scalar.set_broadcast(u, 7);
       bulk.stage_broadcasts(plan, PacketId{7});
     }
     const auto& a = scalar.run_round();
@@ -264,7 +273,7 @@ TEST(EngineKernels, BulkStagingMatchesPerNodeStaging) {
     for (std::size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i].receiver, b[i].receiver);
       ASSERT_EQ(a[i].sender, b[i].sender);
-      ASSERT_EQ(a[i].packet.id, b[i].packet.id);
+      ASSERT_EQ(a[i].id, b[i].id);
     }
     ASSERT_EQ(scalar.last_round(), bulk.last_round());
   }
@@ -289,7 +298,7 @@ TEST(EngineKernels, BernoulliStagingMatchesUnfusedTape) {
       std::size_t expected_staged = 0;
       unfused_rng.for_each_bernoulli_pow2(
           candidates.size(), i, [&](std::size_t idx) {
-            unfused.set_broadcast(candidates[idx], Packet{round});
+            unfused.set_broadcast(candidates[idx], round);
             ++expected_staged;
           });
       ASSERT_EQ(staged, expected_staged) << "i=" << i << " round " << round;
@@ -309,7 +318,7 @@ TEST(EngineKernels, FaultlessRoundsConsumeNoCoins) {
   const std::uint64_t seed = 31337;
   RadioNetwork net(g, FaultModel::faultless(), Rng(seed));
   for (int round = 0; round < 10; ++round) {
-    net.set_broadcast(0, Packet{round});
+    net.set_broadcast(0, round);
     EXPECT_EQ(net.run_round().size(), 8u);
   }
   // Trick: reset with the same seed after 10 rounds; if the rounds drew
@@ -317,43 +326,9 @@ TEST(EngineKernels, FaultlessRoundsConsumeNoCoins) {
   // so instead compare against a combined-model net whose coins DO burn.
   RadioNetwork quiet(g, FaultModel::combined(0.0, 0.0), Rng(seed));
   for (int round = 0; round < 10; ++round) {
-    quiet.set_broadcast(0, Packet{round});
+    quiet.set_broadcast(0, round);
     EXPECT_EQ(quiet.run_round().size(), 8u);  // p=0 draws nothing either
   }
-}
-
-TEST(EngineKernels, SilentRoundFastPathMatchesLegacyAccounting) {
-  const Graph g = graph::make_path(4);
-  RadioNetwork a(g, FaultModel::receiver(0.5), Rng(3));
-  RadioNetwork b(g, FaultModel::receiver(0.5), Rng(3));
-
-  for (int i = 0; i < 7; ++i) a.run_silent_round();
-  b.run_silent_rounds(7);
-  EXPECT_EQ(a.round_number(), 7);
-  EXPECT_EQ(b.round_number(), 7);
-  EXPECT_EQ(a.last_round().broadcasters, 0);
-  EXPECT_EQ(b.last_round().deliveries, 0);
-
-  // Coins were not consumed: the next noisy round is identical on both.
-  auto run_one = [](RadioNetwork& net) {
-    net.set_broadcast(0, Packet{1});
-    return net.run_round().size();
-  };
-  for (int i = 0; i < 50; ++i) ASSERT_EQ(run_one(a), run_one(b));
-  EXPECT_EQ(a.totals().rounds, b.totals().rounds);
-  EXPECT_EQ(a.totals().deliveries, b.totals().deliveries);
-  EXPECT_EQ(a.totals().receiver_fault_losses,
-            b.totals().receiver_fault_losses);
-}
-
-TEST(EngineKernels, SilentRoundsRejectStagedPlans) {
-  const Graph g = graph::make_path(3);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, Packet{0});
-  EXPECT_THROW(net.run_silent_rounds(2), ContractViolation);
-  net.run_round();
-  net.run_silent_rounds(0);  // no-op
-  EXPECT_EQ(net.round_number(), 1);
 }
 
 TEST(EngineKernels, ResetReproducesAFreshNetworkExactly) {
@@ -364,7 +339,7 @@ TEST(EngineKernels, ResetReproducesAFreshNetworkExactly) {
     Rng plan_rng(17);
     for (int round = 0; round < 30; ++round) {
       for (const NodeId u : random_plan(g, 0.25, plan_rng))
-        net.set_broadcast(u, Packet{u});
+        net.set_broadcast(u, u);
       counts.push_back(static_cast<std::int64_t>(net.run_round().size()));
     }
     return counts;
@@ -377,7 +352,7 @@ TEST(EngineKernels, ResetReproducesAFreshNetworkExactly) {
   // staging, then reset: it must replay the fresh run bit for bit.
   RadioNetwork reused(g, FaultModel::sender(0.9), Rng(5));
   run_schedule(reused);
-  reused.set_broadcast(3, Packet{3});  // staged but never run
+  reused.set_broadcast(3, 3);  // staged but never run
   reused.reset(FaultModel::combined(0.2, 0.2), Rng(1001));
   EXPECT_EQ(reused.round_number(), 0);
   EXPECT_EQ(reused.totals().broadcasts, 0);
@@ -387,16 +362,18 @@ TEST(EngineKernels, ResetReproducesAFreshNetworkExactly) {
 TEST(EngineKernels, DeliveryPacketsStayValidUntilNextRound) {
   const Graph g = graph::make_star(3);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  auto payload = make_payload({9, 8, 7});
-  net.set_broadcast(0, Packet{42, payload});
+  net.set_broadcast(0, 42);
   const auto& ds = net.run_round();
   ASSERT_EQ(ds.size(), 3u);
-  // Staging the next round must not invalidate the current deliveries.
-  net.set_broadcast(1, Packet{1});
-  EXPECT_EQ(ds.front().packet.id, 42);
-  EXPECT_EQ(ds.front().packet.payload.get(), payload.get());
-  // And the payload is shared, not copied, across deliveries.
-  for (const auto& d : ds) EXPECT_EQ(d.packet.payload.get(), payload.get());
+  // Staging the next round, with divergent ids, must not invalidate the
+  // current deliveries.
+  net.set_broadcast(1, 1);
+  net.set_broadcast(2, 2);
+  EXPECT_EQ(ds.front().id, 42);
+  for (const auto& d : ds) {
+    EXPECT_EQ(d.sender, 0);
+    EXPECT_EQ(d.id, 42);
+  }
 }
 
 }  // namespace

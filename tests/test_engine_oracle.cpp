@@ -56,12 +56,12 @@ TEST_P(EngineOracle, RandomPlansOnRandomGraphs) {
       std::vector<std::pair<NodeId, PacketId>> plan;
       for (NodeId u = 0; u < n; ++u)
         if (rng.bernoulli(0.3)) plan.emplace_back(u, u);
-      for (const auto& [u, id] : plan) net.set_broadcast(u, Packet{id});
+      for (const auto& [u, id] : plan) net.set_broadcast(u, id);
       const auto& deliveries = net.run_round();
 
       std::set<std::pair<NodeId, NodeId>> got;
       for (const auto& d : deliveries) {
-        EXPECT_EQ(d.packet.id, d.sender);  // payload id tags the sender
+        EXPECT_EQ(d.id, d.sender);  // the packet id tags the sender
         got.insert({d.receiver, d.sender});
       }
       EXPECT_EQ(got, reference_deliveries(g, plan))
@@ -88,7 +88,7 @@ TEST(EngineOracle, StatsConsistentWithReference) {
     for (const auto& [u, id] : plan) {
       (void)id;
       tx[static_cast<std::size_t>(u)] = 1;
-      net.set_broadcast(u, Packet{0});
+      net.set_broadcast(u, 0);
     }
     net.run_round();
     std::int64_t expected_collisions = 0;
@@ -114,7 +114,7 @@ TEST(EngineOracle, CombinedModelLossRate) {
   const int rounds = 40000;
   int received = 0;
   for (int r = 0; r < rounds; ++r) {
-    net.set_broadcast(0, Packet{r});
+    net.set_broadcast(0, r);
     received += static_cast<int>(net.run_round().size());
   }
   EXPECT_NEAR(static_cast<double>(received) / rounds, (1 - ps) * (1 - pr),
@@ -131,7 +131,7 @@ TEST(EngineOracle, CombinedModelSenderCoinShared) {
   const int rounds = 4000;
   int all_lost = 0, partial = 0;
   for (int r = 0; r < rounds; ++r) {
-    net.set_broadcast(0, Packet{r});
+    net.set_broadcast(0, r);
     const auto got = net.run_round().size();
     if (got == 0u) ++all_lost;
     if (got != 0u && got != 12u) ++partial;

@@ -55,10 +55,9 @@ TEST(Lockstep, LanesMatchScalarNetworksRoundByRound) {
           if ((mask & (1u << l)) == 0) continue;
           const auto plan =
               random_plan(g, 0.3, plan_rngs[static_cast<std::size_t>(l)]);
-          for (const NodeId u : plan) {
-            bank.stage(l, u);
-            scalars[static_cast<std::size_t>(l)].set_broadcast(u, Packet{u});
-          }
+          bank.stage_many(l, plan);
+          for (const NodeId u : plan)
+            scalars[static_cast<std::size_t>(l)].set_broadcast(u, u);
         }
         if (mask == 0) continue;
         bank.run_round(mask);
@@ -96,7 +95,7 @@ TEST(Lockstep, LanePortBernoulliStagingMatchesScalarTape) {
   auto port = bank.port(0);
   for (int round = 0; round < 40; ++round) {
     const std::int32_t i = round % 4;
-    port.stage_bernoulli_pow2(candidates, i, PacketId{0}, lane_rng);
+    port.stage_bernoulli_pow2(candidates, i, lane_rng);
     scalar.stage_broadcasts_bernoulli_pow2(candidates, i, PacketId{0},
                                            scalar_rng);
     bank.run_round(1u);
@@ -119,7 +118,7 @@ TEST(Lockstep, ResetDropsLanesAndReplaysExactly) {
     std::vector<NodeId> all;
     Rng plan_rng(seed ^ 1);
     for (int round = 0; round < 20; ++round) {
-      for (const NodeId u : random_plan(g, 0.4, plan_rng)) bank.stage(0, u);
+      bank.stage_many(0, random_plan(g, 0.4, plan_rng));
       bank.run_round(1u);
       const auto got = bank.receivers(0);
       all.insert(all.end(), got.begin(), got.end());
@@ -134,7 +133,7 @@ TEST(Lockstep, ResetDropsLanesAndReplaysExactly) {
   // dropped and the fresh run replays bit for bit.
   LockstepNetwork reused(g, FaultModel::sender(0.9));
   run_schedule(reused, 5);
-  reused.stage(0, 3);  // staged but never run
+  reused.stage_many(0, std::vector<NodeId>{3});  // staged but never run
   reused.reset(fm);
   EXPECT_EQ(reused.lane_count(), 0);
   EXPECT_EQ(run_schedule(reused, 1001), expected);

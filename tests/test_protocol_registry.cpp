@@ -1,10 +1,13 @@
 // ProtocolRegistry: the global registry enumerates every built-in
-// protocol, builds each of them, and rejects unknown names.
+// protocol, builds each of them, and rejects unknown names; every
+// registered protocol's records are pinned on one small cell.
 #include "sim/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
 
 #include "sim_test_util.hpp"
 
@@ -80,6 +83,95 @@ TEST(ProtocolRegistry, TuningReachesTheProtocol) {
   const auto report = protocol->run(net, rng);
   EXPECT_FALSE(report.completed);
   EXPECT_EQ(report.rounds(), 5);
+}
+
+TEST(ProtocolRegistry, EveryProtocolsRecordsMatchPinnedHashes) {
+  // FNV-1a of experiment_record for one small seed-11 cell per name in
+  // extended_registry(), pinned from a library built before a staged
+  // broadcast became a bare PacketId (no payload path in the engine).  Every
+  // protocol that reads delivered ids -- the coded, routing, transform,
+  // star, link and WCT schedules -- is covered, and the cells span the
+  // four fault models and the SINR channel.  Each pin runs under kAuto and
+  // kScalar against the same hash: the steppable protocols bank their
+  // multi-trial cells under auto, everything else runs scalar both times.
+  struct Pinned {
+    const char* protocol;
+    const char* topology;
+    const char* fault;
+    const char* channel;
+    std::int64_t k;
+    int trials;
+    bool trace;
+    std::uint64_t hash;
+  };
+  const char* kSinr = "sinr:2.5:0.001:1.0";
+  const Pinned pinned[] = {
+      {"decay", "gnp:48:0.12", "receiver:0.3", "none", 1, 6, true,
+       0x09dc2392ce13d5c5ULL},
+      {"erasure-decay", "grid:5x6", "combined:0.1:0.2", "none", 4, 3, false,
+       0x00e5a388c97fe601ULL},
+      {"fastbc", "tree:40", "sender:0.2", "none", 1, 6, true,
+       0x33ebeb8c2fc7cba7ULL},
+      {"greedy", "gnp:40:0.15", "receiver:0.3", "none", 4, 3, false,
+       0xbc675bab0c6ec0d4ULL},
+      {"link-adaptive", "link", "receiver:0.4", "none", 12, 3, false,
+       0x65e5b5e994a79a76ULL},
+      {"link-coding", "link", "sender:0.3", "none", 12, 3, false,
+       0x378c874f6ddcb4f7ULL},
+      {"link-nonadaptive", "link", "combined:0.2:0.2", "none", 12, 3, false,
+       0xae0ecdb132b7f73eULL},
+      {"pipeline", "disk:48:0.3", "none", kSinr, 4, 3, false,
+       0xcfcfe9ad36050c22ULL},
+      {"rlnc-decay", "caterpillar:6:3", "sender:0.3", "none", 4, 3, false,
+       0xacb09b69511867c5ULL},
+      {"rlnc-decay-verified", "disk:40:0.35", "none", kSinr, 3, 3, false,
+       0x527294d6624f850dULL},
+      {"rlnc-robust", "grid:5x6", "receiver:0.3", "none", 4, 3, false,
+       0xa222330e584e014eULL},
+      {"rlnc-robust-verified", "gnp:40:0.15", "combined:0.1:0.2", "none", 3,
+       3, false, 0xbde84cf9f564277dULL},
+      {"robust", "disk:64:0.3", "none", kSinr, 1, 6, true,
+       0x3c0befcf20cd63e4ULL},
+      {"star-adaptive", "star:12", "receiver:0.3", "none", 4, 3, false,
+       0x14f21506c0a400f5ULL},
+      {"star-coding", "star:12", "combined:0.1:0.2", "none", 4, 3, false,
+       0x830da0ff6d6dfc1bULL},
+      {"star-nonadaptive", "star:12", "sender:0.2", "none", 4, 3, false,
+       0xfb806ac39555d322ULL},
+      {"transform-coding", "path:8", "receiver:0.2", "none", 3, 3, false,
+       0xccb4137ea3a3c888ULL},
+      {"transform-routing", "star:8", "sender:0.2", "none", 3, 3, false,
+       0x795c8cfaab3129f7ULL},
+      {"wct-coding", "wct:64", "receiver:0.2", "none", 4, 2, false,
+       0xef3bb00862ab107cULL},
+      {"wct-unique-probe", "wct:64", "none", "none", 1, 2, false,
+       0x695c266b65d6b5f9ULL},
+  };
+  const ProtocolRegistry& registry = extended_registry();
+  for (const auto& name : registry.names()) {
+    const bool found =
+        std::any_of(std::begin(pinned), std::end(pinned),
+                    [&](const Pinned& p) { return name == p.protocol; });
+    EXPECT_TRUE(found) << "registered protocol '" << name
+                       << "' has no pinned record hash";
+  }
+  const Driver driver(registry);
+  for (const Pinned& p : pinned) {
+    const auto scenario =
+        Scenario::parse(p.topology, p.fault, 0, p.k, 11, p.channel);
+    for (const auto execution :
+         {TrialExecution::kAuto, TrialExecution::kScalar}) {
+      SCOPED_TRACE(std::string(p.protocol) + " on " + p.topology +
+                   (execution == TrialExecution::kAuto ? " (auto)"
+                                                       : " (scalar)"));
+      DriverOptions options;
+      options.trace = p.trace;
+      options.execution = execution;
+      const auto report = driver.run(scenario, p.protocol, p.trials, options);
+      EXPECT_TRUE(report.all_completed());
+      EXPECT_EQ(fnv1a64(experiment_record(report)), p.hash);
+    }
+  }
 }
 
 }  // namespace

@@ -18,12 +18,12 @@ using graph::make_star;
 TEST(RadioEngine, SingleBroadcasterDelivers) {
   const Graph g = make_path(3);  // 0 - 1 - 2
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(1, Packet{7});
+  net.set_broadcast(1, 7);
   const auto& ds = net.run_round();
   ASSERT_EQ(ds.size(), 2u);  // both path neighbors hear it
   for (const auto& d : ds) {
     EXPECT_EQ(d.sender, 1);
-    EXPECT_EQ(d.packet.id, 7);
+    EXPECT_EQ(d.id, 7);
     EXPECT_TRUE(d.receiver == 0 || d.receiver == 2);
   }
 }
@@ -31,8 +31,8 @@ TEST(RadioEngine, SingleBroadcasterDelivers) {
 TEST(RadioEngine, TwoBroadcastingNeighborsCollide) {
   const Graph g = make_star(2);  // hub 0, leaves 1, 2
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(1, Packet{1});
-  net.set_broadcast(2, Packet{2});
+  net.set_broadcast(1, 1);
+  net.set_broadcast(2, 2);
   const auto& ds = net.run_round();
   EXPECT_TRUE(ds.empty());  // hub hears a collision
   EXPECT_EQ(net.last_round().collision_losses, 1);
@@ -41,8 +41,8 @@ TEST(RadioEngine, TwoBroadcastingNeighborsCollide) {
 TEST(RadioEngine, BroadcasterDoesNotReceive) {
   const Graph g = make_path(2);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, Packet{1});
-  net.set_broadcast(1, Packet{2});
+  net.set_broadcast(0, 1);
+  net.set_broadcast(1, 2);
   const auto& ds = net.run_round();
   EXPECT_TRUE(ds.empty());  // both transmitted, neither listened
 }
@@ -50,8 +50,8 @@ TEST(RadioEngine, BroadcasterDoesNotReceive) {
 TEST(RadioEngine, NonNeighborsDoNotInterfere) {
   const Graph g = make_path(5);  // 0-1-2-3-4
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, Packet{1});
-  net.set_broadcast(3, Packet{2});
+  net.set_broadcast(0, 1);
+  net.set_broadcast(3, 2);
   const auto& ds = net.run_round();
   // Node 1 hears 0; node 2 hears 3; node 4 hears 3.
   ASSERT_EQ(ds.size(), 3u);
@@ -60,8 +60,8 @@ TEST(RadioEngine, NonNeighborsDoNotInterfere) {
 TEST(RadioEngine, CollisionAtSharedNeighborOnly) {
   const Graph g = make_path(5);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(1, Packet{1});
-  net.set_broadcast(3, Packet{2});
+  net.set_broadcast(1, 1);
+  net.set_broadcast(3, 2);
   const auto& ds = net.run_round();
   // Node 2 is adjacent to both: collision.  Nodes 0 and 4 each hear one.
   ASSERT_EQ(ds.size(), 2u);
@@ -72,24 +72,15 @@ TEST(RadioEngine, CollisionAtSharedNeighborOnly) {
 TEST(RadioEngine, DoubleStagingThrows) {
   const Graph g = make_path(2);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, Packet{1});
-  EXPECT_THROW(net.set_broadcast(0, Packet{2}), ContractViolation);
-}
-
-TEST(RadioEngine, SilentRoundAdvancesClock) {
-  const Graph g = make_path(2);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  EXPECT_EQ(net.round_number(), 0);
-  net.run_silent_round();
-  EXPECT_EQ(net.round_number(), 1);
-  EXPECT_EQ(net.last_round().broadcasters, 0);
+  net.set_broadcast(0, 1);
+  EXPECT_THROW(net.set_broadcast(0, 2), ContractViolation);
 }
 
 TEST(RadioEngine, TotalsAccumulate) {
   const Graph g = make_path(3);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
   for (int i = 0; i < 5; ++i) {
-    net.set_broadcast(0, Packet{i});
+    net.set_broadcast(0, i);
     net.run_round();
   }
   EXPECT_EQ(net.totals().rounds, 5);
@@ -103,7 +94,7 @@ TEST(RadioEngine, DeterministicGivenSeed) {
     RadioNetwork net(g, FaultModel::receiver(0.5), Rng(seed));
     std::vector<std::int64_t> counts;
     for (int r = 0; r < 50; ++r) {
-      net.set_broadcast(0, Packet{r});
+      net.set_broadcast(0, r);
       counts.push_back(
           static_cast<std::int64_t>(net.run_round().size()));
     }
@@ -113,46 +104,37 @@ TEST(RadioEngine, DeterministicGivenSeed) {
   EXPECT_NE(run(7), run(8));
 }
 
-TEST(RadioEngine, PayloadSharedAcrossDeliveries) {
-  const Graph g = make_star(3);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  auto payload = make_payload({1, 2, 3});
-  net.set_broadcast(0, Packet{9, payload});
-  const auto& ds = net.run_round();
-  ASSERT_EQ(ds.size(), 3u);
-  for (const auto& d : ds) EXPECT_EQ(d.packet.payload.get(), payload.get());
-}
-
 TEST(RadioEngine, CompleteGraphSingleSpeakerReachesAll) {
   const Graph g = make_complete(8);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, Packet{0});
+  net.set_broadcast(0, 0);
   EXPECT_EQ(net.run_round().size(), 7u);
 }
 
 TEST(RadioEngine, CompleteGraphTwoSpeakersSilenceEveryone) {
   const Graph g = make_complete(8);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, Packet{0});
-  net.set_broadcast(1, Packet{1});
+  net.set_broadcast(0, 0);
+  net.set_broadcast(1, 1);
   EXPECT_TRUE(net.run_round().empty());
   EXPECT_EQ(net.last_round().collision_losses, 6);
 }
 
-TEST(Trace, RecordsAndAccumulates) {
+TEST(Trace, RecordsEveryRound) {
   const Graph g = make_path(4);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
   TraceRecorder trace;
   for (int r = 0; r < 3; ++r) {
-    net.set_broadcast(0, Packet{r});
+    net.set_broadcast(0, r);
     net.run_round();
     trace.record(net.last_round(), static_cast<double>(r + 1));
   }
-  EXPECT_EQ(trace.round_count(), 3u);
-  EXPECT_EQ(trace.accumulate().deliveries, 3);
-  EXPECT_EQ(trace.productive_rounds(), 3u);
-  EXPECT_EQ(trace.rounds_until_progress_at_least(2.0), 1);
-  EXPECT_EQ(trace.rounds_until_progress_at_least(99.0), -1);
+  ASSERT_EQ(trace.round_count(), 3u);
+  for (std::size_t r = 0; r < 3; ++r) {
+    EXPECT_EQ(trace.rounds()[r].broadcasters, 1);
+    EXPECT_EQ(trace.rounds()[r].deliveries, 1);  // node 1 hears node 0
+    EXPECT_EQ(trace.progress()[r], static_cast<double>(r + 1));
+  }
 }
 
 }  // namespace
