@@ -372,7 +372,11 @@ TEST(ChannelBytes, RecordsMatchPinnedHashes) {
   // and the route auto takes: the lockstep bank for every multi-trial cell
   // whose ids are not consecutive (n = 64 to 2048, edge and SINR), the
   // scalar adjacent kernel for the path.  rlnc-robust cannot step and runs
-  // scalar both times; it pins the Lemma 13 pattern's schedule.
+  // scalar both times; it pins the Lemma 13 pattern's schedule.  The
+  // 4-trial coded pins at k = 32 and 64 (the shape of perfbench's
+  // deep_cells coded plans: rank 32 bases, 32-row payload matrices, 16-byte
+  // verified payloads, a k = 32 Reed-Solomon decode) were pinned before the
+  // coded layer combined only delivered packets over GF(2^8) region ops.
   struct Pinned {
     const char* topology;
     const char* fault;
@@ -381,6 +385,7 @@ TEST(ChannelBytes, RecordsMatchPinnedHashes) {
     std::int64_t k;
     bool trace;
     std::uint64_t hash;
+    int trials = 9;
   };
   const Pinned pinned[] = {
       {"gnp:64:0.1", "combined:0.2:0.3", "none", "decay", 1, false,
@@ -411,6 +416,20 @@ TEST(ChannelBytes, RecordsMatchPinnedHashes) {
        0x7b461a70d1e8f75aULL},
       {"gnp:256:0.04", "receiver:0.3", "none", "rlnc-robust", 8, false,
        0x543c73695f68b547ULL},
+      {"grid:16x16", "receiver:0.3", "none", "rlnc-decay", 32, false,
+       0x66e3f7752d3c17d5ULL, 4},
+      {"star:255", "receiver:0.3", "none", "rlnc-decay", 32, false,
+       0x7e4284af29b04629ULL, 4},
+      {"grid:16x16", "receiver:0.3", "none", "rlnc-robust", 32, false,
+       0x6f8ef620dcd39a98ULL, 4},
+      {"star:255", "receiver:0.3", "none", "rlnc-robust", 32, false,
+       0x0339833d8802e68dULL, 4},
+      {"gnp:256:0.04", "receiver:0.3", "none", "rlnc-robust-verified", 32,
+       false, 0x0f6169277957662fULL, 4},
+      {"grid:16x16", "receiver:0.3", "none", "erasure-decay", 32, false,
+       0xcede1c4b53aad8f4ULL, 4},
+      {"grid:16x16", "receiver:0.3", "none", "rlnc-decay", 64, false,
+       0xac4de2bd1a988498ULL, 4},
   };
   for (const Pinned& p : pinned) {
     const auto scenario =
@@ -424,7 +443,8 @@ TEST(ChannelBytes, RecordsMatchPinnedHashes) {
       sim::DriverOptions options;
       options.trace = p.trace;
       options.execution = execution;
-      const auto report = sim::Driver().run(scenario, p.protocol, 9, options);
+      const auto report =
+          sim::Driver().run(scenario, p.protocol, p.trials, options);
       EXPECT_TRUE(report.all_completed());
       EXPECT_EQ(sim::fnv1a64(sim::experiment_record(report)), p.hash);
     }
