@@ -255,6 +255,36 @@ void BM_Gf65536Mul(benchmark::State& state) {
 }
 BENCHMARK(BM_Gf65536Mul);
 
+template <typename Field>
+void BM_GfMulAdd(benchmark::State& state) {
+  // One region op, dst ^= f * src, over rows of state.range(0) symbols: the
+  // inner loop of RLNC elimination and combination and of Reed-Solomon.
+  // GF(2^8) reads its product table, GF(2^16) a log-domain row.  f cycles
+  // through 255 nonzero values so no single table row stays hot.
+  using Symbol = typename Field::Symbol;
+  const auto& f = Field::instance();
+  const auto len = static_cast<std::size_t>(state.range(0));
+  Rng rng(12);
+  std::vector<Symbol> dst(len), src(len);
+  for (auto& x : src) x = static_cast<Symbol>(rng.next_below(Field::kFieldSize));
+  std::uint32_t factor = 0;
+  for (auto _ : state) {
+    factor = factor % 255 + 1;
+    f.mul_add(dst.data(), src.data(), static_cast<Symbol>(factor), len);
+    benchmark::DoNotOptimize(dst.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK_TEMPLATE(BM_GfMulAdd, coding::Gf256)
+    ->Name("BM_GfMulAdd/gf256")
+    ->Arg(32)
+    ->Arg(1024);
+BENCHMARK_TEMPLATE(BM_GfMulAdd, coding::Gf65536)
+    ->Name("BM_GfMulAdd/gf65536")
+    ->Arg(32)
+    ->Arg(1024);
+
 using Rs65536 = coding::ReedSolomon<coding::Gf65536>;
 
 Rs65536::Messages random_rs_messages(std::size_t k, std::size_t len,
@@ -289,6 +319,16 @@ void BM_RsDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_RsDecode)->Arg(16)->Arg(64);
 
+/// One coded packet from `src`: its coefficient draw, then the combination
+/// the draw names (coefficient-only mode, so no payload).
+std::vector<std::uint8_t> rlnc_packet(const coding::RlncState& src,
+                                      Rng& rng) {
+  std::vector<std::uint8_t> lambda(src.k()), coeffs(src.k());
+  src.draw(rng, lambda);
+  src.combine(lambda, coeffs, {});
+  return coeffs;
+}
+
 void BM_RlncAbsorb(benchmark::State& state) {
   const auto k = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
@@ -297,10 +337,11 @@ void BM_RlncAbsorb(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     coding::RlncState sink(k, 0);
-    std::vector<coding::RlncPacket> packets;
-    for (std::size_t i = 0; i < k; ++i) packets.push_back(src.emit(rng));
+    std::vector<std::vector<std::uint8_t>> packets;
+    for (std::size_t i = 0; i < k; ++i)
+      packets.push_back(rlnc_packet(src, rng));
     state.ResumeTiming();
-    for (const auto& p : packets) sink.absorb(p);
+    for (const auto& p : packets) sink.absorb(p, {});
     benchmark::DoNotOptimize(sink.rank());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(k));
@@ -308,13 +349,47 @@ void BM_RlncAbsorb(benchmark::State& state) {
 BENCHMARK(BM_RlncAbsorb)->Arg(16)->Arg(64)->Arg(128);
 
 void BM_RlncEmit(benchmark::State& state) {
+  // A full-rank sender's draw + combine: what one delivered coded packet
+  // costs its sender.
   const auto k = static_cast<std::size_t>(state.range(0));
   Rng rng(8);
   coding::RlncState src(k, 0);
   src.seed_source({});
-  for (auto _ : state) benchmark::DoNotOptimize(src.emit(rng));
+  std::vector<std::uint8_t> lambda(k), coeffs(k);
+  for (auto _ : state) {
+    src.draw(rng, lambda);
+    src.combine(lambda, coeffs, {});
+    benchmark::DoNotOptimize(coeffs.data());
+    benchmark::ClobberMemory();
+  }
 }
 BENCHMARK(BM_RlncEmit)->Arg(16)->Arg(64)->Arg(128);
+
+void BM_RlncTrial(benchmark::State& state, const std::string& topology,
+                  const std::string& protocol) {
+  // One k = 32 coded trial under receiver:0.3 through the Driver over a
+  // setup built once, as in BM_EngineTrials: the coded plans cannot step,
+  // so this is the scalar engine plus the coding layer, whole.
+  const auto scenario =
+      sim::Scenario::parse(topology, "receiver:0.3", 0, 32, 21, "none");
+  const sim::ScenarioSetup setup(scenario);
+  const sim::Driver driver;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(driver.run(setup, scenario, protocol, 1, {}));
+  state.SetItemsProcessed(state.iterations());
+}
+
+// Named BM_RlncTrial/<protocol>/<topology>/k32.
+const bool kRlncTrialsRegistered = [] {
+  for (const char* protocol : {"rlnc-decay", "rlnc-robust", "erasure-decay"})
+    for (const char* topology : {"grid:16x16", "star:255"})
+      benchmark::RegisterBenchmark(
+          (std::string("BM_RlncTrial/") + protocol + "/" + topology + "/k32")
+              .c_str(),
+          BM_RlncTrial, std::string(topology), std::string(protocol))
+          ->Unit(benchmark::kMillisecond);
+  return true;
+}();
 
 void BM_RngBernoulliTape(benchmark::State& state) {
   // Cost of per-delivery fault coins (the design DESIGN.md ablates

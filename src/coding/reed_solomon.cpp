@@ -1,5 +1,6 @@
 #include "coding/reed_solomon.hpp"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -23,17 +24,17 @@ RsPacket<Field> ReedSolomon<Field>::encode_packet(const Messages& messages,
   for (const auto& m : messages)
     NRN_EXPECTS(m.size() == block_len_, "message block length mismatch");
 
-  const Symbol x = field_.alpha_pow(index);
   RsPacket<Field> pkt;
   pkt.index = index;
   pkt.symbols.assign(block_len_, 0);
-  // Horner evaluation, highest coefficient (message k-1) first.
-  for (std::size_t i = k_; i-- > 0;) {
-    for (std::size_t s = 0; s < block_len_; ++s) {
-      pkt.symbols[s] =
-          field_.add(field_.mul(pkt.symbols[s], x), messages[i][s]);
-    }
-  }
+  // The evaluation at x = alpha^index is sum_i x^i * message i: one
+  // mul_add per message, with x^i = alpha^(index * i) read off the
+  // antilog table.
+  for (std::size_t i = 0; i < k_; ++i)
+    field_.mul_add(pkt.symbols.data(), messages[i].data(),
+                   field_.alpha_pow(static_cast<std::uint32_t>(
+                       std::uint64_t{index} * i % Field::kGroupOrder)),
+                   block_len_);
   return pkt;
 }
 
@@ -63,39 +64,41 @@ typename ReedSolomon<Field>::Messages ReedSolomon<Field>::decode(
   NRN_EXPECTS(chosen.size() == k_,
               "decode requires k packets with distinct indices");
 
-  // Solve V * M = Y where V[r][c] = x_r^c over the k chosen points.
-  // Augmented elimination carries the packet payloads as the right side.
+  // Solve V * M = Y where V[r][c] = x_r^c over the k chosen points, with
+  // x_r = alpha^index_r, so x_r^c = alpha^(index_r * c).  V is one flat
+  // row-major k x k matrix; augmented elimination carries the packet
+  // payloads as the right side.
   const std::size_t k = k_;
-  Messages v(k, std::vector<Symbol>(k));
+  std::vector<Symbol> v(k * k);
   Messages y(k);
   for (std::size_t r = 0; r < k; ++r) {
-    const Symbol x = field_.alpha_pow(chosen[r]->index);
-    Symbol xp = 1;
-    for (std::size_t c = 0; c < k; ++c) {
-      v[r][c] = xp;
-      xp = field_.mul(xp, x);
-    }
+    const std::uint64_t index = chosen[r]->index;
+    for (std::size_t c = 0; c < k; ++c)
+      v[r * k + c] = field_.alpha_pow(
+          static_cast<std::uint32_t>(index * c % Field::kGroupOrder));
     y[r] = chosen[r]->symbols;
   }
 
-  // Forward elimination with partial pivoting (any nonzero pivot works in a
-  // field; Vandermonde with distinct points is nonsingular).
+  // Gauss-Jordan elimination with partial pivoting (any nonzero pivot works
+  // in a field; Vandermonde with distinct points is nonsingular).  Row
+  // operations start at column col: the pivot row is zero before it.
   for (std::size_t col = 0; col < k; ++col) {
     std::size_t pivot = col;
-    while (pivot < k && v[pivot][col] == 0) ++pivot;
+    while (pivot < k && v[pivot * k + col] == 0) ++pivot;
     NRN_ENSURES(pivot < k, "singular Vandermonde system (duplicate points?)");
-    std::swap(v[pivot], v[col]);
-    std::swap(y[pivot], y[col]);
-    const Symbol inv = field_.inv(v[col][col]);
-    for (std::size_t c = col; c < k; ++c) v[col][c] = field_.mul(v[col][c], inv);
-    for (auto& s : y[col]) s = field_.mul(s, inv);
+    Symbol* const pivot_row = v.data() + col * k;
+    if (pivot != col) {
+      std::swap_ranges(pivot_row, pivot_row + k, v.data() + pivot * k);
+      std::swap(y[pivot], y[col]);
+    }
+    const Symbol inv = field_.inv(pivot_row[col]);
+    field_.scale(pivot_row + col, inv, k - col);
+    field_.scale(y[col].data(), inv, block_len_);
     for (std::size_t r = 0; r < k; ++r) {
-      if (r == col || v[r][col] == 0) continue;
-      const Symbol f = v[r][col];
-      for (std::size_t c = col; c < k; ++c)
-        v[r][c] = field_.sub(v[r][c], field_.mul(f, v[col][c]));
-      for (std::size_t s = 0; s < block_len_; ++s)
-        y[r][s] = field_.sub(y[r][s], field_.mul(f, y[col][s]));
+      const Symbol f = v[r * k + col];
+      if (r == col || f == 0) continue;
+      field_.mul_add(v.data() + r * k + col, pivot_row + col, f, k - col);
+      field_.mul_add(y[r].data(), y[col].data(), f, block_len_);
     }
   }
   return y;

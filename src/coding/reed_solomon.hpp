@@ -17,9 +17,16 @@
 // "Erasure Correction for Noisy Radio Networks", arXiv:1805.04165) at the
 // cost of a 255-packet domain; ReedSolomon<Gf65536> offers 65535.
 //
-// Decoding is Gaussian elimination, O(k^3 + k^2 * block_len); the
-// correctness tests exercise it directly, while large throughput sweeps
-// rely on the any-k-of-m property by counting distinct packet indices.
+// Encoding evaluates the polynomial over whole symbol rows: one
+// Field::mul_add of message i times x^i per message, the powers read off
+// the antilog table.  Decoding is Gauss-Jordan elimination over a flat k x k
+// Vandermonde matrix whose entries are read off alpha_pow, with the same
+// two region ops for normalisation and elimination: O(k^3 + k^2 *
+// block_len) symbol operations, each one table lookup in GF(2^8).  No
+// per-symbol mul loop remains; the region ops are the ones RLNC uses.
+// erasure-decay decodes at every node of a completed run; large throughput
+// sweeps rely on the any-k-of-m property by counting distinct packet
+// indices.
 #pragma once
 
 #include <cstdint>

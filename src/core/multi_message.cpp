@@ -1,5 +1,8 @@
 #include "core/multi_message.hpp"
 
+#include <span>
+#include <vector>
+
 #include "core/decay.hpp"
 #include "trees/gbst.hpp"
 
@@ -82,10 +85,6 @@ MultiRunResult RlncBroadcast::run_impl(
   std::vector<char> complete(static_cast<std::size_t>(n), 0);
   complete[static_cast<std::size_t>(source_)] = 1;
 
-  // Pool of packets emitted this round; a staged broadcast carries its
-  // index into the pool.
-  std::vector<coding::RlncPacket> pool;
-
   MultiRunResult result;
   result.messages = static_cast<std::int64_t>(k);
   if (complete_count == n) {
@@ -93,23 +92,34 @@ MultiRunResult RlncBroadcast::run_impl(
     return result;
   }
 
-  // Staging scratch: nodes selected this round and the pool index each
-  // one emits, bulk-staged in one call once the selection pass is done.
+  // This round's packets, by packet id: the sender, its coefficient draw
+  // (k lambda bytes, rank() of them used), and its combination (k
+  // coefficients, block_len payload symbols).  stage() draws; the
+  // combination is built on the packet's first delivery to an incomplete
+  // receiver, and most packets never reach one.  A broadcaster does not
+  // listen, so its basis cannot change between the two.
+  const std::size_t block_len = params_.block_len;
+  const auto slots = static_cast<std::size_t>(n);
   std::vector<radio::NodeId> senders;
   std::vector<radio::PacketId> packet_ids;
-  senders.reserve(static_cast<std::size_t>(n));
-  packet_ids.reserve(static_cast<std::size_t>(n));
+  std::vector<std::uint8_t> lambdas(slots * k);
+  std::vector<std::uint8_t> coeffs(slots * k);
+  std::vector<std::uint8_t> payloads(slots * block_len);
+  std::vector<char> built(slots, 0);
+  senders.reserve(slots);
+  packet_ids.reserve(slots);
 
   for (std::int64_t round = 0; round < budget; ++round) {
-    pool.clear();
     senders.clear();
     packet_ids.clear();
     auto stage = [&](radio::NodeId u) {
-      auto& st = state[static_cast<std::size_t>(u)];
+      const auto& st = state[static_cast<std::size_t>(u)];
       if (st.rank() == 0) return;  // nothing informative to send
-      pool.push_back(st.emit(rng));
+      const std::size_t id = senders.size();
+      st.draw(rng, {lambdas.data() + id * k, k});
+      built[id] = 0;
       senders.push_back(u);
-      packet_ids.push_back(static_cast<radio::PacketId>(pool.size() - 1));
+      packet_ids.push_back(static_cast<radio::PacketId>(id));
     };
 
     if (params_.pattern == MultiPattern::kDecay) {
@@ -132,7 +142,16 @@ MultiRunResult RlncBroadcast::run_impl(
     for (const auto& d : deliveries) {
       auto& st = state[static_cast<std::size_t>(d.receiver)];
       if (st.complete()) continue;
-      st.absorb(pool[static_cast<std::size_t>(d.id)]);
+      const auto id = static_cast<std::size_t>(d.id);
+      const std::span<std::uint8_t> c{coeffs.data() + id * k, k};
+      const std::span<std::uint8_t> pl{payloads.data() + id * block_len,
+                                       block_len};
+      if (!built[id]) {
+        state[static_cast<std::size_t>(senders[id])].combine(
+            {lambdas.data() + id * k, k}, c, pl);
+        built[id] = 1;
+      }
+      st.absorb(c, pl);
       if (st.complete()) {
         auto& flag = complete[static_cast<std::size_t>(d.receiver)];
         if (!flag) {

@@ -2,6 +2,7 @@
 // over both instantiations of coding::BinaryField.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "coding/binary_field.hpp"
@@ -96,6 +97,62 @@ TYPED_TEST(BinaryFieldTest, AlphaPowMatchesRepeatedMultiplicationByTwo) {
     EXPECT_EQ(f.alpha_pow(e), acc) << "e=" << e;
     acc = f.mul(acc, 2);
   }
+}
+
+/// Checks mul_add (dst ^= f * src) and scale (dst = f * dst) against scalar
+/// mul for one multiplier f (f = 0 checks that mul_add is a no-op and
+/// scale zeroes).  For each row length 1, 31, 32 and 33 the rows tile the
+/// whole field, so every source symbol x is checked at every length; a
+/// sentinel past each row catches an overrun, and length 0 must write
+/// nothing.
+template <typename Field>
+void expect_region_ops_match_mul(const Field& f,
+                                 typename Field::Symbol factor) {
+  using Symbol = typename Field::Symbol;
+  constexpr Symbol kSentinel = 0x5A;
+  std::vector<Symbol> src(Field::kFieldSize), base(Field::kFieldSize);
+  for (std::size_t x = 0; x < src.size(); ++x) {
+    src[x] = static_cast<Symbol>(x);
+    base[x] = static_cast<Symbol>((x * 37 + 11) % src.size());
+  }
+  Symbol untouched = kSentinel;
+  f.mul_add(&untouched, src.data() + 1, factor, 0);
+  f.scale(&untouched, factor, 0);
+  ASSERT_EQ(untouched, kSentinel) << "length 0 wrote a symbol";
+  for (const std::size_t len : {1, 31, 32, 33}) {
+    for (std::size_t start = 0; start < src.size(); start += len) {
+      const std::size_t n = std::min(len, src.size() - start);
+      std::vector<Symbol> dst(base.begin() + start, base.begin() + start + n);
+      dst.push_back(kSentinel);
+      f.mul_add(dst.data(), src.data() + start, factor, n);
+      std::vector<Symbol> row(src.begin() + start, src.begin() + start + n);
+      row.push_back(kSentinel);
+      f.scale(row.data(), factor, n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const Symbol x = src[start + i];
+        ASSERT_EQ(dst[i], f.add(base[start + i], f.mul(factor, x)))
+            << "mul_add f=" << +factor << " x=" << +x << " len " << len;
+        ASSERT_EQ(row[i], f.mul(factor, x))
+            << "scale f=" << +factor << " x=" << +x << " len " << len;
+      }
+      ASSERT_EQ(dst[n], kSentinel) << "mul_add wrote past len " << len;
+      ASSERT_EQ(row[n], kSentinel) << "scale wrote past len " << len;
+    }
+  }
+}
+
+TEST(Gf256, RegionOpsMatchScalarMulForEveryPair) {
+  const auto& f = Gf256::instance();
+  for (int factor = 0; factor < Gf256::kFieldSize; ++factor)
+    expect_region_ops_match_mul(f, static_cast<Gf256::Symbol>(factor));
+}
+
+TEST(Gf65536, RegionOpsMatchScalarMulForEveryX) {
+  // Every x under the zero, the identity, alpha, x^16's reduction and the
+  // top symbol.
+  const auto& f = Gf65536::instance();
+  for (const Gf65536::Symbol factor : {0x0, 0x1, 0x2, 0x100B, 0xFFFF})
+    expect_region_ops_match_mul(f, factor);
 }
 
 TEST(Gf256, KnownValues) {

@@ -5,13 +5,17 @@
 //              [--allow-debug]
 //
 // Prints one line per benchmark present in both files with the time ratio
-// (current / baseline; < 1 is faster) and items/sec where available.  A
-// benchmark whose time ratio exceeds 1 + threshold is flagged as a
-// regression.  A benchmark present in only one file is listed by name as
-// unmatched: a new benchmark with no baseline entry, or a baseline entry
-// whose benchmark is gone, would otherwise escape the gate unseen.  Exit
-// status is 0 unless --fail is given and a regression or an unmatched
-// name was found, so CI can start warn-only and tighten later.
+// (current / baseline; < 1 is faster).  A benchmark whose time ratio
+// exceeds 1 + threshold is flagged as a regression.  A benchmark present
+// in only one file is listed by name as unmatched: a new benchmark with no
+// baseline entry, or a baseline entry whose benchmark is gone, would
+// otherwise escape the gate unseen.  A benchmark whose "real_time" is
+// missing, unparseable, or not a positive finite number in either file is
+// listed as unreadable: it has no ratio, and skipping it silently would
+// let any time at all through.  Exit status is 0 unless --fail is given
+// and a regression, an unmatched name or an unreadable time was found, so
+// CI can start warn-only and tighten later.  A --threshold that is not a
+// non-negative number is a usage error (exit 2), not a silent 0.
 //
 // Both files must declare an optimized build: the bench binary stamps
 // "nrn_build_type" into the JSON context (falling back to the library's
@@ -21,9 +25,10 @@
 // for local experimentation only; never commit debug numbers.
 //
 // The parser is deliberately minimal: it understands exactly the flat
-// "benchmarks" array google-benchmark emits ("name", "real_time",
-// "time_unit", "items_per_second"), not general JSON.
+// "benchmarks" array google-benchmark emits ("name", "run_type",
+// "real_time", "time_unit"), not general JSON.
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,16 +42,15 @@ namespace {
 
 /// Locale-independent double parse (bench_diff links no library code, so it
 /// cannot use common::parse_real; std::from_chars is locale-free by spec).
-/// Returns 0.0 on malformed input, matching the old atof behavior.
-double parse_double(const std::string& text) {
-  double value = 0.0;
-  std::from_chars(text.data(), text.data() + text.size(), value);
-  return value;
+/// False unless the whole of `text` is one finite number.
+bool parse_double(const std::string& text, double& value) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  return ec == std::errc() && ptr == end && std::isfinite(value);
 }
 
 struct BenchResult {
-  double real_time = 0.0;  // nanoseconds
-  double items_per_second = 0.0;
+  double real_time = 0.0;  // nanoseconds; 0 when unreadable
 };
 
 double unit_to_ns(const std::string& unit) {
@@ -125,17 +129,17 @@ std::map<std::string, BenchResult> parse_bench_file(const std::string& path,
     const auto object_end = text.find('}', pos);
     const auto limit =
         object_end == std::string::npos ? text.size() : object_end;
-    std::string name, run_type, time, unit, items;
+    std::string name, run_type, time, unit;
     if (!find_field(text, pos, limit, "name", name)) break;
     find_field(text, pos, limit, "run_type", run_type);
     BenchResult r;
-    if (find_field(text, pos, limit, "real_time", time)) {
-      r.real_time = parse_double(time);
+    double value = 0.0;
+    if (find_field(text, pos, limit, "real_time", time) &&
+        parse_double(time, value) && value > 0.0) {
+      r.real_time = value;
       if (find_field(text, pos, limit, "time_unit", unit))
         r.real_time *= unit_to_ns(unit);
     }
-    if (find_field(text, pos, limit, "items_per_second", items))
-      r.items_per_second = parse_double(items);
     // Skip aggregate rows (mean/median/stddev) -- compare raw iterations.
     if (run_type.empty() || run_type == "iteration") results[name] = r;
     pos = limit + 1;
@@ -152,9 +156,15 @@ int main(int argc, char** argv) {
   bool allow_debug = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--threshold=", 0) == 0)
-      threshold = parse_double(arg.substr(12));
-    else if (arg == "--fail")
+    if (arg.rfind("--threshold=", 0) == 0) {
+      if (!parse_double(arg.substr(12), threshold) || threshold < 0.0) {
+        std::fprintf(stderr,
+                     "bench_diff: --threshold needs a non-negative number, "
+                     "got '%s'\n",
+                     arg.substr(12).c_str());
+        return 2;
+      }
+    } else if (arg == "--fail")
       fail_on_regression = true;
     else if (arg == "--allow-debug")
       allow_debug = true;
@@ -174,9 +184,14 @@ int main(int argc, char** argv) {
   int regressions = 0, compared = 0;
   std::printf("%-44s %12s %12s %8s\n", "benchmark", "base(ns)", "cur(ns)",
               "ratio");
+  std::vector<std::string> unreadable;
   for (const auto& [name, base] : baseline) {
     const auto it = current.find(name);
-    if (it == current.end() || base.real_time <= 0.0) continue;
+    if (it == current.end()) continue;
+    if (base.real_time == 0.0 || it->second.real_time == 0.0) {
+      unreadable.push_back(name);
+      continue;
+    }
     ++compared;
     const double ratio = it->second.real_time / base.real_time;
     const bool regressed = ratio > 1.0 + threshold;
@@ -200,13 +215,19 @@ int main(int argc, char** argv) {
   };
   list_unmatched(baseline, current, "baseline");
   list_unmatched(current, baseline, "current");
+  for (const auto& name : unreadable)
+    std::printf("%-44s unreadable real_time\n", name.c_str());
   if (compared == 0) {
     std::fprintf(stderr, "bench_diff: no common benchmarks to compare\n");
     return 2;
   }
   // nrn-lint: allow(locale-float): human-facing summary line, same as above.
   std::printf("%d benchmark(s) compared, %d regression(s) beyond %.0f%%, "
-              "%d unmatched\n",
-              compared, regressions, threshold * 100.0, unmatched);
-  return (fail_on_regression && regressions + unmatched > 0) ? 1 : 0;
+              "%d unmatched, %zu unreadable\n",
+              compared, regressions, threshold * 100.0, unmatched,
+              unreadable.size());
+  const std::size_t failures = static_cast<std::size_t>(regressions) +
+                               static_cast<std::size_t>(unmatched) +
+                               unreadable.size();
+  return (fail_on_regression && failures > 0) ? 1 : 0;
 }
