@@ -164,7 +164,7 @@ void BM_CellSetup(benchmark::State& state, const std::string& topology,
   const sim::ScenarioSetup built(scenario);
   built.gbst();
   const sim::ProtocolContext ctx{built.graph(), scenario, {}, &built};
-  const auto& registry = sim::ProtocolRegistry::global();
+  const auto& registry = sim::extended_registry();
   for (auto _ : state) {
     switch (layer) {
       case SetupLayer::kGraph: {

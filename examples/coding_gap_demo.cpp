@@ -9,7 +9,7 @@
 
 #include "coding/reed_solomon.hpp"
 #include "core/star_schedules.hpp"
-#include "topology/star.hpp"
+#include "graph/generators.hpp"
 
 int main() {
   using namespace nrn;
@@ -18,18 +18,17 @@ int main() {
   constexpr std::int64_t kChunks = 128;  // file chunks to distribute
   constexpr double kLossRate = 0.5;
 
-  const auto star = topology::make_star(kReceivers);
+  const auto star = graph::make_star(kReceivers);
   std::cout << "star: 1 beacon, " << kReceivers
             << " receivers, loss rate " << kLossRate << ", " << kChunks
             << " chunks\n\n";
 
   // Plan A: adaptive routing -- resend each chunk until every receiver
   // has it (the beacon gets perfect feedback, the best case for routing).
-  radio::RadioNetwork routing_net(star.graph,
-                                  radio::FaultModel::receiver(kLossRate),
+  radio::RadioNetwork routing_net(star, radio::FaultModel::receiver(kLossRate),
                                   Rng(1));
-  const auto routing = core::run_star_adaptive_routing(
-      routing_net, star, kChunks, 100'000'000);
+  const auto routing =
+      core::run_star_adaptive_routing(routing_net, kChunks, 100'000'000);
   std::cout << "adaptive routing:  " << routing.rounds << " rounds ("
             << routing.rounds_per_message() << " per chunk)\n";
 
@@ -37,11 +36,10 @@ int main() {
   // reconstruct the file at each receiver independently.
   const auto packet_count =
       core::rs_packet_count(kChunks, kReceivers + 1, kLossRate);
-  radio::RadioNetwork coding_net(star.graph,
-                                 radio::FaultModel::receiver(kLossRate),
+  radio::RadioNetwork coding_net(star, radio::FaultModel::receiver(kLossRate),
                                  Rng(2));
   const auto coding =
-      core::run_star_rs_coding(coding_net, star, kChunks, packet_count);
+      core::run_star_rs_coding(coding_net, kChunks, packet_count);
   std::cout << "Reed-Solomon:      " << coding.rounds << " rounds ("
             << coding.rounds_per_message() << " per chunk)\n";
   std::cout << "coding gap:        "

@@ -14,7 +14,7 @@
 #include <iostream>
 
 #include "coding/reed_solomon.hpp"
-#include "core/single_link.hpp"
+#include "core/star_schedules.hpp"
 #include "graph/generators.hpp"
 #include "radio/network.hpp"
 
@@ -34,7 +34,7 @@ int main() {
     for (auto& s : chunk)
       s = static_cast<Field::Symbol>(payload_rng.next_below(Field::kFieldSize));
 
-  const auto link = graph::make_single_link();
+  const auto link = graph::make_star(1);  // the link is the one-leaf star
   std::cout << "file: " << kChunks << " chunks x " << kSymbolsPerChunk * 2
             << " bytes; link loss rate " << kLossRate << "\n\n";
 
@@ -43,7 +43,7 @@ int main() {
     radio::RadioNetwork net(link, radio::FaultModel::receiver(kLossRate),
                             Rng(1));
     const auto reps = core::link_nonadaptive_reps(kChunks, kLossRate);
-    const auto r = core::run_link_nonadaptive_routing(net, kChunks, reps);
+    const auto r = core::run_star_nonadaptive_routing(net, kChunks, reps);
     std::cout << "repetition x" << reps << ":   " << r.rounds << " frames, "
               << (r.completed ? "file complete" : "CHUNKS LOST") << "\n";
   }
@@ -53,7 +53,7 @@ int main() {
     radio::RadioNetwork net(link, radio::FaultModel::receiver(kLossRate),
                             Rng(2));
     const auto r =
-        core::run_link_adaptive_routing(net, kChunks, 100 * kChunks);
+        core::run_star_adaptive_routing(net, kChunks, 100 * kChunks);
     std::cout << "stop-and-wait:    " << r.rounds << " frames, "
               << (r.completed ? "file complete" : "FAILED") << "\n";
   }
@@ -63,7 +63,7 @@ int main() {
     radio::RadioNetwork net(link, radio::FaultModel::receiver(kLossRate),
                             Rng(3));
     const coding::ReedSolomon<Field> rs(kChunks, kSymbolsPerChunk);
-    const auto frame_count = core::link_rs_packet_count(kChunks, kLossRate);
+    const auto frame_count = core::rs_packet_count(kChunks, 1, kLossRate);
 
     // Frame j goes on the air as packet id j.
     std::vector<coding::RsPacket<Field>> frames;

@@ -39,7 +39,7 @@ int main() {
             << ", diameter = " << graph::diameter_exact(grid) << "\n";
 
   const sim::ProtocolContext ctx{grid, scenario, sim::Tuning{}};
-  const auto decay = sim::ProtocolRegistry::global().create("decay", ctx);
+  const auto decay = sim::extended_registry().create("decay", ctx);
 
   radio::RadioNetwork net(grid, scenario.channel, Rng(99));
   Rng algorithm_rng(7);

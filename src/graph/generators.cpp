@@ -28,12 +28,6 @@ Graph make_star(NodeId leaf_count) {
   return b.build();
 }
 
-Graph make_single_link() {
-  GraphBuilder b(2);
-  b.add_edge(0, 1);
-  return b.build();
-}
-
 Graph make_complete(NodeId n) {
   NRN_EXPECTS(n >= 2, "complete graph needs at least two nodes");
   GraphBuilder b(n);

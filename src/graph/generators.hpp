@@ -2,10 +2,11 @@
 //
 // These cover every family used by the paper's analyses plus standard test
 // workloads: the path (Lemma 10's degradation instance), the star (the
-// Theta(log n) receiver-fault gap instance, Section 5.1.1), the single link
-// (Appendix A), grids/trees/caterpillars (Robust FASTBC stress), and random
-// connected graphs for property sweeps.  The WCT construction lives in
-// src/topology (it needs cluster bookkeeping beyond a plain Graph).
+// Theta(log n) receiver-fault gap instance, Section 5.1.1, and with one
+// leaf Appendix A's single link), grids/trees/caterpillars (Robust FASTBC
+// stress), and random connected graphs for property sweeps.  The WCT
+// construction lives in src/topology (it needs cluster bookkeeping beyond
+// a plain Graph).
 #pragma once
 
 #include "common/rng.hpp"
@@ -21,11 +22,9 @@ Graph make_path(NodeId n);
 Graph make_cycle(NodeId n);
 
 /// Star: node 0 is the hub, nodes 1..n-1 are leaves.  The paper's star
-/// topology has the *source* at the hub.
+/// topology has the *source* at the hub.  make_star(1) is Appendix A's
+/// single link: two nodes joined by one edge.
 Graph make_star(NodeId leaf_count);
-
-/// Two nodes joined by one edge (Appendix A's single-link topology).
-Graph make_single_link();
 
 /// Complete graph K_n.
 Graph make_complete(NodeId n);

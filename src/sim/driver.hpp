@@ -179,7 +179,7 @@ class TrialWorkspace {
 
 class Driver {
  public:
-  explicit Driver(const ProtocolRegistry& registry = ProtocolRegistry::global())
+  explicit Driver(const ProtocolRegistry& registry = extended_registry())
       : registry_(&registry) {}
 
   /// Runs `trials` trials of `protocol_name` on `scenario`, over a setup

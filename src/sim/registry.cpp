@@ -77,13 +77,19 @@ double ProtocolRegistry::theory_bound(const std::string& name,
   return e.bound ? e.bound(ctx) : 0.0;
 }
 
-ProtocolRegistry& ProtocolRegistry::global() {
-  static ProtocolRegistry registry = [] {
-    ProtocolRegistry r;
-    register_builtin_protocols(r);
+// Defined beside their protocols, in protocols.cpp and
+// schedule_protocols.cpp.
+void register_builtin_protocols(ProtocolRegistry& registry);
+void register_schedule_protocols(ProtocolRegistry& registry);
+
+const ProtocolRegistry& extended_registry() {
+  static const ProtocolRegistry* registry = [] {
+    auto* r = new ProtocolRegistry();
+    register_builtin_protocols(*r);
+    register_schedule_protocols(*r);
     return r;
   }();
-  return registry;
+  return *registry;
 }
 
 }  // namespace nrn::sim

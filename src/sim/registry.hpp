@@ -2,9 +2,10 @@
 //
 // The registry is how every caller -- nrn_sim, the benches, the examples,
 // the tests -- selects a protocol at runtime: no per-algorithm dispatch
-// switches exist outside this file's implementation.  The global() instance
-// comes pre-loaded with the library's built-in protocols; custom protocols
-// (experiments, ablation variants) can be added to any instance.
+// switches exist outside this file's implementation.  extended_registry()
+// is the one process-wide instance, holding every protocol the library
+// ships; custom protocols (experiments, ablation variants) go into a copy
+// of it or into any other instance.
 //
 // v2 registers three things per protocol besides the factory:
 //   * a CapabilitySet (multi-message, verified-payload, schedule-gap,
@@ -104,11 +105,6 @@ class ProtocolRegistry {
   /// registered.  Throws SpecError on an unknown name.
   double theory_bound(const std::string& name, const TheoryContext& ctx) const;
 
-  /// The process-wide registry, pre-loaded with the built-in protocols:
-  /// decay, fastbc, robust, rlnc-decay, rlnc-robust, the verified-payload
-  /// variants, erasure-decay, pipeline, greedy.
-  static ProtocolRegistry& global();
-
  private:
   struct Entry {
     std::string description;
@@ -120,21 +116,13 @@ class ProtocolRegistry {
   std::map<std::string, Entry> entries_;
 };
 
-/// Registers the built-in protocols into `registry` (used by global();
-/// exposed so tests can build isolated registries).
-void register_builtin_protocols(ProtocolRegistry& registry);
-
-/// Registers the schedule-level protocols: the Lemma 25/26 transforms
-/// (star/path base schedules), the Appendix A single-link schedules, the
-/// Section 5.1.1 star schedules, and the Section 5.1.2 WCT schedules.
-/// These are topology-constrained -- their factories throw SpecError on a
-/// scenario they cannot schedule -- so they live outside global() and are
-/// added explicitly by the sweep CLI, the benches, and the tests.
-void register_schedule_protocols(ProtocolRegistry& registry);
-
-/// The process-wide registry with the builtin AND schedule-level
-/// protocols: the one assembly the CLI, the sweep benches, and the sweep
-/// tests all run against.
+/// The process-wide registry of every protocol the library ships: the
+/// broadcast protocols (decay, fastbc, robust, rlnc-decay, rlnc-robust, the
+/// verified-payload variants, erasure-decay, pipeline, greedy) and the
+/// schedule-level ones (the Lemma 25/26 transforms, the star schedules and
+/// the single link, the WCT schedules).  The schedule protocols run only
+/// on the topologies their schedules exist for and throw SpecError on any
+/// other scenario.  Driver and SweepRunner default to it.
 const ProtocolRegistry& extended_registry();
 
 }  // namespace nrn::sim

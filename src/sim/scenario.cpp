@@ -274,7 +274,7 @@ graph::Graph TopologySpec::build(Rng& rng, graph::Geometry* geometry) const {
   if (kind == "regular")
     return graph::make_random_regular(n(0), static_cast<std::int32_t>(ints.at(1)),
                                       rng);
-  if (kind == "link") return graph::make_single_link();
+  if (kind == "link") return graph::make_star(1);
   if (kind == "wct") return topology::WctNetwork(wct_params(), rng).graph();
   bad_spec("unknown topology '" + kind + "'");
 }

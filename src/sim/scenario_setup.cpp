@@ -11,8 +11,11 @@ ScenarioSetup::ScenarioSetup(const Scenario& scenario)
       source_(scenario.source),
       geometric_(scenario.topology.geometric()),
       graph_(scenario.build_graph(geometric_ ? &geometry_ : nullptr)) {
-  if (source_ < graph_.node_count())
-    depth_ = graph::eccentricity(graph_, source_);
+  if (source_ >= graph_.node_count())
+    throw SpecError("source " + std::to_string(source_) + " is not a node of " +
+                    scenario.topology.text + " (" +
+                    std::to_string(graph_.node_count()) + " nodes)");
+  depth_ = graph::eccentricity(graph_, source_);
 }
 
 std::string ScenarioSetup::identity(const Scenario& scenario) {

@@ -39,7 +39,8 @@ namespace nrn::sim {
 class ScenarioSetup {
  public:
   /// Builds `scenario`'s graph (with the node placement for geometric
-  /// families) and the source's BFS depth.
+  /// families) and the source's BFS depth.  Throws SpecError when the
+  /// source is not a node of the graph.
   explicit ScenarioSetup(const Scenario& scenario);
 
   ScenarioSetup(const ScenarioSetup&) = delete;
@@ -56,8 +57,7 @@ class ScenarioSetup {
   const graph::Geometry* geometry() const {
     return geometric_ ? &geometry_ : nullptr;
   }
-  /// BFS eccentricity of the source (the paper's D); 0 when the source is
-  /// not a node of the graph.
+  /// BFS eccentricity of the source (the paper's D).
   std::int64_t depth() const { return depth_; }
 
   /// The GBST rooted at the source (trees/gbst.hpp), built on the first

@@ -1,11 +1,11 @@
 // Schedule-level protocol adapters: the Lemma 25/26 transforms, the
-// Appendix A single-link schedules, the Section 5.1.1 star schedules, and
-// the Section 5.1.2 WCT schedules behind the uniform BroadcastProtocol
-// interface.  Unlike the builtin broadcast protocols these only run on the
-// topologies whose base schedules exist (star/path for the transforms, the
-// two-node link for the Appendix A schedules, star/wct for the gap
-// schedules), so their factories validate the scenario and they are
-// registered separately from global().
+// Section 5.1.1 star schedules with Appendix A's single link as the
+// one-leaf star, and the Section 5.1.2 WCT schedules behind the uniform
+// BroadcastProtocol interface.  Unlike the builtin broadcast protocols
+// these only run on the topologies whose base schedules exist (star/path
+// for the transforms, star or link for the star schedules, wct for the WCT
+// schedules) and only from source 0, so their factories validate the
+// scenario and throw SpecError on one they cannot schedule.
 //
 // These are the protocols behind the paper's gap experiments: each one
 // carries the kScheduleGap capability and a theory bound, so the e7/e8
@@ -14,22 +14,31 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <string>
 
-#include "core/single_link.hpp"
 #include "core/star_schedules.hpp"
 #include "core/transforms.hpp"
 #include "core/wct_schedules.hpp"
 #include "sim/registry.hpp"
 #include "sim/theory_bounds.hpp"
-#include "topology/star.hpp"
 #include "topology/wct.hpp"
 
 namespace nrn::sim {
 
 namespace {
 
+/// Every schedule here broadcasts from node 0: the star's hub, the link's
+/// sending end, the transforms' base-schedule source and the WCT source.
+void require_source_zero(const ProtocolContext& ctx,
+                         const std::string& protocol) {
+  if (ctx.scenario.source != 0)
+    throw SpecError(protocol + " needs source 0, got " +
+                    std::to_string(ctx.scenario.source));
+}
+
 std::unique_ptr<core::BaseSchedule> base_schedule_for(
     const ProtocolContext& ctx, const std::string& protocol) {
+  require_source_zero(ctx, protocol);
   const auto& topology = ctx.scenario.topology;
   const std::int64_t k0 = ctx.scenario.k;
   if (topology.kind == "star")
@@ -76,82 +85,41 @@ class TransformProtocol final : public BroadcastProtocol {
   core::TransformParams params_;
 };
 
-enum class LinkMode { kNonadaptive, kAdaptive, kCoding };
-
-class LinkProtocol final : public BroadcastProtocol {
- public:
-  LinkProtocol(const ProtocolContext& ctx, LinkMode mode,
-               const std::string& name)
-      : mode_(mode), k_(ctx.scenario.k) {
-    if (ctx.scenario.topology.kind != "link")
-      throw SpecError(name + " needs the 'link' topology, got '" +
-                      ctx.scenario.topology.text + "'");
-    const double loss = ctx.scenario.channel.effective_loss();
-    reps_ = loss > 0.0 ? core::link_nonadaptive_reps(k_, loss) : 1;
-    packets_ = core::link_rs_packet_count(k_, loss);
-    max_rounds_ =
-        ctx.tuning.max_rounds > 0 ? ctx.tuning.max_rounds : 1'000'000'000;
-  }
-
-  Outcome run(radio::RadioNetwork& net, Rng& /*rng*/,
-              radio::TraceRecorder* /*trace*/) const override {
-    // All three schedules are deterministic given the network's fault tape.
-    switch (mode_) {
-      case LinkMode::kNonadaptive:
-        return Outcome::from(
-            core::run_link_nonadaptive_routing(net, k_, reps_));
-      case LinkMode::kAdaptive:
-        return Outcome::from(
-            core::run_link_adaptive_routing(net, k_, max_rounds_));
-      case LinkMode::kCoding:
-        return Outcome::from(core::run_link_rs_coding(net, k_, packets_));
-    }
-    NRN_EXPECTS(false, "unhandled link mode");
-    return {};
-  }
-
- private:
-  LinkMode mode_;
-  std::int64_t k_;
-  std::int64_t reps_ = 1;
-  std::int64_t packets_ = 1;
-  std::int64_t max_rounds_ = 0;
-};
-
-// ------------------------------------------------------ star gap schedules
-
-topology::Star star_for(const ProtocolContext& ctx,
-                        const std::string& protocol) {
-  const auto& topology = ctx.scenario.topology;
-  if (topology.kind != "star")
-    throw SpecError(protocol + " needs a star:* topology, got '" +
-                    topology.text + "'");
-  if (ctx.scenario.source != 0)
-    throw SpecError(protocol + " needs source 0 (the hub)");
-  return topology::make_star(
-      static_cast<graph::NodeId>(topology.ints.at(0)));
-}
+// ------------------------------------------------- star and link schedules
 
 enum class StarMode { kAdaptive, kNonadaptive, kCoding };
 
+/// The star schedules on a star:* topology, or on the link: the one-leaf
+/// star, run with the link's own repetition and packet-count formulas.
 class StarProtocol final : public BroadcastProtocol {
  public:
-  StarProtocol(const ProtocolContext& ctx, StarMode mode,
+  StarProtocol(const ProtocolContext& ctx, StarMode mode, bool link,
                const std::string& name)
-      : mode_(mode), star_(star_for(ctx, name)), k_(ctx.scenario.k) {
+      : mode_(mode), k_(ctx.scenario.k) {
+    const auto& topology = ctx.scenario.topology;
+    const std::string kind = link ? "link" : "star";
+    if (topology.kind != kind)
+      throw SpecError(name + " needs a " + kind + " topology, got '" +
+                      topology.text + "'");
+    require_source_zero(ctx, name);
     const double p = ctx.scenario.channel.effective_loss();
-    const auto n = static_cast<std::int64_t>(star_.leaves.size());
-    // Lemma 15 ablation: repetitions for per-leaf, per-message failure
-    // below 1/(n k): p^r <= 1/(n k^2), i.e. r = ceil(log_{1/p}(n k^2)).
-    reps_ = p <= 0.0
-                ? 1
-                : std::max<std::int64_t>(
-                      1, static_cast<std::int64_t>(std::ceil(
-                             std::log(std::max<double>(
-                                 2.0, static_cast<double>(n * k_ * k_))) /
-                             std::log(1.0 / p))));
-    packets_ = core::rs_packet_count(
-        k_, static_cast<std::int32_t>(n + 1), p);
+    if (link) {
+      reps_ = p > 0.0 ? core::link_nonadaptive_reps(k_, p) : 1;
+      packets_ = core::rs_packet_count(k_, 1, p);
+    } else {
+      const std::int64_t n = topology.ints.at(0);  // leaves
+      // Lemma 15 ablation: repetitions for per-leaf, per-message failure
+      // below 1/(n k): p^r <= 1/(n k^2), i.e. r = ceil(log_{1/p}(n k^2)).
+      reps_ = p <= 0.0
+                  ? 1
+                  : std::max<std::int64_t>(
+                        1, static_cast<std::int64_t>(std::ceil(
+                               std::log(std::max<double>(
+                                   2.0, static_cast<double>(n * k_ * k_))) /
+                               std::log(1.0 / p))));
+      packets_ = core::rs_packet_count(
+          k_, static_cast<std::int32_t>(n + 1), p);
+    }
     max_rounds_ =
         ctx.tuning.max_rounds > 0 ? ctx.tuning.max_rounds : 1'000'000'000;
   }
@@ -162,13 +130,12 @@ class StarProtocol final : public BroadcastProtocol {
     switch (mode_) {
       case StarMode::kAdaptive:
         return Outcome::from(
-            core::run_star_adaptive_routing(net, star_, k_, max_rounds_));
+            core::run_star_adaptive_routing(net, k_, max_rounds_));
       case StarMode::kNonadaptive:
         return Outcome::from(
-            core::run_star_nonadaptive_routing(net, star_, k_, reps_));
+            core::run_star_nonadaptive_routing(net, k_, reps_));
       case StarMode::kCoding:
-        return Outcome::from(
-            core::run_star_rs_coding(net, star_, k_, packets_));
+        return Outcome::from(core::run_star_rs_coding(net, k_, packets_));
     }
     NRN_EXPECTS(false, "unhandled star mode");
     return {};
@@ -176,7 +143,6 @@ class StarProtocol final : public BroadcastProtocol {
 
  private:
   StarMode mode_;
-  topology::Star star_;
   std::int64_t k_;
   std::int64_t reps_ = 1;
   std::int64_t packets_ = 1;
@@ -194,6 +160,7 @@ topology::WctNetwork wct_for(const ProtocolContext& ctx,
   if (ctx.scenario.topology.kind != "wct")
     throw SpecError(protocol + " needs a wct:* topology, got '" +
                     ctx.scenario.topology.text + "'");
+  require_source_zero(ctx, protocol);
   Rng rng = ctx.scenario.topology_rng();
   topology::WctNetwork wct(ctx.scenario.topology.wct_params(), rng);
   const auto& rebuilt = wct.graph();
@@ -316,16 +283,6 @@ double link_nonadaptive_bound(const TheoryContext& ctx) {
 
 }  // namespace
 
-const ProtocolRegistry& extended_registry() {
-  static const ProtocolRegistry* registry = [] {
-    auto* r = new ProtocolRegistry();
-    register_builtin_protocols(*r);
-    register_schedule_protocols(*r);
-    return r;
-  }();
-  return *registry;
-}
-
 void register_schedule_protocols(ProtocolRegistry& registry) {
   registry.add("transform-routing",
                "Lemma 25: routing transform of a faultless base schedule "
@@ -346,8 +303,8 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                "link, Theta(log k) rounds/message",
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<LinkProtocol>(
-                     ctx, LinkMode::kNonadaptive, "link-nonadaptive");
+                 return std::make_unique<StarProtocol>(
+                     ctx, StarMode::kNonadaptive, true, "link-nonadaptive");
                },
                link_nonadaptive_bound);
   registry.add("link-adaptive",
@@ -355,8 +312,8 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                "1/(1-p) rounds/message",
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<LinkProtocol>(
-                     ctx, LinkMode::kAdaptive, "link-adaptive");
+                 return std::make_unique<StarProtocol>(
+                     ctx, StarMode::kAdaptive, true, "link-adaptive");
                },
                coded_stream_bound);
   registry.add("link-coding",
@@ -364,8 +321,8 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                "rounds/message",
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<LinkProtocol>(ctx, LinkMode::kCoding,
-                                                       "link-coding");
+                 return std::make_unique<StarProtocol>(
+                     ctx, StarMode::kCoding, true, "link-coding");
                },
                coded_stream_bound);
   registry.add("star-adaptive",
@@ -374,7 +331,7 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<StarProtocol>(
-                     ctx, StarMode::kAdaptive, "star-adaptive");
+                     ctx, StarMode::kAdaptive, false, "star-adaptive");
                },
                star_adaptive_bound);
   registry.add("star-nonadaptive",
@@ -383,7 +340,7 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<StarProtocol>(
-                     ctx, StarMode::kNonadaptive, "star-nonadaptive");
+                     ctx, StarMode::kNonadaptive, false, "star-nonadaptive");
                },
                star_nonadaptive_bound);
   registry.add("star-coding",
@@ -392,7 +349,7 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kScheduleGap,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<StarProtocol>(
-                     ctx, StarMode::kCoding, "star-coding");
+                     ctx, StarMode::kCoding, false, "star-coding");
                },
                coded_stream_bound);
   registry.add("wct-coding",

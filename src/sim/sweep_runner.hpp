@@ -299,7 +299,7 @@ SweepReport merge_sweep_reports(const std::vector<SweepReport>& shards);
 class SweepRunner {
  public:
   explicit SweepRunner(
-      const ProtocolRegistry& registry = ProtocolRegistry::global())
+      const ProtocolRegistry& registry = extended_registry())
       : registry_(&registry) {}
 
   /// Runs this shard's cells of `plan` (all cells under kFleet/kResume).

@@ -11,7 +11,9 @@
 
 namespace nrn::sim::testutil {
 
-/// The sorted names register_builtin_protocols installs.
+/// The sorted names of the registry's broadcast protocols.  Unlike the
+/// schedule protocols they run on any topology and from any source, so
+/// tests that loop over protocols on a path or grid iterate these.
 inline const std::vector<std::string>& builtin_names() {
   static const std::vector<std::string> names = {
       "decay",

@@ -7,7 +7,6 @@
 #include "core/fastbc.hpp"
 #include "core/multi_message.hpp"
 #include "core/robust_fastbc.hpp"
-#include "core/single_link.hpp"
 #include "core/star_schedules.hpp"
 #include "graph/generators.hpp"
 
@@ -82,18 +81,18 @@ TEST(CombinedFaults, RlncRobustPatternCompletesWithPayloads) {
 }
 
 TEST(CombinedFaults, StarCodingSizedByEffectiveLoss) {
-  const auto star = topology::make_star(256);
-  RadioNetwork net(star.graph, kCombined, Rng(15));
+  const auto star = graph::make_star(256);
+  RadioNetwork net(star, kCombined, Rng(15));
   const std::int64_t k = 64;
   const auto m = rs_packet_count(k, 257, kCombined.effective_loss());
-  EXPECT_TRUE(run_star_rs_coding(net, star, k, m).completed);
+  EXPECT_TRUE(run_star_rs_coding(net, k, m).completed);
 }
 
 TEST(CombinedFaults, LinkAdaptiveRpmMatchesEffectiveLoss) {
-  const auto g = graph::make_single_link();
+  const auto g = graph::make_star(1);
   RadioNetwork net(g, kCombined, Rng(16));
   const std::int64_t k = 2048;
-  const auto r = run_link_adaptive_routing(net, k, 100 * k);
+  const auto r = run_star_adaptive_routing(net, k, 100 * k);
   ASSERT_TRUE(r.completed);
   EXPECT_NEAR(r.rounds_per_message(),
               1.0 / (1.0 - kCombined.effective_loss()), 0.25);

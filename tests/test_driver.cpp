@@ -41,11 +41,11 @@ TEST(Driver, ThreadedTrialsMatchSerialBitForBit) {
   }
 }
 
-TEST(Driver, EveryRegisteredProtocolRunsOnAScenario) {
+TEST(Driver, EveryBuiltinProtocolRunsOnAScenario) {
   // k > 1 exercises the multi-message protocols; the single-message ones
   // broadcast their one message regardless.
   const auto scenario = Scenario::parse("path:24", "receiver:0.2", 0, 3, 11);
-  for (const auto& name : ProtocolRegistry::global().names()) {
+  for (const auto& name : testutil::builtin_names()) {
     SCOPED_TRACE(name);
     const auto report = Driver().run(scenario, name, 2);
     EXPECT_EQ(report.protocol, name);

@@ -37,8 +37,8 @@ TEST(Generators, Star) {
   EXPECT_EQ(diameter_exact(g), 2);
 }
 
-TEST(Generators, SingleLink) {
-  const Graph g = make_single_link();
+TEST(Generators, OneLeafStarIsTheSingleLink) {
+  const Graph g = make_star(1);
   EXPECT_EQ(g.node_count(), 2);
   EXPECT_EQ(g.edge_count(), 1);
 }

@@ -62,14 +62,13 @@ TEST(GreedyRouter, MatchesStarScheduleOnStar) {
   // On the star the greedy router degenerates to Lemma 15's schedule (one
   // broadcaster, most-wanted message), so rounds/message should land at
   // the same Theta(log n) scale under receiver faults.
-  const auto star = topology::make_star(256);
+  const auto star = graph::make_star(256);
   const std::int64_t k = 32;
-  const auto greedy = run(star.graph, FaultModel::receiver(0.5), k, 7);
+  const auto greedy = run(star, FaultModel::receiver(0.5), k, 7);
   ASSERT_TRUE(greedy.completed);
 
-  RadioNetwork net(star.graph, FaultModel::receiver(0.5), Rng(8));
-  const auto reference =
-      run_star_adaptive_routing(net, star, k, 100'000'000);
+  RadioNetwork net(star, FaultModel::receiver(0.5), Rng(8));
+  const auto reference = run_star_adaptive_routing(net, k, 100'000'000);
   ASSERT_TRUE(reference.completed);
 
   EXPECT_NEAR(greedy.rounds_per_message(), reference.rounds_per_message(),

@@ -4,12 +4,10 @@
 
 #include <cmath>
 
-#include "core/single_link.hpp"
 #include "core/star_schedules.hpp"
 #include "core/wct_schedules.hpp"
 #include "core/bipartite_pipeline.hpp"
 #include "graph/generators.hpp"
-#include "topology/star.hpp"
 #include "topology/wct.hpp"
 
 namespace nrn::core {
@@ -20,18 +18,18 @@ using radio::RadioNetwork;
 
 double star_routing_rpm(std::int32_t leaves, std::int64_t k,
                         std::uint64_t seed) {
-  const auto star = topology::make_star(leaves);
-  RadioNetwork net(star.graph, FaultModel::receiver(0.5), Rng(seed));
-  const auto r = run_star_adaptive_routing(net, star, k, 100'000'000);
+  const auto star = graph::make_star(leaves);
+  RadioNetwork net(star, FaultModel::receiver(0.5), Rng(seed));
+  const auto r = run_star_adaptive_routing(net, k, 100'000'000);
   EXPECT_TRUE(r.completed);
   return r.rounds_per_message();
 }
 
 double star_coding_rpm(std::int32_t leaves, std::int64_t k,
                        std::uint64_t seed) {
-  const auto star = topology::make_star(leaves);
-  RadioNetwork net(star.graph, FaultModel::receiver(0.5), Rng(seed));
-  const auto r = run_star_rs_coding(net, star, k,
+  const auto star = graph::make_star(leaves);
+  RadioNetwork net(star, FaultModel::receiver(0.5), Rng(seed));
+  const auto r = run_star_rs_coding(net, k,
                                     rs_packet_count(k, leaves + 1, 0.5));
   EXPECT_TRUE(r.completed);
   return r.rounds_per_message();
@@ -62,13 +60,13 @@ TEST(IntegrationGaps, StarRoutingRpmTracksLogN) {
 TEST(IntegrationGaps, SingleLinkGapGrowsWithK) {
   // Lemma 31: non-adaptive routing vs coding gap grows like log k.
   auto link_gap = [](std::int64_t k, std::uint64_t seed) {
-    const auto g = graph::make_single_link();
+    const auto g = graph::make_star(1);
     RadioNetwork net_r(g, FaultModel::receiver(0.5), Rng(seed));
     const auto routing =
-        run_link_nonadaptive_routing(net_r, k, link_nonadaptive_reps(k, 0.5));
+        run_star_nonadaptive_routing(net_r, k, link_nonadaptive_reps(k, 0.5));
     RadioNetwork net_c(g, FaultModel::receiver(0.5), Rng(seed + 1));
     const auto coding =
-        run_link_rs_coding(net_c, k, link_rs_packet_count(k, 0.5));
+        run_star_rs_coding(net_c, k, rs_packet_count(k, 1, 0.5));
     EXPECT_TRUE(routing.completed);
     EXPECT_TRUE(coding.completed);
     return routing.rounds_per_message() / coding.rounds_per_message();

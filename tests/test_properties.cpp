@@ -171,7 +171,7 @@ TEST_P(FaultRateSweep, MeasuredLossMatchesEffectiveLoss) {
   if (kind == 1) fm = FaultModel::sender(p);
   if (kind == 2) fm = FaultModel::receiver(p);
   if (kind == 3) fm = FaultModel::combined(p, p / 2);
-  const auto g = graph::make_single_link();
+  const auto g = graph::make_star(1);
   RadioNetwork net(g, fm, Rng(17));
   const int rounds = 30000;
   int received = 0;

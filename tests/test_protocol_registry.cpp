@@ -1,12 +1,15 @@
-// ProtocolRegistry: the global registry enumerates every built-in
-// protocol, builds each of them, and rejects unknown names; every
-// registered protocol's records are pinned on one small cell.
+// ProtocolRegistry: the registry holds every built-in protocol, builds
+// each of them, and rejects unknown names; every registered protocol's
+// records are pinned on one small cell.  The nrn_sim_protocols_golden
+// CTest target pins the full listing: names, capabilities, bounds and
+// descriptions.
 #include "sim/registry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <string>
 
 #include "sim_test_util.hpp"
@@ -18,19 +21,20 @@ using testutil::builtin_names;
 using testutil::ScenarioFixture;
 
 TEST(ProtocolRegistry, GlobalEnumeratesEveryBuiltin) {
-  const auto names = ProtocolRegistry::global().names();
-  EXPECT_EQ(names, builtin_names());  // sorted, complete
+  const auto names = extended_registry().names();
+  for (const auto& name : builtin_names())
+    EXPECT_TRUE(extended_registry().contains(name)) << name;
   EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
 TEST(ProtocolRegistry, EveryBuiltinConstructsAndIsDescribed) {
   const ScenarioFixture fixture("path:16", "receiver:0.2", 0, 2, 5);
   const ProtocolContext ctx = fixture.context();
-  for (const auto& name : ProtocolRegistry::global().names()) {
+  for (const auto& name : builtin_names()) {
     SCOPED_TRACE(name);
-    const auto protocol = ProtocolRegistry::global().create(name, ctx);
+    const auto protocol = extended_registry().create(name, ctx);
     ASSERT_NE(protocol, nullptr);
-    EXPECT_FALSE(ProtocolRegistry::global().description(name).empty());
+    EXPECT_FALSE(extended_registry().description(name).empty());
   }
 }
 
@@ -38,29 +42,29 @@ TEST(ProtocolRegistry, UnknownNameThrowsListingKnownOnes) {
   const ScenarioFixture fixture("path:8");
   const ProtocolContext ctx = fixture.context();
   try {
-    ProtocolRegistry::global().create("flooding", ctx);
+    extended_registry().create("flooding", ctx);
     FAIL() << "expected SpecError";
   } catch (const SpecError& e) {
     const std::string what = e.what();
     EXPECT_NE(what.find("flooding"), std::string::npos);
     EXPECT_NE(what.find("decay"), std::string::npos);
   }
-  EXPECT_FALSE(ProtocolRegistry::global().contains("flooding"));
-  EXPECT_THROW(ProtocolRegistry::global().description("flooding"), SpecError);
+  EXPECT_FALSE(extended_registry().contains("flooding"));
+  EXPECT_THROW(extended_registry().description("flooding"), SpecError);
 }
 
 TEST(ProtocolRegistry, CustomRegistrationAndOverride) {
-  ProtocolRegistry registry;
-  register_builtin_protocols(registry);
-  EXPECT_EQ(registry.names(), builtin_names());
+  ProtocolRegistry registry = extended_registry();
+  EXPECT_EQ(registry.names(), extended_registry().names());
 
-  // A custom variant: decay under a different name.
+  // A custom variant: decay under a different name, in the copy only.
   registry.add("my-decay", "ablation variant",
                [](const ProtocolContext& ctx) {
-                 return ProtocolRegistry::global().create("decay", ctx);
+                 return extended_registry().create("decay", ctx);
                });
   EXPECT_TRUE(registry.contains("my-decay"));
-  EXPECT_EQ(registry.names().size(), builtin_names().size() + 1);
+  EXPECT_FALSE(extended_registry().contains("my-decay"));
+  EXPECT_EQ(registry.names().size(), extended_registry().names().size() + 1);
 
   const ScenarioFixture fixture("path:12", "none", 0, 1, 3);
   const ProtocolContext ctx = fixture.context();
@@ -77,7 +81,7 @@ TEST(ProtocolRegistry, TuningReachesTheProtocol) {
   tuning.max_rounds = 5;
   const ScenarioFixture fixture("path:128", "none", 0, 1, 4, tuning);
   const ProtocolContext ctx = fixture.context();
-  const auto protocol = ProtocolRegistry::global().create("decay", ctx);
+  const auto protocol = extended_registry().create("decay", ctx);
   radio::RadioNetwork net(fixture.graph, fixture.scenario.channel, Rng(1));
   Rng rng(2);
   const auto report = protocol->run(net, rng);
@@ -91,9 +95,11 @@ TEST(ProtocolRegistry, EveryProtocolsRecordsMatchPinnedHashes) {
   // broadcast became a bare PacketId (no payload path in the engine).  Every
   // protocol that reads delivered ids -- the coded, routing, transform,
   // star, link and WCT schedules -- is covered, and the cells span the
-  // four fault models and the SINR channel.  Each pin runs under kAuto and
-  // kScalar against the same hash: the steppable protocols bank their
-  // multi-trial cells under auto, everything else runs scalar both times.
+  // four fault models and the SINR channel.  The faultless link and star
+  // repetition cells pin the one-repetition branch of their formulas.
+  // Each pin runs under kAuto and kScalar against the same hash: the
+  // steppable protocols bank their multi-trial cells under auto,
+  // everything else runs scalar both times.
   struct Pinned {
     const char* protocol;
     const char* topology;
@@ -120,6 +126,8 @@ TEST(ProtocolRegistry, EveryProtocolsRecordsMatchPinnedHashes) {
        0x378c874f6ddcb4f7ULL},
       {"link-nonadaptive", "link", "combined:0.2:0.2", "none", 12, 3, false,
        0xae0ecdb132b7f73eULL},
+      {"link-nonadaptive", "link", "none", "none", 12, 3, false,
+       0x1c4168e95a5c7486ULL},
       {"pipeline", "disk:48:0.3", "none", kSinr, 4, 3, false,
        0xcfcfe9ad36050c22ULL},
       {"rlnc-decay", "caterpillar:6:3", "sender:0.3", "none", 4, 3, false,
@@ -138,6 +146,8 @@ TEST(ProtocolRegistry, EveryProtocolsRecordsMatchPinnedHashes) {
        0x830da0ff6d6dfc1bULL},
       {"star-nonadaptive", "star:12", "sender:0.2", "none", 4, 3, false,
        0xfb806ac39555d322ULL},
+      {"star-nonadaptive", "star:12", "none", "none", 4, 3, false,
+       0xa52f78738a7cd39bULL},
       {"transform-coding", "path:8", "receiver:0.2", "none", 3, 3, false,
        0xccb4137ea3a3c888ULL},
       {"transform-routing", "star:8", "sender:0.2", "none", 3, 3, false,
@@ -172,6 +182,33 @@ TEST(ProtocolRegistry, EveryProtocolsRecordsMatchPinnedHashes) {
       EXPECT_EQ(fnv1a64(experiment_record(report)), p.hash);
     }
   }
+}
+
+TEST(ProtocolRegistry, ScheduleProtocolsRejectANonZeroSource) {
+  // Every schedule protocol broadcasts from node 0, so an in-range source 1
+  // is a spec error, not a silent run from node 0.
+  const std::map<std::string, std::string> topology_of = {
+      {"link", "link"}, {"star", "star:8"}, {"transform", "path:8"},
+      {"wct", "wct:64"}};
+  int schedule_protocols = 0;
+  for (const auto& name : extended_registry().names()) {
+    const auto& builtins = builtin_names();
+    if (std::find(builtins.begin(), builtins.end(), name) != builtins.end())
+      continue;
+    SCOPED_TRACE(name);
+    ++schedule_protocols;
+    const auto scenario = Scenario::parse(
+        topology_of.at(name.substr(0, name.find('-'))), "none", 1, 2, 3);
+    try {
+      Driver().run(scenario, name, 1);
+      FAIL() << "expected SpecError";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("needs source 0"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(schedule_protocols, 10);
 }
 
 }  // namespace

@@ -130,8 +130,7 @@ class ObjectProbe final : public BroadcastProtocol {
 
 const ProtocolRegistry& probe_registry() {
   static const ProtocolRegistry registry = [] {
-    ProtocolRegistry r;
-    register_builtin_protocols(r);
+    ProtocolRegistry r = extended_registry();
     for (const std::string name : {"probe-a", "probe-b"})
       r.add(name, "logs the graph and GBST it was built over", kSinrCapable,
             [](const ProtocolContext& ctx) {
@@ -367,6 +366,21 @@ TEST(ScenarioSetup, DriverOverASharedSetupMatchesAPrivateRun) {
   // A setup of another graph is refused, not silently used.
   const auto other = Scenario::parse("gnp:48:0.15", "receiver:0.3", 0, 1, 5);
   EXPECT_THROW(driver.run(setup, other, "decay", 1), ContractViolation);
+}
+
+TEST(ScenarioSetup, RejectsASourceOutsideTheGraph) {
+  // Source 8 on path:8 is one past the last node: a spec error before any
+  // protocol indexes its per-node state with it, through the Driver and
+  // through a sweep plan alike.
+  const auto scenario = Scenario::parse("path:8", "none", 8, 2, 1);
+  EXPECT_THROW({ const ScenarioSetup setup(scenario); }, SpecError);
+  for (const auto& name : testutil::builtin_names()) {
+    SCOPED_TRACE(name);
+    EXPECT_THROW(Driver().run(scenario, name, 1), SpecError);
+  }
+  const auto plan = SweepPlan::parse(
+      "topology=path:8; source=8; k=2; protocols=decay,rlnc-decay; trials=1");
+  EXPECT_THROW(SweepRunner().run(plan), SpecError);
 }
 
 }  // namespace

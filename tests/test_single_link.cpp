@@ -1,8 +1,8 @@
-// Single-link schedules (Appendix A, Lemmas 29-33).
-#include "core/single_link.hpp"
-
+// Single-link schedules (Appendix A, Lemmas 29-33): the star schedules on
+// the one-leaf star, with the link's repetition and packet-count formulas.
 #include <gtest/gtest.h>
 
+#include "core/star_schedules.hpp"
 #include "graph/generators.hpp"
 
 namespace nrn::core {
@@ -12,7 +12,7 @@ using radio::FaultModel;
 using radio::RadioNetwork;
 
 RadioNetwork make_net(FaultModel fm, std::uint64_t seed) {
-  static const graph::Graph g = graph::make_single_link();
+  static const graph::Graph g = graph::make_star(1);
   return RadioNetwork(g, fm, Rng(seed));
 }
 
@@ -22,7 +22,7 @@ TEST(SingleLink, NonAdaptiveSucceedsWithEnoughReps) {
   auto net = make_net(FaultModel::receiver(0.5), 2);
   const std::int64_t k = 64;
   const auto reps = link_nonadaptive_reps(k, 0.5);
-  const auto r = run_link_nonadaptive_routing(net, k, reps);
+  const auto r = run_star_nonadaptive_routing(net, k, reps);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.rounds, k * reps);
 }
@@ -31,7 +31,7 @@ TEST(SingleLink, NonAdaptiveUsuallyFailsWithOneRep) {
   int failures = 0;
   for (std::uint64_t s = 0; s < 20; ++s) {
     auto net = make_net(FaultModel::receiver(0.5), 100 + s);
-    if (!run_link_nonadaptive_routing(net, 16, 1).completed) ++failures;
+    if (!run_star_nonadaptive_routing(net, 16, 1).completed) ++failures;
   }
   EXPECT_GT(failures, 15);  // each trial fails with prob 1 - 2^-16
 }
@@ -49,7 +49,7 @@ TEST(SingleLink, NonAdaptiveRepsGrowLogarithmically) {
 TEST(SingleLink, AdaptiveIsConstantPerMessage) {
   auto net = make_net(FaultModel::receiver(0.5), 2);
   const std::int64_t k = 512;
-  const auto r = run_link_adaptive_routing(net, k, 100 * k);
+  const auto r = run_star_adaptive_routing(net, k, 100 * k);
   EXPECT_TRUE(r.completed);
   // E[rounds/message] = 1/(1-p) = 2.
   EXPECT_NEAR(r.rounds_per_message(), 2.0, 0.5);
@@ -57,14 +57,14 @@ TEST(SingleLink, AdaptiveIsConstantPerMessage) {
 
 TEST(SingleLink, AdaptiveWorksWithSenderFaults) {
   auto net = make_net(FaultModel::sender(0.5), 3);
-  const auto r = run_link_adaptive_routing(net, 256, 100000);
+  const auto r = run_star_adaptive_routing(net, 256, 100000);
   EXPECT_TRUE(r.completed);
   EXPECT_NEAR(r.rounds_per_message(), 2.0, 0.5);
 }
 
 TEST(SingleLink, AdaptiveBudgetRespected) {
   auto net = make_net(FaultModel::receiver(0.5), 4);
-  const auto r = run_link_adaptive_routing(net, 1000, 10);
+  const auto r = run_star_adaptive_routing(net, 1000, 10);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.rounds, 10);
 }
@@ -72,8 +72,8 @@ TEST(SingleLink, AdaptiveBudgetRespected) {
 TEST(SingleLink, CodingIsConstantPerMessage) {
   auto net = make_net(FaultModel::receiver(0.5), 5);
   const std::int64_t k = 256;
-  const auto m = link_rs_packet_count(k, 0.5);
-  const auto r = run_link_rs_coding(net, k, m);
+  const auto m = rs_packet_count(k, 1, 0.5);
+  const auto r = run_star_rs_coding(net, k, m);
   EXPECT_TRUE(r.completed);
   EXPECT_LT(r.rounds_per_message(), 4.0);
 }
@@ -82,7 +82,7 @@ TEST(SingleLink, CodingFailsWithExactlyKPackets) {
   int failures = 0;
   for (std::uint64_t s = 0; s < 10; ++s) {
     auto net = make_net(FaultModel::receiver(0.5), 50 + s);
-    if (!run_link_rs_coding(net, 64, 64).completed) ++failures;
+    if (!run_star_rs_coding(net, 64, 64).completed) ++failures;
   }
   EXPECT_EQ(failures, 10);  // needs every packet to survive: hopeless
 }
@@ -93,9 +93,10 @@ TEST(SingleLink, NonAdaptiveGapShape) {
   auto net_r = make_net(FaultModel::receiver(0.5), 6);
   const std::int64_t k = 1024;
   const auto routing =
-      run_link_nonadaptive_routing(net_r, k, link_nonadaptive_reps(k, 0.5));
+      run_star_nonadaptive_routing(net_r, k, link_nonadaptive_reps(k, 0.5));
   auto net_c = make_net(FaultModel::receiver(0.5), 7);
-  const auto coding = run_link_rs_coding(net_c, k, link_rs_packet_count(k, 0.5));
+  const auto coding =
+      run_star_rs_coding(net_c, k, rs_packet_count(k, 1, 0.5));
   ASSERT_TRUE(routing.completed);
   ASSERT_TRUE(coding.completed);
   EXPECT_GT(routing.rounds_per_message() / coding.rounds_per_message(), 4.0);
@@ -105,21 +106,16 @@ TEST(SingleLink, AdaptiveClosesTheGap) {
   // Lemma 33: adaptive routing vs coding is Theta(1) on the link.
   auto net_r = make_net(FaultModel::receiver(0.5), 8);
   const std::int64_t k = 1024;
-  const auto routing = run_link_adaptive_routing(net_r, k, 100 * k);
+  const auto routing = run_star_adaptive_routing(net_r, k, 100 * k);
   auto net_c = make_net(FaultModel::receiver(0.5), 9);
-  const auto coding = run_link_rs_coding(net_c, k, link_rs_packet_count(k, 0.5));
+  const auto coding =
+      run_star_rs_coding(net_c, k, rs_packet_count(k, 1, 0.5));
   ASSERT_TRUE(routing.completed);
   ASSERT_TRUE(coding.completed);
   const double gap =
       routing.rounds_per_message() / coding.rounds_per_message();
   EXPECT_LT(gap, 3.0);
   EXPECT_GT(gap, 0.3);
-}
-
-TEST(SingleLink, RequiresLinkTopology) {
-  const auto g = graph::make_path(3);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  EXPECT_THROW(run_link_adaptive_routing(net, 4, 100), ContractViolation);
 }
 
 }  // namespace

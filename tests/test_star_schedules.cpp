@@ -5,17 +5,19 @@
 
 #include <cmath>
 
+#include "graph/generators.hpp"
+
 namespace nrn::core {
 namespace {
 
 using radio::FaultModel;
 using radio::RadioNetwork;
-using topology::make_star;
+using graph::make_star;
 
 TEST(StarSchedules, AdaptiveRoutingCompletesFaultless) {
   const auto star = make_star(32);
-  RadioNetwork net(star.graph, FaultModel::faultless(), Rng(1));
-  const auto r = run_star_adaptive_routing(net, star, 10, 1'000'000);
+  RadioNetwork net(star, FaultModel::faultless(), Rng(1));
+  const auto r = run_star_adaptive_routing(net, 10, 1'000'000);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.rounds, 10);  // one round per message without faults
 }
@@ -24,9 +26,9 @@ TEST(StarSchedules, AdaptiveRoutingPaysLogNPerMessage) {
   // With receiver faults at p = 1/2 the expected per-message cost is about
   // log2(n) + O(1) rounds (coupon-collector tail over n leaves).
   const auto star = make_star(256);
-  RadioNetwork net(star.graph, FaultModel::receiver(0.5), Rng(2));
+  RadioNetwork net(star, FaultModel::receiver(0.5), Rng(2));
   const std::int64_t k = 64;
-  const auto r = run_star_adaptive_routing(net, star, k, 10'000'000);
+  const auto r = run_star_adaptive_routing(net, k, 10'000'000);
   EXPECT_TRUE(r.completed);
   const double rpm = r.rounds_per_message();
   EXPECT_GT(rpm, 0.5 * std::log2(256));
@@ -35,8 +37,8 @@ TEST(StarSchedules, AdaptiveRoutingPaysLogNPerMessage) {
 
 TEST(StarSchedules, AdaptiveRoutingBudgetRespected) {
   const auto star = make_star(64);
-  RadioNetwork net(star.graph, FaultModel::receiver(0.5), Rng(3));
-  const auto r = run_star_adaptive_routing(net, star, 1000, 20);
+  RadioNetwork net(star, FaultModel::receiver(0.5), Rng(3));
+  const auto r = run_star_adaptive_routing(net, 1000, 20);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.rounds, 20);
 }
@@ -44,11 +46,11 @@ TEST(StarSchedules, AdaptiveRoutingBudgetRespected) {
 TEST(StarSchedules, NonAdaptiveNeedsEnoughReps) {
   const auto star = make_star(128);
   // One rep with faults almost surely misses a leaf.
-  RadioNetwork net1(star.graph, FaultModel::receiver(0.5), Rng(4));
-  EXPECT_FALSE(run_star_nonadaptive_routing(net1, star, 4, 1).completed);
+  RadioNetwork net1(star, FaultModel::receiver(0.5), Rng(4));
+  EXPECT_FALSE(run_star_nonadaptive_routing(net1, 4, 1).completed);
   // Generous reps succeed.
-  RadioNetwork net2(star.graph, FaultModel::receiver(0.5), Rng(5));
-  const auto r = run_star_nonadaptive_routing(net2, star, 4, 40);
+  RadioNetwork net2(star, FaultModel::receiver(0.5), Rng(5));
+  const auto r = run_star_nonadaptive_routing(net2, 4, 40);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.rounds, 4 * 40);
 }
@@ -57,8 +59,8 @@ TEST(StarSchedules, RsCodingCompletesInLinearRounds) {
   const auto star = make_star(256);
   const std::int64_t k = 128;
   const auto m = rs_packet_count(k, 257, 0.5);
-  RadioNetwork net(star.graph, FaultModel::receiver(0.5), Rng(6));
-  const auto r = run_star_rs_coding(net, star, k, m);
+  RadioNetwork net(star, FaultModel::receiver(0.5), Rng(6));
+  const auto r = run_star_rs_coding(net, k, m);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.rounds, m);
   // Theta(1) per message: the packet count is a constant multiple of k.
@@ -67,10 +69,10 @@ TEST(StarSchedules, RsCodingCompletesInLinearRounds) {
 
 TEST(StarSchedules, RsCodingFailsWithTooFewPackets) {
   const auto star = make_star(64);
-  RadioNetwork net(star.graph, FaultModel::receiver(0.5), Rng(7));
+  RadioNetwork net(star, FaultModel::receiver(0.5), Rng(7));
   // Exactly k packets at p=1/2: every leaf must catch all of them; with 64
   // leaves this is hopeless.
-  const auto r = run_star_rs_coding(net, star, 32, 32);
+  const auto r = run_star_rs_coding(net, 32, 32);
   EXPECT_FALSE(r.completed);
 }
 
@@ -85,10 +87,10 @@ TEST(StarSchedules, GapEmergesBetweenRoutingAndCoding) {
   // The Theorem 17 shape at one size: routing rpm / coding rpm ~ log n.
   const auto star = make_star(512);
   const std::int64_t k = 64;
-  RadioNetwork net_r(star.graph, FaultModel::receiver(0.5), Rng(8));
-  const auto routing = run_star_adaptive_routing(net_r, star, k, 10'000'000);
-  RadioNetwork net_c(star.graph, FaultModel::receiver(0.5), Rng(9));
-  const auto coding = run_star_rs_coding(net_c, star, k,
+  RadioNetwork net_r(star, FaultModel::receiver(0.5), Rng(8));
+  const auto routing = run_star_adaptive_routing(net_r, k, 10'000'000);
+  RadioNetwork net_c(star, FaultModel::receiver(0.5), Rng(9));
+  const auto coding = run_star_rs_coding(net_c, k,
                                          rs_packet_count(k, 513, 0.5));
   ASSERT_TRUE(routing.completed);
   ASSERT_TRUE(coding.completed);
@@ -102,20 +104,29 @@ TEST(StarSchedules, SenderFaultsMakeRoutingCheap) {
   // routing costs ~1/(1-p) per message, not log n -- the asymmetry behind
   // Theorem 28.
   const auto star = make_star(256);
-  RadioNetwork net(star.graph, FaultModel::sender(0.5), Rng(10));
-  const auto r = run_star_adaptive_routing(net, star, 64, 1'000'000);
+  RadioNetwork net(star, FaultModel::sender(0.5), Rng(10));
+  const auto r = run_star_adaptive_routing(net, 64, 1'000'000);
   EXPECT_TRUE(r.completed);
   EXPECT_LT(r.rounds_per_message(), 4.0);
 }
 
 TEST(StarSchedules, ParameterValidation) {
   const auto star = make_star(4);
-  RadioNetwork net(star.graph, FaultModel::faultless(), Rng(11));
-  EXPECT_THROW(run_star_adaptive_routing(net, star, 0, 10),
-               ContractViolation);
-  EXPECT_THROW(run_star_rs_coding(net, star, 4, 3), ContractViolation);
-  EXPECT_THROW(run_star_nonadaptive_routing(net, star, 0, 1),
-               ContractViolation);
+  RadioNetwork net(star, FaultModel::faultless(), Rng(11));
+  EXPECT_THROW(run_star_adaptive_routing(net, 0, 10), ContractViolation);
+  EXPECT_THROW(run_star_rs_coding(net, 4, 3), ContractViolation);
+  EXPECT_THROW(run_star_nonadaptive_routing(net, 0, 1), ContractViolation);
+}
+
+TEST(StarSchedules, RequireAStarWithHubZero) {
+  // path:3 is a star whose hub is node 1; K3 has hub 0 joined to every
+  // node but one edge too many.
+  for (const auto& g : {graph::make_path(3), graph::make_complete(3)}) {
+    RadioNetwork net(g, FaultModel::faultless(), Rng(12));
+    EXPECT_THROW(run_star_adaptive_routing(net, 4, 100), ContractViolation);
+    EXPECT_THROW(run_star_nonadaptive_routing(net, 4, 1), ContractViolation);
+    EXPECT_THROW(run_star_rs_coding(net, 4, 4), ContractViolation);
+  }
 }
 
 }  // namespace

@@ -92,12 +92,11 @@ class SlowProtocol : public BroadcastProtocol {
 /// A registry whose "slow-decay" wraps the builtin decay with a delay.
 const ProtocolRegistry& slow_registry(int sleep_ms) {
   static ProtocolRegistry registry = [sleep_ms] {
-    ProtocolRegistry r;
-    register_builtin_protocols(r);
+    ProtocolRegistry r = extended_registry();
     r.add("slow-decay", "decay with an artificial per-trial delay",
           [sleep_ms](const ProtocolContext& ctx) {
             return std::make_unique<SlowProtocol>(
-                ProtocolRegistry::global().create("decay", ctx), sleep_ms);
+                extended_registry().create("decay", ctx), sleep_ms);
           });
     return r;
   }();
@@ -146,8 +145,7 @@ class ThrowingProtocol : public BroadcastProtocol {
 };
 
 TEST(ClaimRelease, ComputeFailureLeavesNoClaimMarkerBehind) {
-  ProtocolRegistry registry;
-  register_builtin_protocols(registry);
+  ProtocolRegistry registry = extended_registry();
   registry.add("throwing", "always fails", [](const ProtocolContext&) {
     return std::make_unique<ThrowingProtocol>();
   });
@@ -170,8 +168,7 @@ TEST(ClaimRelease, ComputeFailureLeavesNoClaimMarkerBehind) {
 }
 
 TEST(ClaimRelease, FleetRunWithFailingCellsLeavesClaimFreeDirectory) {
-  ProtocolRegistry registry;
-  register_builtin_protocols(registry);
+  ProtocolRegistry registry = extended_registry();
   registry.add("throwing", "always fails", [](const ProtocolContext&) {
     return std::make_unique<ThrowingProtocol>();
   });
