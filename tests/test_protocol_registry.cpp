@@ -92,11 +92,14 @@ TEST(ProtocolRegistry, TuningReachesTheProtocol) {
 TEST(ProtocolRegistry, EveryProtocolsRecordsMatchPinnedHashes) {
   // FNV-1a of experiment_record for one small seed-11 cell per name in
   // extended_registry(), pinned from a library built before a staged
-  // broadcast became a bare PacketId (no payload path in the engine).  Every
-  // protocol that reads delivered ids -- the coded, routing, transform,
-  // star, link and WCT schedules -- is covered, and the cells span the
-  // four fault models and the SINR channel.  The faultless link and star
-  // repetition cells pin the one-repetition branch of their formulas.
+  // broadcast became a bare PacketId (no payload path in the engine).  The
+  // cells span the four fault models and the SINR channel.  The faultless
+  // link and star repetition cells pin the one-repetition branch of their
+  // formulas.  The last four pins, computed from the library that still
+  // staged packet ids, cover readers of what was sent on edge-fault cells
+  // where several senders broadcast different data in one round: the
+  // routing transform's first pin is on star:8 (only the hub broadcasts)
+  // and the pipeline's is under SINR, so neither covered that case.
   // Each pin runs under kAuto and kScalar against the same hash: the
   // steppable protocols bank their multi-trial cells under auto,
   // everything else runs scalar both times.
@@ -156,6 +159,15 @@ TEST(ProtocolRegistry, EveryProtocolsRecordsMatchPinnedHashes) {
        0xef3bb00862ab107cULL},
       {"wct-unique-probe", "wct:64", "none", "none", 1, 2, false,
        0x695c266b65d6b5f9ULL},
+      // Several senders per round, each with its own data.
+      {"transform-routing", "path:8", "sender:0.2", "none", 3, 3, false,
+       0x68ec65d7eebbc3aaULL},
+      {"pipeline", "grid:8x8", "receiver:0.3", "none", 8, 3, false,
+       0x1b85da7d35546718ULL},
+      {"greedy", "grid:8x8", "receiver:0.3", "none", 8, 3, false,
+       0x291d873eebe4be25ULL},
+      {"erasure-decay", "gnp:64:0.1", "sender:0.3", "none", 8, 3, false,
+       0x0e99b771d33b2eafULL},
   };
   const ProtocolRegistry& registry = extended_registry();
   for (const auto& name : registry.names()) {
