@@ -24,9 +24,8 @@ void BM_EngineRoundStar(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   const auto g = graph::make_star(n);
   radio::RadioNetwork net(g, radio::FaultModel::receiver(0.5), Rng(1));
-  std::int64_t id = 0;
   for (auto _ : state) {
-    net.set_broadcast(0, radio::PacketId{id++});
+    net.set_broadcast(0);
     benchmark::DoNotOptimize(net.run_round());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -40,7 +39,7 @@ void BM_EngineRoundManyBroadcasters(benchmark::State& state) {
   radio::RadioNetwork net(g, radio::FaultModel::faultless(), Rng(1));
   for (auto _ : state) {
     for (graph::NodeId u = 0; u < n / 2; ++u)
-      net.set_broadcast(u, radio::PacketId{u});
+      net.set_broadcast(u);
     benchmark::DoNotOptimize(net.run_round());
   }
   state.SetItemsProcessed(state.iterations() * (n / 2) * (n - 1));
@@ -71,7 +70,7 @@ void BM_EngineKernel(benchmark::State& state, radio::RadioNetwork::Kernel k) {
   net.set_kernel(k);
   for (auto _ : state) {
     for (graph::NodeId u = 0; u < n; u += 2)
-      net.set_broadcast(u, radio::PacketId{u});
+      net.set_broadcast(u);
     benchmark::DoNotOptimize(net.run_round());
   }
   state.SetItemsProcessed(state.iterations() * (n / 2));
@@ -98,7 +97,7 @@ void BM_EngineSinrDisk(benchmark::State& state) {
   radio::RadioNetwork net(g, scenario.channel, Rng(2), &geometry);
   for (auto _ : state) {
     for (graph::NodeId u = 0; u < g.node_count(); u += 2)
-      net.set_broadcast(u, radio::PacketId{u});
+      net.set_broadcast(u);
     benchmark::DoNotOptimize(net.run_round());
   }
   state.SetItemsProcessed(state.iterations() * (n / 2));

@@ -8,10 +8,11 @@
 //   2. stop-and-wait ACK (Lemma 32) -- resend the chunk until it lands;
 //   3. Reed-Solomon fountain-style streaming (Lemma 30) -- no feedback at
 //      all, decode once any k coded frames arrive.
-// The radio carries each coded frame's index; the RS stream keeps the
-// frames it hears by that index, decodes the image from them, and compares
-// it byte-for-byte with the original.
+// The radio decides only whether the probe hears a round; the RS stream
+// keeps the frame sent in each round it hears, decodes the image from
+// those frames, and compares it byte-for-byte with the original.
 #include <iostream>
+#include <utility>
 
 #include "coding/reed_solomon.hpp"
 #include "core/star_schedules.hpp"
@@ -65,19 +66,17 @@ int main() {
     const coding::ReedSolomon<Field> rs(kChunks, kSymbolsPerChunk);
     const auto frame_count = core::rs_packet_count(kChunks, 1, kLossRate);
 
-    // Frame j goes on the air as packet id j.
-    std::vector<coding::RsPacket<Field>> frames;
+    // Frame j goes on the air in round j.
     std::vector<coding::RsPacket<Field>> received;
     std::int64_t frames_sent = 0;
     for (std::int64_t j = 0; j < frame_count; ++j) {
-      frames.push_back(rs.encode_packet(file, static_cast<std::uint32_t>(j)));
-      net.set_broadcast(0, j);
+      auto frame = rs.encode_packet(file, static_cast<std::uint32_t>(j));
+      net.set_broadcast(0);
       const auto& deliveries = net.run_round();
       ++frames_sent;
       if (!deliveries.empty()) {
-        // The probe keeps the frame it heard, by the index it carried.
-        received.push_back(
-            frames[static_cast<std::size_t>(deliveries.front().id)]);
+        // The probe keeps the frame it heard this round.
+        received.push_back(std::move(frame));
         if (received.size() >= static_cast<std::size_t>(kChunks)) break;
       }
     }

@@ -27,11 +27,17 @@ MultiRunResult run_layered_pipeline_routing(radio::RadioNetwork& net,
   const auto& g = net.graph();
   const std::int32_t n = g.node_count();
   NRN_EXPECTS(params.k >= 1, "need at least one message");
+  const std::int64_t k = params.k;
+  MultiRunResult result;
+  result.messages = k;
+  if (n == 1) {  // the source is the only node: nothing to route
+    result.completed = true;
+    return result;
+  }
 
   const auto layers = graph::bfs_layers(g, source);
   const auto depth = static_cast<std::int64_t>(layers.size()) - 1;
   NRN_EXPECTS(depth >= 1, "pipeline needs at least one boundary");
-  const std::int64_t k = params.k;
   const std::int64_t batch_size =
       params.batch > 0 ? params.batch
                        : (k + std::max<std::int64_t>(depth, 1) - 1) /
@@ -62,14 +68,16 @@ MultiRunResult run_layered_pipeline_routing(radio::RadioNetwork& net,
   for (std::int64_t m = 0; m < k; ++m)
     has[static_cast<std::size_t>(source)][static_cast<std::size_t>(m)] = 1;
 
-  MultiRunResult result;
-  result.messages = k;
   bool any_cap_hit = false;
 
   std::vector<BoundaryWork> work(static_cast<std::size_t>(depth));
   const std::int64_t total_metas = 3 * (batches - 1) + depth;
   std::vector<radio::NodeId> senders;  // per-boundary staging scratch
+  // The message each broadcast of this step carries, by staging position
+  // (a delivery's plan_index); boundaries stage one after another.
+  std::vector<std::int64_t> staged_msg;
   senders.reserve(static_cast<std::size_t>(n));
+  staged_msg.reserve(static_cast<std::size_t>(n));
 
   for (std::int64_t meta = 0; meta < total_metas; ++meta) {
     // Activate boundaries for this meta-round: boundary i runs batch
@@ -89,6 +97,7 @@ MultiRunResult run_layered_pipeline_routing(radio::RadioNetwork& net,
 
     for (std::int64_t step = 0; step < meta_cap; ++step) {
       bool someone_active = false;
+      staged_msg.clear();
       // Stage broadcasts for every still-active boundary.
       for (std::int64_t i = 0; i < depth; ++i) {
         auto& w = work[static_cast<std::size_t>(i)];
@@ -127,7 +136,8 @@ MultiRunResult run_layered_pipeline_routing(radio::RadioNetwork& net,
             return;
           senders.push_back(u);
         });
-        net.stage_broadcasts(senders, radio::PacketId{msg});
+        net.stage_many(senders);
+        staged_msg.insert(staged_msg.end(), senders.size(), msg);
         ++w.local_round;
       }
       if (!someone_active) break;
@@ -135,9 +145,10 @@ MultiRunResult run_layered_pipeline_routing(radio::RadioNetwork& net,
       const auto& deliveries = net.run_round();
       ++result.rounds;
       for (const auto& d : deliveries) {
-        auto& flag =
-            has[static_cast<std::size_t>(d.receiver)]
-               [static_cast<std::size_t>(d.id)];
+        const std::int64_t got =
+            staged_msg[static_cast<std::size_t>(d.plan_index)];
+        auto& flag = has[static_cast<std::size_t>(d.receiver)]
+                        [static_cast<std::size_t>(got)];
         if (flag) continue;
         flag = 1;
         // Credit the boundary waiting on this (receiver-layer, message).
@@ -145,7 +156,7 @@ MultiRunResult run_layered_pipeline_routing(radio::RadioNetwork& net,
         if (rl >= 1) {
           auto& w = work[static_cast<std::size_t>(rl) - 1];
           const std::int64_t msg = w.batch * batch_size + w.next_in_batch;
-          if (w.active && msg == d.id && w.remaining_targets > 0) {
+          if (w.active && msg == got && w.remaining_targets > 0) {
             if (--w.remaining_targets == 0) {
               ++w.next_in_batch;
               w.local_round = 0;

@@ -75,12 +75,13 @@ MultiRunResult ErasureBroadcast::run_and_verify(
   std::vector<char> complete(static_cast<std::size_t>(n), 0);
   complete[si] = 1;
 
-  // Staging scratch: the round's selected relayers and what each forwards,
+  // Staging scratch: the round's selected relayers and, by staging
+  // position (a delivery's plan_index), the coded packet each forwards;
   // bulk-staged in one call after the selection pass.
   std::vector<radio::NodeId> senders;
-  std::vector<radio::PacketId> packet_ids;
+  std::vector<std::uint32_t> staged_pkt;
   senders.reserve(static_cast<std::size_t>(n));
-  packet_ids.reserve(static_cast<std::size_t>(n));
+  staged_pkt.reserve(static_cast<std::size_t>(n));
 
   MultiRunResult result;
   result.messages = k;
@@ -90,7 +91,7 @@ MultiRunResult ErasureBroadcast::run_and_verify(
     for (std::int64_t round = 0; round < budget; ++round) {
       const auto sub = static_cast<std::int32_t>(round % decay_phase_);
       senders.clear();
-      packet_ids.clear();
+      staged_pkt.clear();
       rng.for_each_bernoulli_pow2(
           static_cast<std::size_t>(n), sub, [&](std::size_t ui) {
             if (held[ui].empty()) return;
@@ -99,17 +100,18 @@ MultiRunResult ErasureBroadcast::run_and_verify(
             const std::uint32_t pkt = held[ui][cursor[ui] % held[ui].size()];
             ++cursor[ui];
             senders.push_back(static_cast<radio::NodeId>(ui));
-            packet_ids.push_back(static_cast<radio::PacketId>(pkt));
+            staged_pkt.push_back(pkt);
           });
-      net.stage_broadcasts(senders, packet_ids);
+      net.stage_many(senders);
 
       const auto& deliveries = net.run_round();
       for (const auto& d : deliveries) {
         const auto ri = static_cast<std::size_t>(d.receiver);
-        const auto idx = static_cast<std::size_t>(d.id);
-        if (has[ri][idx]) continue;
-        has[ri][idx] = 1;
-        held[ri].push_back(static_cast<std::uint32_t>(d.id));
+        const std::uint32_t pkt =
+            staged_pkt[static_cast<std::size_t>(d.plan_index)];
+        if (has[ri][pkt]) continue;
+        has[ri][pkt] = 1;
+        held[ri].push_back(pkt);
         if (static_cast<std::int64_t>(held[ri].size()) == k &&
             !complete[ri]) {
           complete[ri] = 1;

@@ -138,12 +138,12 @@ MultiRunResult run_greedy_adaptive_routing(radio::RadioNetwork& net,
     }
 
     // Stage 3: execute.  A staged broadcaster adjacent to another simply
-    // does not listen this round; the planner priced that in.
+    // does not listen this round; the planner priced that in.  Deliveries
+    // read what was sent from staged_msg[sender].
     bool staged_any = false;
     for (radio::NodeId u = 0; u < n; ++u) {
-      const auto ui = static_cast<std::size_t>(u);
-      if (staged_msg[ui] >= 0) {
-        net.set_broadcast(u, radio::PacketId{staged_msg[ui]});
+      if (staged_msg[static_cast<std::size_t>(u)] >= 0) {
+        net.set_broadcast(u);
         staged_any = true;
       }
     }
@@ -151,17 +151,20 @@ MultiRunResult run_greedy_adaptive_routing(radio::RadioNetwork& net,
       // All candidates had non-positive marginal gain (dense mutual
       // interference); fall back to the single globally best candidate.
       const radio::NodeId u = order.front();
-      net.set_broadcast(u, radio::PacketId{best_msg[static_cast<std::size_t>(u)]});
+      const auto ui = static_cast<std::size_t>(u);
+      staged_msg[ui] = best_msg[ui];
+      net.set_broadcast(u);
     }
 
     const auto& deliveries = net.run_round();
     ++result.rounds;
     for (const auto& d : deliveries) {
-      auto& flag = has[cell(d.receiver, d.id)];
+      const std::int64_t m = staged_msg[static_cast<std::size_t>(d.sender)];
+      auto& flag = has[cell(d.receiver, m)];
       if (flag) continue;
       flag = 1;
       for (const radio::NodeId w : g.neighbors(d.receiver))
-        --lack[cell(w, d.id)];
+        --lack[cell(w, m)];
       if (--missing[static_cast<std::size_t>(d.receiver)] == 0)
         --incomplete_nodes;
     }

@@ -92,34 +92,31 @@ MultiRunResult RlncBroadcast::run_impl(
     return result;
   }
 
-  // This round's packets, by packet id: the sender, its coefficient draw
-  // (k lambda bytes, rank() of them used), and its combination (k
-  // coefficients, block_len payload symbols).  stage() draws; the
-  // combination is built on the packet's first delivery to an incomplete
-  // receiver, and most packets never reach one.  A broadcaster does not
-  // listen, so its basis cannot change between the two.
+  // This round's packets, by staging position (a delivery's plan_index):
+  // the sender, its coefficient draw (k lambda bytes, rank() of them
+  // used), and its combination (k coefficients, block_len payload
+  // symbols).  stage() draws; the combination is built on the packet's
+  // first delivery to an incomplete receiver, and most packets never reach
+  // one.  A broadcaster does not listen, so its basis cannot change
+  // between the two.
   const std::size_t block_len = params_.block_len;
   const auto slots = static_cast<std::size_t>(n);
   std::vector<radio::NodeId> senders;
-  std::vector<radio::PacketId> packet_ids;
   std::vector<std::uint8_t> lambdas(slots * k);
   std::vector<std::uint8_t> coeffs(slots * k);
   std::vector<std::uint8_t> payloads(slots * block_len);
   std::vector<char> built(slots, 0);
   senders.reserve(slots);
-  packet_ids.reserve(slots);
 
   for (std::int64_t round = 0; round < budget; ++round) {
     senders.clear();
-    packet_ids.clear();
     auto stage = [&](radio::NodeId u) {
       const auto& st = state[static_cast<std::size_t>(u)];
       if (st.rank() == 0) return;  // nothing informative to send
-      const std::size_t id = senders.size();
-      st.draw(rng, {lambdas.data() + id * k, k});
-      built[id] = 0;
+      const std::size_t pos = senders.size();
+      st.draw(rng, {lambdas.data() + pos * k, k});
+      built[pos] = 0;
       senders.push_back(u);
-      packet_ids.push_back(static_cast<radio::PacketId>(id));
     };
 
     if (params_.pattern == MultiPattern::kDecay) {
@@ -136,20 +133,20 @@ MultiRunResult RlncBroadcast::run_impl(
     } else {
       for (const radio::NodeId u : schedule_.fast_round(round / 2)) stage(u);
     }
-    net.stage_broadcasts(senders, packet_ids);
+    net.stage_many(senders);
 
     const auto& deliveries = net.run_round();
     for (const auto& d : deliveries) {
       auto& st = state[static_cast<std::size_t>(d.receiver)];
       if (st.complete()) continue;
-      const auto id = static_cast<std::size_t>(d.id);
-      const std::span<std::uint8_t> c{coeffs.data() + id * k, k};
-      const std::span<std::uint8_t> pl{payloads.data() + id * block_len,
+      const auto pos = static_cast<std::size_t>(d.plan_index);
+      const std::span<std::uint8_t> c{coeffs.data() + pos * k, k};
+      const std::span<std::uint8_t> pl{payloads.data() + pos * block_len,
                                        block_len};
-      if (!built[id]) {
-        state[static_cast<std::size_t>(senders[id])].combine(
-            {lambdas.data() + id * k, k}, c, pl);
-        built[id] = 1;
+      if (!built[pos]) {
+        state[static_cast<std::size_t>(d.sender)].combine(
+            {lambdas.data() + pos * k, k}, c, pl);
+        built[pos] = 1;
       }
       st.absorb(c, pl);
       if (st.complete()) {

@@ -33,7 +33,7 @@ MultiRunResult run_star_adaptive_routing(radio::RadioNetwork& net,
   std::int64_t current = 0;
 
   for (std::int64_t round = 0; round < max_rounds; ++round) {
-    net.set_broadcast(kHub, radio::PacketId{current});
+    net.set_broadcast(kHub);
     const auto& deliveries = net.run_round();
     for (const auto& d : deliveries) {
       // Leaves are nodes 1..n; position = id - 1.
@@ -72,7 +72,7 @@ MultiRunResult run_star_nonadaptive_routing(radio::RadioNetwork& net,
   for (std::int64_t m = 0; m < k; ++m) {
     std::fill(got.begin(), got.end(), 0);
     for (std::int64_t r = 0; r < reps; ++r) {
-      net.set_broadcast(kHub, radio::PacketId{m});
+      net.set_broadcast(kHub);
       const auto& deliveries = net.run_round();
       for (const auto& d : deliveries) {
         auto& flag = got[static_cast<std::size_t>(d.receiver - 1)];
@@ -100,11 +100,11 @@ MultiRunResult run_star_rs_coding(radio::RadioNetwork& net, std::int64_t k,
   MultiRunResult result;
   result.messages = k;
 
-  // Distinct coded packets per leaf; all packet ids are distinct here, so a
-  // delivery is always a fresh packet for that leaf.
+  // Distinct coded packets per leaf; the hub sends packet j in round j, so
+  // a delivery is always a fresh packet for that leaf.
   std::vector<std::int64_t> received(leaf_count, 0);
   for (std::int64_t j = 0; j < packet_count; ++j) {
-    net.set_broadcast(kHub, radio::PacketId{j});
+    net.set_broadcast(kHub);
     const auto& deliveries = net.run_round();
     for (const auto& d : deliveries)
       ++received[static_cast<std::size_t>(d.receiver - 1)];

@@ -20,8 +20,8 @@
 // The cores read the star off the network: hub 0 broadcasts, nodes
 // 1..n-1 are the leaves (graph::make_star's layout), and a network of any
 // other shape is a contract violation.  All schedules run in counting mode
-// (packet ids, no payloads); the RS any-k-of-m property is exercised with
-// real payloads by the coding tests.
+// (the hub's round index names what it sends, no payloads); the RS
+// any-k-of-m property is exercised with real payloads by the coding tests.
 #pragma once
 
 #include <cstdint>

@@ -4,8 +4,7 @@ namespace nrn::core {
 
 BroadcastRunResult run_stepped(RoundStepper& stepper, radio::RadioNetwork& net,
                                Rng& rng) {
-  radio::NetworkStagingPort port(net);
-  while (stepper.stage_round(port, rng)) {
+  while (stepper.stage_round(net, rng)) {
     const auto& deliveries = net.run_round();
     if (stepper.absorb_round(deliveries.receivers(), net.last_round())) break;
   }

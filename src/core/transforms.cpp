@@ -57,6 +57,13 @@ TransformResult run_routing_transform(radio::RadioNetwork& net,
     std::int64_t msg;
     std::int64_t next_sub = 0;  // next sub-message to deliver
   };
+  // One step's broadcasts by staging position (a delivery's plan_index):
+  // the live action and the sub-message it sent.
+  struct Staged {
+    std::size_t action;
+    std::int64_t sub;
+  };
+  std::vector<Staged> staged;
 
   for (std::int64_t r = 0; r < base.rounds(); ++r) {
     std::vector<LiveAction> live;
@@ -69,20 +76,23 @@ TransformResult run_routing_transform(radio::RadioNetwork& net,
       live.push_back(LiveAction{b, m, 0});
     }
     for (std::int64_t step = 0; step < T; ++step) {
-      for (const auto& a : live)
-        if (a.next_sub < x)
-          net.set_broadcast(a.node, radio::PacketId{a.msg * x + a.next_sub});
+      staged.clear();
+      for (std::size_t j = 0; j < live.size(); ++j)
+        if (live[j].next_sub < x) {
+          net.set_broadcast(live[j].node);
+          staged.push_back(Staged{j, live[j].next_sub});
+        }
       const auto& deliveries = net.run_round();
       ++out.run.rounds;
       for (const auto& d : deliveries) {
-        const std::int64_t m = d.id / x;
-        const std::int64_t s = d.id % x;
-        received[static_cast<std::size_t>(d.receiver)]
-                [static_cast<std::size_t>(m)] |= (std::uint64_t{1} << s);
-        // Adaptive feedback: the sender observed a clean transmission.
-        for (auto& a : live)
-          if (a.node == d.sender && a.msg == m && a.next_sub == s)
-            ++a.next_sub;
+        const Staged& st = staged[static_cast<std::size_t>(d.plan_index)];
+        LiveAction& a = live[st.action];
+        auto& got = received[static_cast<std::size_t>(d.receiver)];
+        got[static_cast<std::size_t>(a.msg)] |= std::uint64_t{1} << st.sub;
+        // Adaptive feedback: the sender observed a clean transmission.  Its
+        // other receivers this step heard the same sub-message, so the
+        // action advances once per step.
+        if (a.next_sub == st.sub) ++a.next_sub;
       }
     }
     for (const auto& a : live)
@@ -140,13 +150,15 @@ TransformResult run_coding_transform(radio::RadioNetwork& net,
     std::fill(msg_of.begin(), msg_of.end(), -1);
     for (std::int64_t step = 0; step < T; ++step) {
       // Non-adaptive: every live broadcaster streams for the whole
-      // meta-round; the packet id names the base message.
-      for (const auto& [b, m] : live) net.set_broadcast(b, radio::PacketId{m});
+      // meta-round, staged in `live` order, so a delivery's plan_index
+      // names its base action.
+      for (const auto& [b, m] : live) net.set_broadcast(b);
       const auto& deliveries = net.run_round();
       ++out.run.rounds;
       for (const auto& d : deliveries) {
         ++count[static_cast<std::size_t>(d.receiver)];
-        msg_of[static_cast<std::size_t>(d.receiver)] = d.id;
+        msg_of[static_cast<std::size_t>(d.receiver)] =
+            live[static_cast<std::size_t>(d.plan_index)].second;
       }
     }
     // A receiver that caught >= x coded packets reconstructs the x

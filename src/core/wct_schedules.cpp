@@ -34,17 +34,16 @@ MultiRunResult run_wct_rs_coding(radio::RadioNetwork& net,
   result.messages = k;
 
   // --- Phase 1: source streams distinct packets until every sender can
-  // reconstruct (holds >= k distinct).  One fresh id per round; a sender
-  // misses a round only through a fault, so this is the star schedule of
-  // Lemma 16 with the senders as leaves.
+  // reconstruct (holds >= k distinct).  One fresh packet per round; a
+  // sender misses a round only through a fault, so this is the star
+  // schedule of Lemma 16 with the senders as leaves.
   std::vector<std::int64_t> sender_have(
       static_cast<std::size_t>(sender_count), 0);
   std::int64_t senders_done = 0;
   const std::int64_t phase1_cap = rs_packet_count(
       k, static_cast<std::int32_t>(sender_count) + 1, p) * 4;
-  std::int64_t next_packet = 0;
   while (senders_done < sender_count && result.rounds < phase1_cap) {
-    net.set_broadcast(wct.source(), radio::PacketId{next_packet++});
+    net.set_broadcast(wct.source());
     const auto& deliveries = net.run_round();
     ++result.rounds;
     for (const auto& d : deliveries) {
@@ -73,27 +72,12 @@ MultiRunResult run_wct_rs_coding(radio::RadioNetwork& net,
                     64.0 / (1.0 - p) *
                     static_cast<double>(k + 4 * phase) * phase);
 
-  // Staging scratch: the round's selected senders and their globally
-  // unique packet ids, bulk-staged in one call.
-  std::vector<radio::NodeId> round_senders;
-  std::vector<radio::PacketId> round_ids;
-  round_senders.reserve(static_cast<std::size_t>(sender_count));
-  round_ids.reserve(static_cast<std::size_t>(sender_count));
-
+  // Every (round, sender) broadcast is a globally distinct coded packet,
+  // so every reception is a fresh packet for its receiver.
   std::int64_t round_index = 0;
   while (members_done < members_total && result.rounds < budget) {
     const auto sub = static_cast<std::int32_t>(round_index % phase);
-    round_senders.clear();
-    round_ids.clear();
-    rng.for_each_bernoulli_pow2(
-        static_cast<std::size_t>(sender_count), sub, [&](std::size_t si) {
-          // Globally unique id: every reception is a fresh packet.
-          const std::int64_t id = (round_index + 1) * sender_count +
-                                  static_cast<std::int64_t>(si);
-          round_senders.push_back(senders[si]);
-          round_ids.push_back(radio::PacketId{id});
-        });
-    net.stage_broadcasts(round_senders, round_ids);
+    net.stage_bernoulli_pow2(senders, sub, rng);
     const auto& deliveries = net.run_round();
     ++result.rounds;
     ++round_index;

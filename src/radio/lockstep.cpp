@@ -53,21 +53,15 @@ void LockstepNetwork::stage_many(int lane, std::span<const NodeId> senders) {
   for (const NodeId u : senders) mark_broadcaster(bit, plan, u);
 }
 
-std::size_t LockstepNetwork::stage_bernoulli_pow2(
-    int lane, std::span<const NodeId> candidates, std::int32_t i, Rng& rng) {
+void LockstepNetwork::stage_bernoulli_pow2(int lane,
+                                           std::span<const NodeId> candidates,
+                                           std::int32_t i, Rng& rng) {
   NRN_EXPECTS(lane >= 0 && lane < lanes_, "lane out of range");
-  if (i == 0) {  // p = 1: stage everyone, draw nothing -- same tape as the
-    stage_many(lane, candidates);  // scalar engine's i == 0 delegation.
-    return candidates.size();
-  }
   const auto bit = static_cast<LaneMask>(1u << lane);
   auto& plan = plan_[static_cast<std::size_t>(lane)];
-  std::size_t staged = 0;
   rng.for_each_bernoulli_pow2(candidates.size(), i, [&](std::size_t idx) {
     mark_broadcaster(bit, plan, candidates[idx]);
-    ++staged;
   });
-  return staged;
 }
 
 void LockstepNetwork::run_round(unsigned lanes) {

@@ -16,10 +16,12 @@
 // tests/test_lockstep.cpp asserts this per round, and the Driver's
 // trial-identity suite asserts it end to end per protocol.
 //
-// Scope: the bank is receivers-only -- it keeps no packet ids, which
+// Scope: the bank is receivers-only -- it stages bare senders through the
+// same StagingPort surface as the scalar engine, but it keeps no staging
+// positions and reports no senders, only each lane's receiver ids.  That
 // suffices for the informed-set steppers (Decay and the FASTBC family
 // broadcast one message and read receiver-id spans).  Protocols that read
-// packet ids run scalar.
+// a delivery's sender or plan_index run scalar.
 //
 // Channel models: the bank arms its channel through the same
 // radio::ChannelState as the scalar engine (radio/channel_state.hpp), so
@@ -84,9 +86,9 @@ class LockstepNetwork {
 
   /// Stages each candidate independently with probability 2^-i, consuming
   /// this trial's protocol stream exactly as the scalar engine's
-  /// stage_broadcasts_bernoulli_pow2 does.  Returns the staged count.
-  std::size_t stage_bernoulli_pow2(int lane, std::span<const NodeId> candidates,
-                                   std::int32_t i, Rng& rng);
+  /// stage_bernoulli_pow2 does.
+  void stage_bernoulli_pow2(int lane, std::span<const NodeId> candidates,
+                            std::int32_t i, Rng& rng);
 
   /// StagingPort view of one lane, so a protocol RoundStepper stages into
   /// the bank exactly as it would into a scalar network.
@@ -98,9 +100,9 @@ class LockstepNetwork {
       bank_->stage_many(lane_, senders);
     }
 
-    std::size_t stage_bernoulli_pow2(std::span<const NodeId> candidates,
-                                     std::int32_t i, Rng& rng) override {
-      return bank_->stage_bernoulli_pow2(lane_, candidates, i, rng);
+    void stage_bernoulli_pow2(std::span<const NodeId> candidates,
+                              std::int32_t i, Rng& rng) override {
+      bank_->stage_bernoulli_pow2(lane_, candidates, i, rng);
     }
 
    private:

@@ -71,9 +71,7 @@ void RadioNetwork::reset(const ChannelModel& channel, Rng rng) {
       bcast_mask_[static_cast<std::size_t>(u) >> 6] = 0;
   select_staging();  // the channel may have changed
   plan_senders_.clear();
-  plan_ids_.clear();
   deliveries_.senders_.clear();
-  deliveries_.ids_.clear();
   deliveries_.clear();
   last_round_ = RoundStats{};
   totals_ = NetworkTotals{};
@@ -96,155 +94,16 @@ void RadioNetwork::prepare_epoch() {
   if (static_cast<std::uint32_t>(epoch_ + 1) == 0) ++epoch_;
 }
 
-void RadioNetwork::materialize_plan_ids() {
-  plan_ids_.assign(plan_senders_.size(), plan_uniform_id_);
+void RadioNetwork::stage_many(std::span<const NodeId> senders) {
+  plan_senders_.reserve(plan_senders_.size() + senders.size());
+  for (const NodeId u : senders) mark_broadcaster(u);
 }
 
-void RadioNetwork::stage_broadcasts(std::span<const NodeId> senders,
-                                    PacketId id) {
-  if (senders.empty()) return;
-  if (plan_senders_.empty()) {
-    prepare_epoch();
-    plan_uniform_id_ = id;
-  } else if (!plan_ids_.empty()) {
-    plan_ids_.insert(plan_ids_.end(), senders.size(), id);
-  } else if (id != plan_uniform_id_) {
-    materialize_plan_ids();
-    plan_ids_.insert(plan_ids_.end(), senders.size(), id);
-  }
-  stamp_staged(senders);
-}
-
-void RadioNetwork::stamp_staged(std::span<const NodeId> senders) {
-  const NodeId n = graph_->node_count();
-  const std::size_t base = plan_senders_.size();
-  plan_senders_.insert(plan_senders_.end(), senders.begin(), senders.end());
-  if (use_bitmask_plan_) {
-    // Accumulate each mask word in a register and store it once on word
-    // change: schedules stage ascending runs of ids, so an in-memory |=
-    // per sender would serialize up to 64 read-modify-writes of the same
-    // word behind store-to-load forwarding.
-    constexpr std::size_t kNoWord = ~std::size_t{0};
-    std::size_t cw = kNoWord;
-    std::uint64_t acc = 0;
-    for (std::size_t j = 0; j < senders.size(); ++j) {
-      const NodeId u = senders[j];
-      NRN_EXPECTS(u >= 0 && u < n, "broadcaster out of range");
-      const std::size_t wi = static_cast<std::size_t>(u) >> 6;
-      if (wi != cw) {
-        if (cw != kNoWord) bcast_mask_[cw] = acc;
-        cw = wi;
-        acc = bcast_mask_[wi];
-      }
-      const std::uint64_t bit = std::uint64_t{1} << (u & 63);
-      NRN_EXPECTS((acc & bit) == 0,
-                  "node staged to broadcast twice in one round");
-      acc |= bit;
-      plan_pos_[static_cast<std::size_t>(u)] =
-          static_cast<std::uint32_t>(base + j);
-    }
-    if (cw != kNoWord) bcast_mask_[cw] = acc;
-    return;
-  }
-  const auto stamp = static_cast<std::uint32_t>(epoch_ + 1);
-  for (std::size_t j = 0; j < senders.size(); ++j) {
-    const NodeId u = senders[j];
-    NRN_EXPECTS(u >= 0 && u < n, "broadcaster out of range");
-    auto& slot = slots_[static_cast<std::size_t>(u)];
-    NRN_EXPECTS(slot.bcast_epoch != stamp,
-                "node staged to broadcast twice in one round");
-    slot.bcast_epoch = stamp;
-    slot.plan_index = static_cast<std::int32_t>(base + j);
-  }
-}
-
-void RadioNetwork::stage_broadcasts(std::span<const NodeId> senders,
-                                    std::span<const PacketId> ids) {
-  NRN_EXPECTS(senders.size() == ids.size(),
-              "stage_broadcasts requires parallel spans");
-  if (senders.empty()) return;
-  if (plan_senders_.empty()) {
-    prepare_epoch();
-    // Per-entry ids from the start of the round: skip uniform compression.
-    plan_uniform_id_ = ids[0];
-  }
-  if (plan_ids_.empty()) materialize_plan_ids();
-  plan_ids_.insert(plan_ids_.end(), ids.begin(), ids.end());
-  stamp_staged(senders);
-}
-
-std::size_t RadioNetwork::stage_broadcasts_bernoulli_pow2(
-    std::span<const NodeId> candidates, std::int32_t i, PacketId id,
-    Rng& rng) {
-  if (i == 0) {  // p = 1: every candidate stages, no coins on the tape
-    stage_broadcasts(candidates, id);
-    return candidates.size();
-  }
-  // The staging prologue (epoch prepare, id-mode resolution) runs lazily on
-  // the first success so a round whose every coin fails stays untouched --
-  // exactly the per-call behavior of set_broadcast.
-  const NodeId n = graph_->node_count();
-  bool general_ids = false;
-  std::uint32_t stamp = 0;
-  bool inited = false;
-  auto init = [&] {
-    if (plan_senders_.empty()) {
-      prepare_epoch();
-      plan_uniform_id_ = id;
-    } else if (!plan_ids_.empty()) {
-      general_ids = true;
-    } else if (id != plan_uniform_id_) {
-      materialize_plan_ids();
-      general_ids = true;
-    }
-    stamp = static_cast<std::uint32_t>(epoch_ + 1);
-    inited = true;
-  };
-  std::size_t staged = 0;
-  if (use_bitmask_plan_) {
-    // Same register-accumulated mask-word writes as stamp_staged: the
-    // selected subset arrives in ascending order, so per-sender in-memory
-    // |= would serialize on one word at a time.
-    constexpr std::size_t kNoWord = ~std::size_t{0};
-    std::size_t cw = kNoWord;
-    std::uint64_t acc = 0;
-    rng.for_each_bernoulli_pow2(candidates.size(), i, [&](std::size_t idx) {
-      if (!inited) init();
-      const NodeId u = candidates[idx];
-      NRN_EXPECTS(u >= 0 && u < n, "broadcaster out of range");
-      const std::size_t wi = static_cast<std::size_t>(u) >> 6;
-      if (wi != cw) {
-        if (cw != kNoWord) bcast_mask_[cw] = acc;
-        cw = wi;
-        acc = bcast_mask_[wi];
-      }
-      const std::uint64_t bit = std::uint64_t{1} << (u & 63);
-      NRN_EXPECTS((acc & bit) == 0,
-                  "node staged to broadcast twice in one round");
-      acc |= bit;
-      plan_pos_[static_cast<std::size_t>(u)] =
-          static_cast<std::uint32_t>(plan_senders_.size());
-      plan_senders_.push_back(u);
-      if (general_ids) plan_ids_.push_back(id);
-      ++staged;
-    });
-    if (cw != kNoWord) bcast_mask_[cw] = acc;
-    return staged;
-  }
+void RadioNetwork::stage_bernoulli_pow2(std::span<const NodeId> candidates,
+                                        std::int32_t i, Rng& rng) {
   rng.for_each_bernoulli_pow2(candidates.size(), i, [&](std::size_t idx) {
-    if (!inited) init();
-    const NodeId u = candidates[idx];
-    NRN_EXPECTS(u >= 0 && u < n, "broadcaster out of range");
-    auto& slot = slots_[static_cast<std::size_t>(u)];
-    NRN_EXPECTS(slot.bcast_epoch != stamp,
-                "node staged to broadcast twice in one round");
-    slot.bcast_epoch = stamp;
-    slot.plan_index = static_cast<std::int32_t>(plan_senders_.size());
-    plan_senders_.push_back(u);
-    if (general_ids) plan_ids_.push_back(id);
-    ++staged;
+    mark_broadcaster(candidates[idx]);
   });
-  return staged;
 }
 
 void RadioNetwork::finalize_candidates(std::span<const NodeId> cands) {
@@ -614,14 +473,11 @@ const DeliveryList& RadioNetwork::run_round() {
   totals_.receiver_fault_losses += last_round_.receiver_fault_losses;
   totals_.interference_losses += last_round_.interference_losses;
 
-  // Hand the executed plan to the delivery list (it reads senders and ids
-  // from it); the buffers swap back and forth so none ever reallocates in
+  // Hand the executed plan to the delivery list (it reads senders from
+  // it); the buffers swap back and forth so neither ever reallocates in
   // steady state.
   plan_senders_.swap(deliveries_.senders_);
-  plan_ids_.swap(deliveries_.ids_);
-  deliveries_.uniform_id_ = plan_uniform_id_;
   plan_senders_.clear();
-  plan_ids_.clear();
   return deliveries_;
 }
 

@@ -1,11 +1,14 @@
 // The round-based noisy radio network engine.
 //
 // Usage per round:
-//   net.set_broadcast(u, id);   // stage any number of broadcasters
+//   net.set_broadcast(u);       // stage any number of broadcasters, or
+//   net.stage_many(senders);    // whole sets (the StagingPort surface)
 //   const auto& deliveries = net.run_round();
-// A staged broadcast is a PacketId and nothing else: the model fixes who
-// hears a broadcast, not what it carries, so a protocol that ships coded
-// bytes keeps them in its own pool and reads them back by id.
+// A staged broadcast is its sender and nothing else: the model fixes who
+// hears a broadcast, not what it carries.  Each delivery names its
+// sender's plan_index, the sender's position in the round's staging order
+// (0 for the first node staged), so a protocol that ships data fills an
+// array in staging order and reads what was heard at d.plan_index.
 //
 // run_round applies the model's reception rule exactly:
 //   a listening node receives the packet iff exactly one of its neighbors
@@ -86,14 +89,9 @@
 #include "graph/graph.hpp"
 #include "radio/channel_model.hpp"
 #include "radio/channel_state.hpp"
+#include "radio/staging.hpp"
 
 namespace nrn::radio {
-
-using graph::NodeId;
-
-/// What a broadcast carries.  For routing schedules this is the message
-/// index; coding schedules use it as a coded-packet sequence number.
-using PacketId = std::int64_t;
 
 /// Domain-separation tweaks: a round's single salt draw is XORed with
 /// these to key the sender-coin and receiver-coin families independently
@@ -111,7 +109,8 @@ class DeliveryList {
   struct Delivery {
     NodeId receiver;
     NodeId sender;
-    PacketId id;
+    /// The sender's position in the round's staging order.
+    std::int32_t plan_index;
   };
 
   class const_iterator {
@@ -136,18 +135,15 @@ class DeliveryList {
   bool empty() const { return receivers_.empty(); }
 
   /// Receiver ids only (ascending).  Informed-set protocols that ignore
-  /// the packet (Decay and the FASTBC family track one message) iterate
+  /// who sent (Decay and the FASTBC family track one message) iterate
   /// this span instead of the Delivery values, skipping the per-delivery
-  /// staged plan lookup.
+  /// sender lookup.
   std::span<const NodeId> receivers() const { return receivers_; }
 
   Delivery operator[](std::size_t i) const {
-    const auto idx = static_cast<std::size_t>(plan_index_[i]);
-    // The executed plan is structure-of-arrays with uniform-round
-    // compression: an empty ids vector means every staged packet shared
-    // uniform_id_ (the single-message common case).
-    return Delivery{receivers_[i], senders_[idx],
-                    ids_.empty() ? uniform_id_ : ids_[idx]};
+    const std::int32_t idx = plan_index_[i];
+    return Delivery{receivers_[i], senders_[static_cast<std::size_t>(idx)],
+                    idx};
   }
   Delivery front() const {
     NRN_EXPECTS(!empty(), "front() of an empty delivery list");
@@ -175,12 +171,10 @@ class DeliveryList {
 
   std::vector<NodeId> receivers_;
   std::vector<std::int32_t> plan_index_;
-  // The executed round's staging plan, structure-of-arrays.  The list OWNS
-  // these (the network swaps its staging buffers in at round end), so it
-  // is self-contained and a moved RadioNetwork's deliveries never dangle.
+  // The executed round's staged senders, in staging order.  The list OWNS
+  // them (the network swaps its staging buffer in at round end), so it is
+  // self-contained and a moved RadioNetwork's deliveries never dangle.
   std::vector<NodeId> senders_;
-  std::vector<PacketId> ids_;
-  PacketId uniform_id_ = 0;
 };
 
 /// Alias so call sites can keep spelling the element type `Delivery`.
@@ -211,7 +205,7 @@ struct NetworkTotals {
   std::int64_t interference_losses = 0;
 };
 
-class RadioNetwork {
+class RadioNetwork final : public StagingPort {
  public:
   enum class Kernel { kAuto, kSparse, kDense, kAdjacent };
 
@@ -272,60 +266,19 @@ class RadioNetwork {
     select_staging();
   }
 
-  /// Stages node `u` to broadcast packet `id` this round.  A node may be
-  /// staged at most once per round.  Inline because schedule loops stage
-  /// millions of these per sweep.
-  void set_broadcast(NodeId u, PacketId id) {
-    NRN_EXPECTS(u >= 0 && u < graph_->node_count(),
-                "broadcaster out of range");
-    const bool first = plan_senders_.empty();
-    if (first) prepare_epoch();
-    if (use_bitmask_plan_) {
-      std::uint64_t& word = bcast_mask_[static_cast<std::size_t>(u) >> 6];
-      const std::uint64_t bit = std::uint64_t{1} << (u & 63);
-      NRN_EXPECTS((word & bit) == 0,
-                  "node staged to broadcast twice in one round");
-      word |= bit;
-      plan_pos_[static_cast<std::size_t>(u)] =
-          static_cast<std::uint32_t>(plan_senders_.size());
-    } else {
-      const auto stamp = static_cast<std::uint32_t>(epoch_ + 1);
-      auto& slot = slots_[static_cast<std::size_t>(u)];
-      NRN_EXPECTS(slot.bcast_epoch != stamp,
-                  "node staged to broadcast twice in one round");
-      slot.bcast_epoch = stamp;
-      slot.plan_index = static_cast<std::int32_t>(plan_senders_.size());
-    }
-    if (first) {
-      plan_uniform_id_ = id;
-    } else if (!plan_ids_.empty()) {
-      plan_ids_.push_back(id);  // already per-entry ids
-    } else if (id != plan_uniform_id_) {
-      materialize_plan_ids();  // cold: first divergent id this round
-      plan_ids_.push_back(id);
-    }
-    plan_senders_.push_back(u);
-  }
+  /// Stages node `u` to broadcast this round, at the next plan position.
+  /// A node may be staged at most once per round.
+  void set_broadcast(NodeId u) { mark_broadcaster(u); }
 
-  /// Bulk staging: stages every node of `senders`, in order, all carrying
-  /// packet `id`.  Identical semantics and tape to calling set_broadcast
-  /// once per node, but the epoch prepare and plan resize are hoisted out
-  /// and the stamp/slot writes run in one tight loop -- the staging path
-  /// the schedule protocols feed whole informed sets through.
-  void stage_broadcasts(std::span<const NodeId> senders, PacketId id);
+  /// Stages every node of `senders`, in order: the same plan and tape as
+  /// one set_broadcast per node.
+  void stage_many(std::span<const NodeId> senders) override;
 
-  /// Bulk staging with per-sender packet ids (parallel spans of equal
-  /// length) for multi-message schedules.
-  void stage_broadcasts(std::span<const NodeId> senders,
-                        std::span<const PacketId> ids);
-
-  /// Fuses a Bernoulli(2^-i) selection into the staging pass: stages the
-  /// coin-selected subset of `candidates`, drawing from `rng` exactly the
-  /// Rng::for_each_bernoulli_pow2 tape over the candidate list (i == 0
-  /// stages all of them and draws nothing).  Returns the number staged.
-  std::size_t stage_broadcasts_bernoulli_pow2(
-      std::span<const NodeId> candidates, std::int32_t i, PacketId id,
-      Rng& rng);
+  /// Stages the coin-selected subset of `candidates`, drawing from `rng`
+  /// exactly the Rng::for_each_bernoulli_pow2 tape over the candidate list
+  /// (i == 0 stages all of them and draws nothing).
+  void stage_bernoulli_pow2(std::span<const NodeId> candidates,
+                            std::int32_t i, Rng& rng) override;
 
   /// Executes one synchronized round with the staged broadcasters, clears
   /// the plan, and returns the deliveries (buffer reused across rounds).
@@ -379,16 +332,34 @@ class RadioNetwork {
   /// slot arrays once every 2^32 rounds so stale stamps can never match.
   void prepare_epoch();
 
-  /// Shared tail of the bulk staging paths: appends `senders` to the plan
-  /// and records each broadcaster in the active staging representation
-  /// (bitmask plan or epoch-stamped slots), enforcing the range and
-  /// staged-once contracts.
-  void stamp_staged(std::span<const NodeId> senders);
-
-  /// Cold path of the uniform-id plan compression: expands plan_ids_ to one
-  /// entry per staged broadcaster (all plan_uniform_id_ so far) when a
-  /// round first stages a divergent packet id.
-  void materialize_plan_ids();
+  /// Appends `u` to the plan and records it in the active staging
+  /// representation (bitmask plan or epoch-stamped slot), enforcing the
+  /// range and staged-once contracts; the first broadcaster of a round
+  /// prepares its epoch.  Inline: every staging entry point runs it per
+  /// node, and schedule loops stage millions of nodes per sweep.
+  void mark_broadcaster(NodeId u) {
+    NRN_EXPECTS(u >= 0 && u < graph_->node_count(),
+                "broadcaster out of range");
+    const std::size_t pos = plan_senders_.size();
+    if (pos == 0) prepare_epoch();
+    const auto ui = static_cast<std::size_t>(u);
+    if (use_bitmask_plan_) {
+      std::uint64_t& word = bcast_mask_[ui >> 6];
+      const std::uint64_t bit = std::uint64_t{1} << (ui & 63);
+      NRN_EXPECTS((word & bit) == 0,
+                  "node staged to broadcast twice in one round");
+      word |= bit;
+      plan_pos_[ui] = static_cast<std::uint32_t>(pos);
+    } else {
+      const auto stamp = static_cast<std::uint32_t>(epoch_ + 1);
+      NodeSlot& slot = slots_[ui];
+      NRN_EXPECTS(slot.bcast_epoch != stamp,
+                  "node staged to broadcast twice in one round");
+      slot.bcast_epoch = stamp;
+      slot.plan_index = static_cast<std::int32_t>(pos);
+    }
+    plan_senders_.push_back(u);
+  }
 
   const graph::Graph* graph_;
   const graph::Geometry* geometry_;
@@ -427,19 +398,12 @@ class RadioNetwork {
   std::vector<std::uint64_t> cand_mask_scratch_;
   std::vector<std::uint64_t> hear_left_scratch_;
 
-  // The staging plan, structure-of-arrays with uniform-round compression:
-  // senders always hold one entry per staged broadcast (plan order); the
-  // ids vector stays EMPTY while every staged packet shares
-  // plan_uniform_id_ (the single-message common case -- bulk staging then
-  // writes 4 bytes per broadcast, and the kernels stream the sender array).
-  // The first divergent id materializes the per-entry vector (see
-  // materialize_plan_ids).
+  // The staging plan: this round's broadcasters in staging order, so a
+  // sender's index here is its deliveries' plan_index.
   std::vector<NodeId> plan_senders_;
-  std::vector<PacketId> plan_ids_;
-  PacketId plan_uniform_id_ = 0;
   // The last executed round's plan lives inside deliveries_ (the list owns
-  // the sender and id arrays it reads); the buffers swap back and forth
-  // with the plan_* vectors so none reallocates in steady state.
+  // the sender array it reads); the buffers swap back and forth so neither
+  // reallocates in steady state.
   // Sender-fault coin outcomes for the current round, one byte per staged
   // broadcaster: mix64(sender_salt_, sender) priced for the whole plan in
   // one batched pass, then read per delivery candidate (a sender's coin is

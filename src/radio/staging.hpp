@@ -1,23 +1,24 @@
-// Staging ports: the round-staging surface a protocol stepper writes
-// broadcasts through, abstracted so one stepper implementation can drive
-// either a scalar RadioNetwork or a single lane of the lockstep multi-trial
-// bank (radio/lockstep.hpp).  The port contract mirrors the engine's bulk
-// staging API: whole informed sets go through stage_many /
-// stage_bernoulli_pow2, never one set_broadcast call per node.
+// The staging port: the two-method round-staging surface a protocol
+// stepper writes broadcasts through, so one stepper implementation drives
+// either a scalar RadioNetwork (which is a StagingPort) or one lane of the
+// lockstep multi-trial bank (radio/lockstep.hpp).  Whole informed sets go
+// through stage_many / stage_bernoulli_pow2, never one call per node.
 //
-// Ports carry no packet identity: the protocols that step -- Decay and the
-// FASTBC family -- track a single message and read deliveries as
-// receiver-id spans, so the scalar port stages packet 0 and the bank keeps
-// no ids at all.
+// A staged broadcast is its sender and nothing else, in both engines: who
+// broadcasts decides who hears, and what a broadcast carries is protocol
+// state.  A protocol that ships data keeps it itself, in an array filled
+// in staging order (see Delivery::plan_index in radio/network.hpp).
 #pragma once
 
 #include <cstdint>
 #include <span>
 
 #include "common/rng.hpp"
-#include "radio/network.hpp"
+#include "graph/graph.hpp"
 
 namespace nrn::radio {
+
+using graph::NodeId;
 
 /// Where one round's broadcasts are staged.  Implementations must preserve
 /// the staging tape exactly: stage_bernoulli_pow2 consumes the same Rng
@@ -30,30 +31,11 @@ class StagingPort {
   /// Stages every node of `senders`, in order.
   virtual void stage_many(std::span<const NodeId> senders) = 0;
 
-  /// Stages the Bernoulli(2^-i) subset of `candidates` (coins from `rng`,
-  /// exactly the Rng::for_each_bernoulli_pow2 tape); returns the number
-  /// staged.
-  virtual std::size_t stage_bernoulli_pow2(std::span<const NodeId> candidates,
-                                           std::int32_t i, Rng& rng) = 0;
-};
-
-/// StagingPort over a scalar RadioNetwork; every broadcast carries packet 0.
-class NetworkStagingPort final : public StagingPort {
- public:
-  explicit NetworkStagingPort(RadioNetwork& net) : net_(&net) {}
-
-  void stage_many(std::span<const NodeId> senders) override {
-    net_->stage_broadcasts(senders, PacketId{0});
-  }
-
-  std::size_t stage_bernoulli_pow2(std::span<const NodeId> candidates,
-                                   std::int32_t i, Rng& rng) override {
-    return net_->stage_broadcasts_bernoulli_pow2(candidates, i, PacketId{0},
-                                                 rng);
-  }
-
- private:
-  RadioNetwork* net_;
+  /// Stages the Bernoulli(2^-i) subset of `candidates`, in candidate order,
+  /// with coins from `rng` (exactly the Rng::for_each_bernoulli_pow2 tape;
+  /// i == 0 stages every candidate and draws nothing).
+  virtual void stage_bernoulli_pow2(std::span<const NodeId> candidates,
+                                    std::int32_t i, Rng& rng) = 0;
 };
 
 }  // namespace nrn::radio

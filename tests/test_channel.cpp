@@ -47,8 +47,8 @@ TEST(SinrChannel, CaptureBeatsCollisionWhenTheStrongSignalClears) {
   // alpha=2: gain(1->0) = 1.0, gain(2->0) = 0.25.
   const auto channel = ChannelModel::sinr_channel(2.0, 0.1, 1.0);
   RadioNetwork net(fx.graph, channel, Rng(1), &fx.geometry);
-  net.set_broadcast(1, 7);
-  net.set_broadcast(2, 8);
+  net.set_broadcast(1);
+  net.set_broadcast(2);
   const auto& deliveries = net.run_round();
   // 1.0 >= beta * (noise + interference) = 1.0 * (0.1 + 0.25): node 0
   // decodes the stronger transmitter where the edge-fault channel would
@@ -56,15 +56,14 @@ TEST(SinrChannel, CaptureBeatsCollisionWhenTheStrongSignalClears) {
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_EQ(deliveries.front().receiver, 0);
   EXPECT_EQ(deliveries.front().sender, 1);
-  EXPECT_EQ(deliveries.front().id, 7);
   EXPECT_EQ(net.last_round().deliveries, 1);
   EXPECT_EQ(net.last_round().collision_losses, 0);
   EXPECT_EQ(net.last_round().interference_losses, 0);
 
   // The identical staging under the edge-fault channel: a collision.
   RadioNetwork edge(fx.graph, FaultModel::faultless(), Rng(1));
-  edge.set_broadcast(1, 7);
-  edge.set_broadcast(2, 8);
+  edge.set_broadcast(1);
+  edge.set_broadcast(2);
   EXPECT_TRUE(edge.run_round().empty());
   EXPECT_EQ(edge.last_round().collision_losses, 1);
 }
@@ -73,8 +72,8 @@ TEST(SinrChannel, ThresholdFailureCountsAnInterferenceLoss) {
   LineFixture fx;
   const auto channel = ChannelModel::sinr_channel(2.0, 0.1, 4.0);
   RadioNetwork net(fx.graph, channel, Rng(1), &fx.geometry);
-  net.set_broadcast(1, 7);
-  net.set_broadcast(2, 8);
+  net.set_broadcast(1);
+  net.set_broadcast(2);
   // 1.0 < 4.0 * (0.1 + 0.25): the listener heard transmitters but decoded
   // none -- an interference loss, never a collision loss.
   EXPECT_TRUE(net.run_round().empty());
@@ -83,13 +82,13 @@ TEST(SinrChannel, ThresholdFailureCountsAnInterferenceLoss) {
 
   // Noise-limited: a lone weak transmitter fails the same threshold
   // (0.25 < 4.0 * 0.1) with zero interference.
-  net.set_broadcast(2, 8);
+  net.set_broadcast(2);
   EXPECT_TRUE(net.run_round().empty());
   EXPECT_EQ(net.last_round().interference_losses, 1);
 
   // Relaxed beta: the same lone transmitter clears (0.25 >= 1.0 * 0.1).
   net.reset(ChannelModel::sinr_channel(2.0, 0.1, 1.0), Rng(1));
-  net.set_broadcast(2, 8);
+  net.set_broadcast(2);
   ASSERT_EQ(net.run_round().size(), 1u);
   EXPECT_EQ(net.last_round().deliveries, 1);
 }
@@ -102,12 +101,11 @@ TEST(SinrChannel, GainTieResolvesToTheLowestSenderId) {
   Geometry geo{{0.0, 1.0, -1.0}, {0.0, 0.0, 0.0}, {1.0, 1.0, 1.0}};
   const auto channel = ChannelModel::sinr_channel(2.0, 0.0, 0.5);
   RadioNetwork net(g, channel, Rng(1), &geo);
-  net.set_broadcast(2, 8);  // staged first: staging order must not
-  net.set_broadcast(1, 7);  // override the id-order tie break
+  net.set_broadcast(2);  // staged first: staging order must not
+  net.set_broadcast(1);  // override the id-order tie break
   const auto& deliveries = net.run_round();
   ASSERT_EQ(deliveries.size(), 1u);
   EXPECT_EQ(deliveries.front().sender, 1);
-  EXPECT_EQ(deliveries.front().id, 7);
 }
 
 TEST(SinrChannel, DeterministicRegardlessOfEngineSeed) {
@@ -123,8 +121,8 @@ TEST(SinrChannel, DeterministicRegardlessOfEngineSeed) {
   for (int round = 0; round < 25; ++round) {
     for (NodeId u = 0; u < g.node_count(); ++u) {
       if (!plan_rng.bernoulli(0.25)) continue;
-      a.set_broadcast(u, u);
-      b.set_broadcast(u, u);
+      a.set_broadcast(u);
+      b.set_broadcast(u);
     }
     const auto ra = receivers_of(a.run_round());
     const auto rb = receivers_of(b.run_round());
@@ -146,8 +144,8 @@ TEST(SinrChannel, ScalarKernelRoutesAgree) {
   for (int round = 0; round < 20; ++round) {
     for (NodeId u = 0; u < g.node_count(); ++u) {
       if (!plan_rng.bernoulli(0.3)) continue;
-      sparse.set_broadcast(u, u);
-      dense.set_broadcast(u, u);
+      sparse.set_broadcast(u);
+      dense.set_broadcast(u);
     }
     const auto rs = receivers_of(sparse.run_round());
     const auto rd = receivers_of(dense.run_round());
@@ -185,8 +183,8 @@ TEST(SinrChannel, ConsecutiveIdTopologiesTakeTheRowWalk) {
   for (int round = 0; round < 30; ++round) {
     for (NodeId u = 0; u < PathFixture::kN; ++u) {
       if (!plan_rng.bernoulli(0.4)) continue;
-      automatic.set_broadcast(u, u);
-      sparse.set_broadcast(u, u);
+      automatic.set_broadcast(u);
+      sparse.set_broadcast(u);
     }
     const auto ra = receivers_of(automatic.run_round());
     const auto rs = receivers_of(sparse.run_round());
@@ -209,14 +207,14 @@ TEST(SinrChannel, ResetRederivesTheStagingPlanWhenTheChannelChanges) {
   Rng plan_rng(31);
   for (int phase = 0; phase < 4; ++phase) {
     const ChannelModel& channel = channels[phase % 2];
-    reused.set_broadcast(phase, phase);
+    reused.set_broadcast(phase);
     reused.reset(channel, Rng(100 + phase));
     RadioNetwork fresh(fx.graph, channel, Rng(100 + phase), &fx.geometry);
     for (int round = 0; round < 10; ++round) {
       for (NodeId u = 0; u < PathFixture::kN; ++u) {
         if (!plan_rng.bernoulli(0.4)) continue;
-        reused.set_broadcast(u, u);
-        fresh.set_broadcast(u, u);
+        reused.set_broadcast(u);
+        fresh.set_broadcast(u);
       }
       const auto rr = receivers_of(reused.run_round());
       const auto rf = receivers_of(fresh.run_round());
@@ -257,7 +255,7 @@ TEST(SinrChannel, LockstepLanesMatchScalarRoundByRound) {
         if (rng.bernoulli(0.3)) plan.push_back(u);
       bank.stage_many(l, plan);
       for (const NodeId u : plan)
-        scalars[static_cast<std::size_t>(l)].set_broadcast(u, u);
+        scalars[static_cast<std::size_t>(l)].set_broadcast(u);
     }
     if (mask == 0) continue;
     bank.run_round(mask);

@@ -104,7 +104,7 @@ TEST(CombinedFaults, DegeneratesToSingleModels) {
   RadioNetwork net(g, FaultModel::combined(0.5, 0.0), Rng(17));
   int partial = 0;
   for (int r = 0; r < 1000; ++r) {
-    net.set_broadcast(0, r);
+    net.set_broadcast(0);
     const auto got = net.run_round().size();
     if (got != 0u && got != 10u) ++partial;
   }

@@ -59,6 +59,25 @@ TEST(Driver, EveryBuiltinProtocolRunsOnAScenario) {
   }
 }
 
+TEST(Driver, EveryBuiltinProtocolCompletesAtOnceOnOneNode) {
+  // The source is the only node, so it already holds all k messages: every
+  // builtin reports a completed 0-round trial instead of failing the run.
+  const auto scenario = Scenario::parse("path:1", "receiver:0.2", 0, 3, 11);
+  const auto& registry = extended_registry();
+  for (const auto& name : testutil::builtin_names()) {
+    SCOPED_TRACE(name);
+    const auto report = Driver().run(scenario, name, 2);
+    ASSERT_EQ(report.trials.size(), 2u);
+    EXPECT_TRUE(report.all_completed());
+    const std::int64_t messages =
+        registry.has_capability(name, kMultiMessage) ? 3 : 1;
+    for (const auto& trial : report.trials) {
+      EXPECT_EQ(trial.run.rounds(), 0);
+      EXPECT_EQ(trial.run.messages(), messages);
+    }
+  }
+}
+
 TEST(Driver, SummaryHelpersMatchTrials) {
   const auto scenario = Scenario::parse("path:16", "none", 0, 1, 2);
   const auto report = Driver().run(scenario, "decay", 5);

@@ -2,9 +2,12 @@
 // identical (deliveries, stats, and coin tape), the v4 coin-tape contract
 // documented in radio/network.hpp must hold exactly (one salt per active
 // round, none in an empty round, all coins stateless mixes keyed by node
-// id), and bulk staging and O(1) reset must preserve all bookkeeping.
+// id), bulk staging and O(1) reset must preserve all bookkeeping, and a
+// delivery's plan_index must name its sender's staging position.
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -20,7 +23,7 @@ using graph::NodeId;
 /// Flattened observable state of one round: deliveries in emission order
 /// plus the stats counters.
 struct RoundTrace {
-  std::vector<std::tuple<NodeId, NodeId, PacketId>> deliveries;
+  std::vector<std::tuple<NodeId, NodeId, std::int32_t>> deliveries;
   std::int64_t collisions = 0;
   std::int64_t sender_losses = 0;
   std::int64_t receiver_losses = 0;
@@ -30,10 +33,10 @@ struct RoundTrace {
 
 RoundTrace trace_round(RadioNetwork& net,
                        const std::vector<NodeId>& broadcasters) {
-  for (const NodeId u : broadcasters) net.set_broadcast(u, u);
+  for (const NodeId u : broadcasters) net.set_broadcast(u);
   RoundTrace trace;
   for (const auto& d : net.run_round())
-    trace.deliveries.emplace_back(d.receiver, d.sender, d.id);
+    trace.deliveries.emplace_back(d.receiver, d.sender, d.plan_index);
   trace.collisions = net.last_round().collision_losses;
   trace.sender_losses = net.last_round().sender_fault_losses;
   trace.receiver_losses = net.last_round().receiver_fault_losses;
@@ -135,7 +138,7 @@ TEST(EngineKernels, AdjacentKernelRequiresEligibleTopology) {
   // a plan already staged is a contract violation.
   const Graph path = graph::make_path(6);
   RadioNetwork path_net(path, FaultModel::faultless(), Rng(2));
-  path_net.set_broadcast(0, 0);
+  path_net.set_broadcast(0);
   EXPECT_THROW(path_net.set_kernel(RadioNetwork::Kernel::kSparse),
                ContractViolation);
   path_net.run_round();
@@ -152,7 +155,7 @@ TEST(EngineKernels, DeliveriesEmittedInAscendingReceiverId) {
     Rng plan_rng(9);
     for (int round = 0; round < 20; ++round) {
       const auto plan = random_plan(g, 0.2, plan_rng);
-      for (const NodeId u : plan) net.set_broadcast(u, u);
+      for (const NodeId u : plan) net.set_broadcast(u);
       NodeId previous = -1;
       for (const auto& d : net.run_round()) {
         EXPECT_LT(previous, d.receiver);  // strictly ascending
@@ -186,7 +189,7 @@ TEST(EngineKernels, V4CoinTapeIsPredictable) {
         EXPECT_EQ(net.last_round(), RoundStats{});
         continue;
       }
-      net.set_broadcast(0, round);
+      net.set_broadcast(0);
       // Predict: exactly one salt, then per leaf 1..16 (ascending) a
       // counter-based receiver coin iff the hub's sender coin was clean.
       const std::uint64_t salt = shadow();
@@ -219,10 +222,10 @@ TEST(EngineKernels, SenderCoinsAreStagingOrderFree) {
   RadioNetwork backward(g, FaultModel::sender(ps), Rng(seed));
   Rng shadow(seed);
   for (int round = 0; round < 100; ++round) {
-    forward.set_broadcast(0, 0);
-    forward.set_broadcast(3, 3);
-    backward.set_broadcast(3, 3);
-    backward.set_broadcast(0, 0);
+    forward.set_broadcast(0);
+    forward.set_broadcast(3);
+    backward.set_broadcast(3);
+    backward.set_broadcast(0);
     const std::uint64_t sender_salt = shadow() ^ kSenderSaltTweak;
     const bool noisy0 = Rng::mix64(sender_salt, 0) < thr;
     const bool noisy3 = Rng::mix64(sender_salt, 3) < thr;
@@ -241,7 +244,7 @@ TEST(EngineKernels, SenderCoinsAreStagingOrderFree) {
 }
 
 // Bulk staging is pure sugar over set_broadcast: same plan, same tape,
-// same deliveries -- for the uniform-id, parallel-id, and Bernoulli forms.
+// same deliveries.
 TEST(EngineKernels, BulkStagingMatchesPerNodeStaging) {
   Rng meta(2026);
   const Graph g = graph::make_connected_gnp(48, 0.15, meta);
@@ -253,27 +256,15 @@ TEST(EngineKernels, BulkStagingMatchesPerNodeStaging) {
   Rng plan_rng(seed ^ 0x5a5a);
   for (int round = 0; round < 40; ++round) {
     const auto plan = random_plan(g, 0.3, plan_rng);
-    std::vector<PacketId> ids;
-    for (const NodeId u : plan) ids.push_back(PacketId{u + round});
-    for (std::size_t i = 0; i < plan.size(); ++i)
-      scalar.set_broadcast(plan[i], ids[i]);
-    if (round % 2 == 0) {
-      bulk.stage_broadcasts(plan, ids);
-    } else {
-      // Uniform-id form: restage scalar's ids to match.
-      for (std::size_t i = 0; i < plan.size(); ++i) ids[i] = PacketId{7};
-      scalar.reset(fm, Rng(seed));
-      bulk.reset(fm, Rng(seed));
-      for (const NodeId u : plan) scalar.set_broadcast(u, 7);
-      bulk.stage_broadcasts(plan, PacketId{7});
-    }
+    for (const NodeId u : plan) scalar.set_broadcast(u);
+    bulk.stage_many(plan);
     const auto& a = scalar.run_round();
     const auto& b = bulk.run_round();
     ASSERT_EQ(a.size(), b.size()) << "round " << round;
     for (std::size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i].receiver, b[i].receiver);
       ASSERT_EQ(a[i].sender, b[i].sender);
-      ASSERT_EQ(a[i].id, b[i].id);
+      ASSERT_EQ(a[i].plan_index, b[i].plan_index);
     }
     ASSERT_EQ(scalar.last_round(), bulk.last_round());
   }
@@ -293,17 +284,15 @@ TEST(EngineKernels, BernoulliStagingMatchesUnfusedTape) {
     RadioNetwork unfused(g, FaultModel::receiver(0.25), Rng(seed));
     Rng fused_rng(seed ^ 1), unfused_rng(seed ^ 1);
     for (int round = 0; round < 30; ++round) {
-      const std::size_t staged = fused.stage_broadcasts_bernoulli_pow2(
-          candidates, i, PacketId{round}, fused_rng);
-      std::size_t expected_staged = 0;
+      fused.stage_bernoulli_pow2(candidates, i, fused_rng);
       unfused_rng.for_each_bernoulli_pow2(
-          candidates.size(), i, [&](std::size_t idx) {
-            unfused.set_broadcast(candidates[idx], round);
-            ++expected_staged;
-          });
-      ASSERT_EQ(staged, expected_staged) << "i=" << i << " round " << round;
+          candidates.size(), i,
+          [&](std::size_t idx) { unfused.set_broadcast(candidates[idx]); });
       const auto& a = fused.run_round();
       const auto& b = unfused.run_round();
+      ASSERT_EQ(fused.last_round().broadcasters,
+                unfused.last_round().broadcasters)
+          << "i=" << i << " round " << round;
       ASSERT_EQ(a.size(), b.size()) << "i=" << i << " round " << round;
       for (std::size_t d = 0; d < a.size(); ++d)
         ASSERT_EQ(a[d].receiver, b[d].receiver);
@@ -318,7 +307,7 @@ TEST(EngineKernels, FaultlessRoundsConsumeNoCoins) {
   const std::uint64_t seed = 31337;
   RadioNetwork net(g, FaultModel::faultless(), Rng(seed));
   for (int round = 0; round < 10; ++round) {
-    net.set_broadcast(0, round);
+    net.set_broadcast(0);
     EXPECT_EQ(net.run_round().size(), 8u);
   }
   // Trick: reset with the same seed after 10 rounds; if the rounds drew
@@ -326,7 +315,7 @@ TEST(EngineKernels, FaultlessRoundsConsumeNoCoins) {
   // so instead compare against a combined-model net whose coins DO burn.
   RadioNetwork quiet(g, FaultModel::combined(0.0, 0.0), Rng(seed));
   for (int round = 0; round < 10; ++round) {
-    quiet.set_broadcast(0, round);
+    quiet.set_broadcast(0);
     EXPECT_EQ(quiet.run_round().size(), 8u);  // p=0 draws nothing either
   }
 }
@@ -339,7 +328,7 @@ TEST(EngineKernels, ResetReproducesAFreshNetworkExactly) {
     Rng plan_rng(17);
     for (int round = 0; round < 30; ++round) {
       for (const NodeId u : random_plan(g, 0.25, plan_rng))
-        net.set_broadcast(u, u);
+        net.set_broadcast(u);
       counts.push_back(static_cast<std::int64_t>(net.run_round().size()));
     }
     return counts;
@@ -352,27 +341,109 @@ TEST(EngineKernels, ResetReproducesAFreshNetworkExactly) {
   // staging, then reset: it must replay the fresh run bit for bit.
   RadioNetwork reused(g, FaultModel::sender(0.9), Rng(5));
   run_schedule(reused);
-  reused.set_broadcast(3, 3);  // staged but never run
+  reused.set_broadcast(3);  // staged but never run
   reused.reset(FaultModel::combined(0.2, 0.2), Rng(1001));
   EXPECT_EQ(reused.round_number(), 0);
   EXPECT_EQ(reused.totals().broadcasts, 0);
   EXPECT_EQ(run_schedule(reused), expected);
 }
 
-TEST(EngineKernels, DeliveryPacketsStayValidUntilNextRound) {
-  const Graph g = graph::make_star(3);
-  RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, 42);
-  const auto& ds = net.run_round();
-  ASSERT_EQ(ds.size(), 3u);
-  // Staging the next round, with divergent ids, must not invalidate the
-  // current deliveries.
-  net.set_broadcast(1, 1);
-  net.set_broadcast(2, 2);
-  EXPECT_EQ(ds.front().id, 42);
-  for (const auto& d : ds) {
-    EXPECT_EQ(d.sender, 0);
-    EXPECT_EQ(d.id, 42);
+// A delivery's plan_index is its sender's position in the round's staging
+// order, however the round was staged (set_broadcast, stage_many and
+// stage_bernoulli_pow2 mixed in one round, in an order unrelated to node
+// ids) and whichever kernel ran it; and that sender is a broadcasting
+// neighbour of the receiver, its only one under the edge-fault channel.
+// The list stays unchanged while the next round stages, until the next
+// run_round.
+TEST(EngineKernels, PlanIndexIsTheSendersStagingPosition) {
+  using Kernel = RadioNetwork::Kernel;
+  Rng meta(8080);
+  const Graph gnp = graph::make_connected_gnp(64, 0.12, meta);
+  const Graph path = graph::make_path(130);
+  graph::Geometry disk_geometry;
+  const Graph disk = graph::make_unit_disk(64, 0.3, 1.0, meta, &disk_geometry);
+  const ChannelModel faults = FaultModel::combined(0.1, 0.2);
+  const ChannelModel sinr = ChannelModel::sinr_channel(2.5, 0.01, 0.8);
+  struct Case {
+    const char* name;
+    const Graph* graph;
+    const ChannelModel* channel;
+    const graph::Geometry* geometry;
+    Kernel kernel;
+  };
+  const Case cases[] = {
+      {"sparse", &gnp, &faults, nullptr, Kernel::kSparse},
+      {"dense", &gnp, &faults, nullptr, Kernel::kDense},
+      {"adjacent", &path, &faults, nullptr, Kernel::kAdjacent},
+      {"sinr sparse", &disk, &sinr, &disk_geometry, Kernel::kSparse},
+      {"sinr dense", &disk, &sinr, &disk_geometry, Kernel::kDense},
+  };
+  using Seen = std::tuple<NodeId, NodeId, std::int32_t>;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    RadioNetwork net(*c.graph, *c.channel, Rng(3), c.geometry);
+    net.set_kernel(c.kernel);
+    std::vector<NodeId> order(static_cast<std::size_t>(c.graph->node_count()));
+    std::iota(order.begin(), order.end(), NodeId{0});
+    const std::size_t third = order.size() / 3;
+    Rng plan_rng(17);
+    const DeliveryList* previous = nullptr;
+    std::vector<Seen> seen;
+    std::int64_t delivered = 0;
+    for (int round = 0; round < 30; ++round) {
+      plan_rng.shuffle(order);
+      const std::span<const NodeId> all(order);
+      std::vector<NodeId> staged;  // the round's staging order
+      for (const NodeId u : all.first(third)) {
+        if (!plan_rng.bernoulli(0.15)) continue;
+        net.set_broadcast(u);
+        staged.push_back(u);
+      }
+      std::vector<NodeId> many;
+      for (const NodeId u : all.subspan(third, third))
+        if (plan_rng.bernoulli(0.15)) many.push_back(u);
+      net.stage_many(many);
+      staged.insert(staged.end(), many.begin(), many.end());
+      const auto rest = all.subspan(2 * third);
+      Rng shadow = plan_rng;  // replays the staging pass's coins
+      net.stage_bernoulli_pow2(rest, 3, plan_rng);
+      shadow.for_each_bernoulli_pow2(rest.size(), 3, [&](std::size_t i) {
+        staged.push_back(rest[i]);
+      });
+
+      if (previous != nullptr) {
+        std::vector<Seen> still;
+        for (const auto& d : *previous)
+          still.emplace_back(d.receiver, d.sender, d.plan_index);
+        ASSERT_EQ(still, seen) << "round " << round;
+      }
+      const DeliveryList& deliveries = net.run_round();
+      ASSERT_EQ(net.last_round().broadcasters,
+                static_cast<std::int64_t>(staged.size()));
+      std::vector<char> on_air(order.size(), 0);
+      for (const NodeId u : staged) on_air[static_cast<std::size_t>(u)] = 1;
+      seen.clear();
+      for (const auto& d : deliveries) {
+        ASSERT_GE(d.plan_index, 0);
+        ASSERT_LT(static_cast<std::size_t>(d.plan_index), staged.size());
+        EXPECT_EQ(staged[static_cast<std::size_t>(d.plan_index)], d.sender)
+            << "round " << round;
+        int on_air_neighbors = 0;
+        bool adjacent = false;
+        for (const NodeId w : c.graph->neighbors(d.receiver)) {
+          on_air_neighbors += on_air[static_cast<std::size_t>(w)];
+          adjacent = adjacent || w == d.sender;
+        }
+        EXPECT_TRUE(adjacent) << "round " << round;
+        if (c.channel->is_edge_fault()) {
+          EXPECT_EQ(on_air_neighbors, 1) << "round " << round;
+        }
+        seen.emplace_back(d.receiver, d.sender, d.plan_index);
+      }
+      delivered += static_cast<std::int64_t>(seen.size());
+      previous = &deliveries;
+    }
+    EXPECT_GT(delivered, 0);
   }
 }
 

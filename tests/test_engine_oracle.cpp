@@ -21,12 +21,9 @@ using graph::NodeId;
 
 /// Brute-force: for every node, scan all neighbors, count broadcasters.
 std::set<std::pair<NodeId, NodeId>> reference_deliveries(
-    const Graph& g, const std::vector<std::pair<NodeId, PacketId>>& plan) {
+    const Graph& g, const std::vector<NodeId>& plan) {
   std::vector<char> broadcasting(static_cast<std::size_t>(g.node_count()), 0);
-  for (const auto& [u, id] : plan) {
-    (void)id;
-    broadcasting[static_cast<std::size_t>(u)] = 1;
-  }
+  for (const NodeId u : plan) broadcasting[static_cast<std::size_t>(u)] = 1;
   std::set<std::pair<NodeId, NodeId>> out;  // (receiver, sender)
   for (NodeId v = 0; v < g.node_count(); ++v) {
     if (broadcasting[static_cast<std::size_t>(v)]) continue;
@@ -53,17 +50,14 @@ TEST_P(EngineOracle, RandomPlansOnRandomGraphs) {
     const Graph g = graph::make_connected_gnp(n, edge_p, rng);
     RadioNetwork net(g, FaultModel::faultless(), Rng(rng()));
     for (int round = 0; round < 30; ++round) {
-      std::vector<std::pair<NodeId, PacketId>> plan;
+      std::vector<NodeId> plan;
       for (NodeId u = 0; u < n; ++u)
-        if (rng.bernoulli(0.3)) plan.emplace_back(u, u);
-      for (const auto& [u, id] : plan) net.set_broadcast(u, id);
+        if (rng.bernoulli(0.3)) plan.push_back(u);
+      for (const NodeId u : plan) net.set_broadcast(u);
       const auto& deliveries = net.run_round();
 
       std::set<std::pair<NodeId, NodeId>> got;
-      for (const auto& d : deliveries) {
-        EXPECT_EQ(d.id, d.sender);  // the packet id tags the sender
-        got.insert({d.receiver, d.sender});
-      }
+      for (const auto& d : deliveries) got.insert({d.receiver, d.sender});
       EXPECT_EQ(got, reference_deliveries(g, plan))
           << "instance " << instance << " round " << round;
     }
@@ -81,14 +75,13 @@ TEST(EngineOracle, StatsConsistentWithReference) {
   const Graph g = graph::make_connected_gnp(40, 0.15, rng);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
   for (int round = 0; round < 20; ++round) {
-    std::vector<std::pair<NodeId, PacketId>> plan;
+    std::vector<NodeId> plan;
     for (NodeId u = 0; u < 40; ++u)
-      if (rng.bernoulli(0.4)) plan.emplace_back(u, 0);
+      if (rng.bernoulli(0.4)) plan.push_back(u);
     std::vector<char> tx(40, 0);
-    for (const auto& [u, id] : plan) {
-      (void)id;
+    for (const NodeId u : plan) {
       tx[static_cast<std::size_t>(u)] = 1;
-      net.set_broadcast(u, 0);
+      net.set_broadcast(u);
     }
     net.run_round();
     std::int64_t expected_collisions = 0;
@@ -114,7 +107,7 @@ TEST(EngineOracle, CombinedModelLossRate) {
   const int rounds = 40000;
   int received = 0;
   for (int r = 0; r < rounds; ++r) {
-    net.set_broadcast(0, r);
+    net.set_broadcast(0);
     received += static_cast<int>(net.run_round().size());
   }
   EXPECT_NEAR(static_cast<double>(received) / rounds, (1 - ps) * (1 - pr),
@@ -131,7 +124,7 @@ TEST(EngineOracle, CombinedModelSenderCoinShared) {
   const int rounds = 4000;
   int all_lost = 0, partial = 0;
   for (int r = 0; r < rounds; ++r) {
-    net.set_broadcast(0, r);
+    net.set_broadcast(0);
     const auto got = net.run_round().size();
     if (got == 0u) ++all_lost;
     if (got != 0u && got != 12u) ++partial;

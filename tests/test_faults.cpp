@@ -17,7 +17,7 @@ TEST(Faults, FaultlessNeverLoses) {
   const Graph g = make_star(20);
   RadioNetwork net(g, FaultModel::faultless(), Rng(3));
   for (int r = 0; r < 200; ++r) {
-    net.set_broadcast(0, r);
+    net.set_broadcast(0);
     EXPECT_EQ(net.run_round().size(), 20u);
   }
   EXPECT_EQ(net.totals().sender_fault_losses, 0);
@@ -31,7 +31,7 @@ TEST(Faults, ReceiverFaultRateMatchesP) {
     const int rounds = 20000;
     int received = 0;
     for (int r = 0; r < rounds; ++r) {
-      net.set_broadcast(0, r);
+      net.set_broadcast(0);
       received += static_cast<int>(net.run_round().size());
     }
     EXPECT_NEAR(static_cast<double>(received) / rounds, 1.0 - p, 0.02)
@@ -46,7 +46,7 @@ TEST(Faults, SenderFaultRateMatchesP) {
     const int rounds = 20000;
     int received = 0;
     for (int r = 0; r < rounds; ++r) {
-      net.set_broadcast(0, r);
+      net.set_broadcast(0);
       received += static_cast<int>(net.run_round().size());
     }
     EXPECT_NEAR(static_cast<double>(received) / rounds, 1.0 - p, 0.02)
@@ -60,7 +60,7 @@ TEST(Faults, SenderFaultIsSharedAcrossReceivers) {
   RadioNetwork net(g, FaultModel::sender(0.5), Rng(17));
   int all = 0, none = 0, partial = 0;
   for (int r = 0; r < 2000; ++r) {
-    net.set_broadcast(0, r);
+    net.set_broadcast(0);
     const auto got = net.run_round().size();
     if (got == 10u)
       ++all;
@@ -83,7 +83,7 @@ TEST(Faults, ReceiverFaultIsIndependentAcrossReceivers) {
   const int rounds = 2000;
   double total = 0;
   for (int r = 0; r < rounds; ++r) {
-    net.set_broadcast(0, r);
+    net.set_broadcast(0);
     const auto got = net.run_round().size();
     total += static_cast<double>(got);
     if (got != 0u && got != 10u) ++partial;
@@ -98,8 +98,8 @@ TEST(Faults, FaultyTransmissionStillCollides) {
   const Graph g = make_star(2);
   RadioNetwork net(g, FaultModel::sender(0.9), Rng(23));
   for (int r = 0; r < 500; ++r) {
-    net.set_broadcast(1, 1);
-    net.set_broadcast(2, 2);
+    net.set_broadcast(1);
+    net.set_broadcast(2);
     EXPECT_TRUE(net.run_round().empty());
   }
 }
@@ -107,8 +107,8 @@ TEST(Faults, FaultyTransmissionStillCollides) {
 TEST(Faults, CollisionLossIsNotAFaultLoss) {
   const Graph g = make_star(2);
   RadioNetwork net(g, FaultModel::receiver(0.5), Rng(29));
-  net.set_broadcast(1, 1);
-  net.set_broadcast(2, 2);
+  net.set_broadcast(1);
+  net.set_broadcast(2);
   net.run_round();
   EXPECT_EQ(net.last_round().collision_losses, 1);
   EXPECT_EQ(net.last_round().receiver_fault_losses, 0);
@@ -121,7 +121,7 @@ TEST(Faults, PathFrontierStillAdvances) {
   RadioNetwork net(g, FaultModel::receiver(0.75), Rng(31));
   int rounds = 0;
   while (true) {
-    net.set_broadcast(0, 0);
+    net.set_broadcast(0);
     ++rounds;
     if (!net.run_round().empty()) break;
     ASSERT_LT(rounds, 10000);

@@ -57,7 +57,7 @@ TEST(Lockstep, LanesMatchScalarNetworksRoundByRound) {
               random_plan(g, 0.3, plan_rngs[static_cast<std::size_t>(l)]);
           bank.stage_many(l, plan);
           for (const NodeId u : plan)
-            scalars[static_cast<std::size_t>(l)].set_broadcast(u, u);
+            scalars[static_cast<std::size_t>(l)].set_broadcast(u);
         }
         if (mask == 0) continue;
         bank.run_round(mask);
@@ -96,8 +96,7 @@ TEST(Lockstep, LanePortBernoulliStagingMatchesScalarTape) {
   for (int round = 0; round < 40; ++round) {
     const std::int32_t i = round % 4;
     port.stage_bernoulli_pow2(candidates, i, lane_rng);
-    scalar.stage_broadcasts_bernoulli_pow2(candidates, i, PacketId{0},
-                                           scalar_rng);
+    scalar.stage_bernoulli_pow2(candidates, i, scalar_rng);
     bank.run_round(1u);
     const auto& deliveries = scalar.run_round();
     std::vector<NodeId> expected;

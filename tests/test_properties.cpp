@@ -176,7 +176,7 @@ TEST_P(FaultRateSweep, MeasuredLossMatchesEffectiveLoss) {
   const int rounds = 30000;
   int received = 0;
   for (int r = 0; r < rounds; ++r) {
-    net.set_broadcast(0, r);
+    net.set_broadcast(0);
     received += static_cast<int>(net.run_round().size());
   }
   EXPECT_NEAR(1.0 - static_cast<double>(received) / rounds,

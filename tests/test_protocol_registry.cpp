@@ -91,15 +91,15 @@ TEST(ProtocolRegistry, TuningReachesTheProtocol) {
 
 TEST(ProtocolRegistry, EveryProtocolsRecordsMatchPinnedHashes) {
   // FNV-1a of experiment_record for one small seed-11 cell per name in
-  // extended_registry(), pinned from a library built before a staged
-  // broadcast became a bare PacketId (no payload path in the engine).  The
-  // cells span the four fault models and the SINR channel.  The faultless
-  // link and star repetition cells pin the one-repetition branch of their
-  // formulas.  The last four pins, computed from the library that still
-  // staged packet ids, cover readers of what was sent on edge-fault cells
-  // where several senders broadcast different data in one round: the
-  // routing transform's first pin is on star:8 (only the hub broadcasts)
-  // and the pipeline's is under SINR, so neither covered that case.
+  // extended_registry(), pinned from a library built while the engine
+  // still carried payload bytes.  The cells span the four fault models and
+  // the SINR channel.  The faultless link and star repetition cells pin
+  // the one-repetition branch of their formulas.  The last four pins,
+  // computed from a library whose staged broadcasts still carried packet
+  // ids, cover readers of what was sent on edge-fault cells where several
+  // senders broadcast different data in one round: the routing transform's
+  // first pin is on star:8 (only the hub broadcasts) and the pipeline's is
+  // under SINR, so neither covered that case.
   // Each pin runs under kAuto and kScalar against the same hash: the
   // steppable protocols bank their multi-trial cells under auto,
   // everything else runs scalar both times.

@@ -18,12 +18,11 @@ using graph::make_star;
 TEST(RadioEngine, SingleBroadcasterDelivers) {
   const Graph g = make_path(3);  // 0 - 1 - 2
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(1, 7);
+  net.set_broadcast(1);
   const auto& ds = net.run_round();
   ASSERT_EQ(ds.size(), 2u);  // both path neighbors hear it
   for (const auto& d : ds) {
     EXPECT_EQ(d.sender, 1);
-    EXPECT_EQ(d.id, 7);
     EXPECT_TRUE(d.receiver == 0 || d.receiver == 2);
   }
 }
@@ -31,8 +30,8 @@ TEST(RadioEngine, SingleBroadcasterDelivers) {
 TEST(RadioEngine, TwoBroadcastingNeighborsCollide) {
   const Graph g = make_star(2);  // hub 0, leaves 1, 2
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(1, 1);
-  net.set_broadcast(2, 2);
+  net.set_broadcast(1);
+  net.set_broadcast(2);
   const auto& ds = net.run_round();
   EXPECT_TRUE(ds.empty());  // hub hears a collision
   EXPECT_EQ(net.last_round().collision_losses, 1);
@@ -41,8 +40,8 @@ TEST(RadioEngine, TwoBroadcastingNeighborsCollide) {
 TEST(RadioEngine, BroadcasterDoesNotReceive) {
   const Graph g = make_path(2);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, 1);
-  net.set_broadcast(1, 2);
+  net.set_broadcast(0);
+  net.set_broadcast(1);
   const auto& ds = net.run_round();
   EXPECT_TRUE(ds.empty());  // both transmitted, neither listened
 }
@@ -50,8 +49,8 @@ TEST(RadioEngine, BroadcasterDoesNotReceive) {
 TEST(RadioEngine, NonNeighborsDoNotInterfere) {
   const Graph g = make_path(5);  // 0-1-2-3-4
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, 1);
-  net.set_broadcast(3, 2);
+  net.set_broadcast(0);
+  net.set_broadcast(3);
   const auto& ds = net.run_round();
   // Node 1 hears 0; node 2 hears 3; node 4 hears 3.
   ASSERT_EQ(ds.size(), 3u);
@@ -60,8 +59,8 @@ TEST(RadioEngine, NonNeighborsDoNotInterfere) {
 TEST(RadioEngine, CollisionAtSharedNeighborOnly) {
   const Graph g = make_path(5);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(1, 1);
-  net.set_broadcast(3, 2);
+  net.set_broadcast(1);
+  net.set_broadcast(3);
   const auto& ds = net.run_round();
   // Node 2 is adjacent to both: collision.  Nodes 0 and 4 each hear one.
   ASSERT_EQ(ds.size(), 2u);
@@ -72,15 +71,15 @@ TEST(RadioEngine, CollisionAtSharedNeighborOnly) {
 TEST(RadioEngine, DoubleStagingThrows) {
   const Graph g = make_path(2);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, 1);
-  EXPECT_THROW(net.set_broadcast(0, 2), ContractViolation);
+  net.set_broadcast(0);
+  EXPECT_THROW(net.set_broadcast(0), ContractViolation);
 }
 
 TEST(RadioEngine, TotalsAccumulate) {
   const Graph g = make_path(3);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
   for (int i = 0; i < 5; ++i) {
-    net.set_broadcast(0, i);
+    net.set_broadcast(0);
     net.run_round();
   }
   EXPECT_EQ(net.totals().rounds, 5);
@@ -94,7 +93,7 @@ TEST(RadioEngine, DeterministicGivenSeed) {
     RadioNetwork net(g, FaultModel::receiver(0.5), Rng(seed));
     std::vector<std::int64_t> counts;
     for (int r = 0; r < 50; ++r) {
-      net.set_broadcast(0, r);
+      net.set_broadcast(0);
       counts.push_back(
           static_cast<std::int64_t>(net.run_round().size()));
     }
@@ -107,15 +106,15 @@ TEST(RadioEngine, DeterministicGivenSeed) {
 TEST(RadioEngine, CompleteGraphSingleSpeakerReachesAll) {
   const Graph g = make_complete(8);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, 0);
+  net.set_broadcast(0);
   EXPECT_EQ(net.run_round().size(), 7u);
 }
 
 TEST(RadioEngine, CompleteGraphTwoSpeakersSilenceEveryone) {
   const Graph g = make_complete(8);
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
-  net.set_broadcast(0, 0);
-  net.set_broadcast(1, 1);
+  net.set_broadcast(0);
+  net.set_broadcast(1);
   EXPECT_TRUE(net.run_round().empty());
   EXPECT_EQ(net.last_round().collision_losses, 6);
 }
@@ -125,7 +124,7 @@ TEST(Trace, RecordsEveryRound) {
   RadioNetwork net(g, FaultModel::faultless(), Rng(1));
   TraceRecorder trace;
   for (int r = 0; r < 3; ++r) {
-    net.set_broadcast(0, r);
+    net.set_broadcast(0);
     net.run_round();
     trace.record(net.last_round(), static_cast<double>(r + 1));
   }

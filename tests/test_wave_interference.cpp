@@ -45,7 +45,7 @@ void run_wave_and_check(const graph::Graph& g, graph::NodeId source,
       const std::int64_t target =
           static_cast<std::int64_t>(tree.level[ui]) - 6LL * tree.rank[ui];
       if (((t - target) % period + period) % period != 0) continue;
-      net.set_broadcast(u, 0);
+      net.set_broadcast(u);
       intended.emplace_back(u, tree.fast_child[ui]);
     }
     const auto& deliveries = net.run_round();
