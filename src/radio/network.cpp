@@ -95,7 +95,6 @@ void RadioNetwork::prepare_epoch() {
 }
 
 void RadioNetwork::stage_many(std::span<const NodeId> senders) {
-  plan_senders_.reserve(plan_senders_.size() + senders.size());
   for (const NodeId u : senders) mark_broadcaster(u);
 }
 
