@@ -11,7 +11,7 @@
 // array in staging order and reads what was heard at d.plan_index.
 //
 // run_round applies the model's reception rule exactly:
-//   a listening node receives the packet iff exactly one of its neighbors
+//   a listening node hears a broadcast iff exactly one of its neighbors
 //   broadcast this round, and neither a sender fault (one coin per
 //   broadcaster per round, shared by all its receivers) nor a receiver
 //   fault (one coin per receiver) struck.
