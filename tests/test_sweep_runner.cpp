@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -336,6 +337,115 @@ TEST(ResultCache, CachedCellsSkipRecomputation) {
   const auto warm = run_plan(kPlanB, options);
   EXPECT_EQ(warm.cache_hits(), static_cast<int>(warm.cells.size()));
   EXPECT_TRUE(warm.all_completed());
+}
+
+/// Checks a run's progress events against its report: one kAccepted
+/// carrying the scope's size, one kCellDone per reported cell with `done`
+/// counting up and the cell's provenance and cache-entry hash, then one
+/// kPlanDone with the totals.
+void check_progress(const std::vector<SweepProgressEvent>& events,
+                    const SweepPlan& plan, const SweepReport& report,
+                    const Tuning& tuning) {
+  const int total = static_cast<int>(report.cells.size());
+  ASSERT_EQ(events.size(), report.cells.size() + 2);
+
+  EXPECT_EQ(events.front().kind, SweepProgressEvent::Kind::kAccepted);
+  EXPECT_EQ(events.front().total, total);
+  std::vector<int> seen;
+  for (int i = 1; i <= total; ++i) {
+    const auto& event = events[static_cast<std::size_t>(i)];
+    SCOPED_TRACE("event " + std::to_string(i));
+    ASSERT_EQ(event.kind, SweepProgressEvent::Kind::kCellDone);
+    EXPECT_EQ(event.total, total);
+    EXPECT_EQ(event.done, i);
+    EXPECT_EQ(event.computed + event.cached_cells, i);
+    const auto cell = std::find_if(
+        report.cells.begin(), report.cells.end(),
+        [&](const SweepCellReport& c) {
+          return c.cell_index == event.cell_index;
+        });
+    ASSERT_NE(cell, report.cells.end());
+    EXPECT_EQ(event.cached, cell->from_cache);
+    EXPECT_EQ(event.cell_hash,
+              fnv1a64_hex(sweep_cache_key(
+                  plan.cells[static_cast<std::size_t>(event.cell_index)],
+                  tuning)));
+    seen.push_back(event.cell_index);
+  }
+  std::sort(seen.begin(), seen.end());
+  EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end())
+      << "a cell was reported twice";
+
+  const auto& last = events.back();
+  EXPECT_EQ(last.kind, SweepProgressEvent::Kind::kPlanDone);
+  EXPECT_EQ(last.total, total);
+  EXPECT_EQ(last.done, total);
+  EXPECT_EQ(last.computed + last.cached_cells, total);
+  EXPECT_EQ(last.cached_cells, report.cache_hits());
+}
+
+/// Runs `plan` with a progress sink attached and checks its event stream.
+SweepReport run_and_check_progress(const SweepPlan& plan,
+                                   SweepOptions options) {
+  std::vector<SweepProgressEvent> events;
+  options.on_progress = [&events](const SweepProgressEvent& event) {
+    events.push_back(event);
+  };
+  auto report = SweepRunner(extended_registry()).run(plan, options);
+  check_progress(events, plan, report, options.tuning);
+  return report;
+}
+
+TEST(SweepProgress, EveryModeStreamsOneEventPerCellInScope) {
+  const auto plan = SweepPlan::parse(kPlanA);
+  const int cells = static_cast<int>(plan.cells.size());
+
+  SweepOptions serial;
+  serial.cache_dir = scratch_dir("progress_static");
+  serial.cell_threads = 2;
+  {
+    SCOPED_TRACE("static");
+    const auto report = run_and_check_progress(plan, serial);
+    EXPECT_EQ(static_cast<int>(report.cells.size()), cells);
+    EXPECT_EQ(report.cache_hits(), 0);
+  }
+
+  {
+    // A shard over a partly warm cache: some cells load, some compute.
+    SCOPED_TRACE("shard");
+    const ResultCache cache(serial.cache_dir);
+    for (std::size_t i = 0; i < plan.cells.size(); i += 2)
+      fs::remove(cache.entry_path(sweep_cache_key(plan.cells[i], {})));
+    SweepOptions shard = serial;
+    shard.shard_index = 1;
+    shard.shard_count = 3;
+    const auto report = run_and_check_progress(plan, shard);
+    EXPECT_EQ(static_cast<int>(report.cells.size()), (cells + 1) / 3);
+    EXPECT_GT(report.cache_hits(), 0);
+    EXPECT_LT(report.cache_hits(), static_cast<int>(report.cells.size()));
+  }
+
+  // Fleet and resume key their cells under a non-default tuning, which
+  // must reach every event's hash.
+  SweepOptions fleet;
+  fleet.cache_dir = scratch_dir("progress_fleet");
+  fleet.assignment = SweepAssignment::kFleet;
+  fleet.fleet_poll_ms = 1;
+  fleet.cell_threads = 2;
+  fleet.tuning.max_rounds = 100000;
+  {
+    SCOPED_TRACE("fleet");
+    const auto report = run_and_check_progress(plan, fleet);
+    EXPECT_EQ(static_cast<int>(report.cells.size()), cells);
+    EXPECT_EQ(report.cache_hits(), 0);
+  }
+  {
+    SCOPED_TRACE("resume");
+    SweepOptions resume = fleet;
+    resume.assignment = SweepAssignment::kResume;
+    const auto report = run_and_check_progress(plan, resume);
+    EXPECT_EQ(report.cache_hits(), cells);
+  }
 }
 
 }  // namespace
