@@ -243,7 +243,11 @@ ExperimentReport parse_experiment_record(const std::string& text) {
 
 ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
   NRN_EXPECTS(!dir_.empty(), "cache directory must be non-empty");
-  std::filesystem::create_directories(dir_);
+  std::error_code ec;
+  std::filesystem::create_directories(dir_, ec);
+  if (ec)
+    throw SpecError("cache: cannot create directory '" + dir_ +
+                    "': " + errno_text(ec.value()));
 }
 
 std::string ResultCache::entry_path(const std::string& key) const {

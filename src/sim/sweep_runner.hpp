@@ -74,6 +74,7 @@ ExperimentReport parse_experiment_record(const std::string& text);
 /// verified inside the entry, so a hash collision reads as a miss.
 class ResultCache {
  public:
+  /// Throws SpecError naming `dir` when it cannot be created.
   explicit ResultCache(std::string dir);
 
   const std::string& dir() const { return dir_; }

@@ -11,6 +11,7 @@
 # paths, so the transcript does not depend on where the build lives.
 # After an intentional change to a message or a listing, regenerate the
 # golden by adding -DUPDATE=ON and review the diff.
+get_filename_component(NRN_SIM ${NRN_SIM} ABSOLUTE)
 file(REMOVE_RECURSE ${WORK_DIR})
 file(MAKE_DIRECTORY ${WORK_DIR})
 # A regular file: `file/sub` is a directory nobody can create.
@@ -91,6 +92,8 @@ cli_case(FIRST sweep "--plan=topology=path:8\; protocols=nope")
 cli_case(FIRST sweep --merge=missing.nrns)
 cli_case(FIRST sweep "--plan=topology=path:8\; protocols=decay"
          --resume --cache-dir=cold)
+cli_case(OS sweep "--plan=topology=path:8\; protocols=decay"
+         --cache-dir=file/sub)
 
 # --------------------------------------------------------------------- serve
 cli_case(FIRST serve --bogus)
@@ -103,6 +106,12 @@ cli_case(FIRST serve --tcp-port=abc)
 cli_case(FIRST serve --socket=)
 cli_case(FIRST serve --socket=serve.sock)
 cli_case(FIRST serve --cache-dir=cache)
+cli_case(OS serve --socket=serve.sock --cache-dir=file/sub)
+# The daemon's listener was bound before the cache failed: unwinding must
+# have removed its socket file.
+if(EXISTS ${WORK_DIR}/serve.sock)
+  message(FATAL_ERROR "nrn_sim serve left serve.sock behind")
+endif()
 
 # ------------------------------------------------------------------- clients
 cli_case(FIRST submit --bogus)

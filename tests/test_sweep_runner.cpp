@@ -325,6 +325,29 @@ TEST(ResultCache, ConcurrentWritersOfOneCellNeverCorruptTheEntry) {
     EXPECT_EQ(entry.path().extension(), ".nrnc") << entry.path();
 }
 
+TEST(ResultCache, UncreatableDirectoryIsASpecError) {
+  // A directory below a regular file can never be created.  The error
+  // names it, for a sweep as for a bare cache, instead of escaping as a
+  // filesystem_error that aborts the process.
+  const auto dir = scratch_dir("cache_uncreatable");
+  fs::create_directories(dir);
+  const std::string file = (fs::path(dir) / "file").string();
+  write_file(file, "");
+  const std::string sub = file + "/sub";
+  try {
+    const ResultCache cache(sub);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("'" + sub + "'"), std::string::npos)
+        << e.what();
+  }
+  SweepOptions options;
+  options.cache_dir = sub;
+  EXPECT_THROW(run_plan(kPlanB, options), SpecError);
+  options.assignment = SweepAssignment::kFleet;
+  EXPECT_THROW(run_plan(kPlanB, options), SpecError);
+}
+
 TEST(ResultCache, CachedCellsSkipRecomputation) {
   // A cache hit must not rerun trials: warm a cache, then run the same
   // plan with a tiny round budget that would otherwise change results.
