@@ -4,8 +4,9 @@
 // BroadcastProtocol interface.  Unlike the builtin broadcast protocols
 // these only run on the topologies whose base schedules exist (star/path
 // for the transforms, star or link for the star schedules, wct for the WCT
-// schedules) and only from source 0, so their factories validate the
-// scenario and throw SpecError on one they cannot schedule.
+// schedules) and only from source 0 (the routing transform also only
+// without receiver faults), so their factories validate the scenario and
+// throw SpecError on one they cannot schedule.
 //
 // These are the protocols behind the paper's gap experiments: each one
 // carries the kScheduleGap capability and a theory bound, so the e7/e8
@@ -34,6 +35,17 @@ void require_source_zero(const ProtocolContext& ctx,
   if (ctx.scenario.source != 0)
     throw SpecError(protocol + " needs source 0, got " +
                     std::to_string(ctx.scenario.source));
+}
+
+/// Lemma 25 counts a sub-message delivered once any listener hears it.
+/// That is sound only when a fault silences a sender for all its listeners
+/// at once; under receiver faults another listener can miss it, and the
+/// routing transform never completes.
+void require_no_receiver_faults(const ProtocolContext& ctx,
+                                const std::string& protocol) {
+  if (radio::receiver_fault_probability(ctx.scenario.channel.coins()) > 0.0)
+    throw SpecError(protocol + " tolerates sender faults only, got fault '" +
+                    ctx.scenario.fault_text + "'");
 }
 
 std::unique_ptr<core::BaseSchedule> base_schedule_for(
@@ -289,6 +301,7 @@ void register_schedule_protocols(ProtocolRegistry& registry) {
                "(star/path), throughput tau(1-p) under sender faults",
                kMultiMessage,
                [](const ProtocolContext& ctx) {
+                 require_no_receiver_faults(ctx, "transform-routing");
                  return std::make_unique<TransformProtocol>(ctx, false);
                });
   registry.add("transform-coding",

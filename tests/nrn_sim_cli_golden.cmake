@@ -67,6 +67,8 @@ cli_case(FIRST --seed=-1)
 cli_case(FIRST --topology=gnp:64:bogus)
 cli_case(FIRST --algorithm=nosuch)
 cli_case(FIRST --topology=path:4 --source=9)
+cli_case(FIRST --topology=star:8 --algorithm=transform-routing
+         --fault=receiver:0.3 --k=2)
 
 # --------------------------------------------------------------------- sweep
 cli_case(FIRST sweep --help)

@@ -223,5 +223,31 @@ TEST(ProtocolRegistry, ScheduleProtocolsRejectANonZeroSource) {
   EXPECT_EQ(schedule_protocols, 10);
 }
 
+TEST(ProtocolRegistry, RoutingTransformRejectsReceiverFaults) {
+  // Lemma 25 is a sender-fault schedule.  Under any receiver coin its
+  // factory refuses the scenario instead of running trials that never
+  // complete; the coding transform (Lemma 26) runs the same scenarios.
+  for (const std::string fault :
+       {"receiver:0.3", "combined:0.2:0.1", "combined:0:0.3"}) {
+    SCOPED_TRACE(fault);
+    const auto scenario = Scenario::parse("star:8", fault, 0, 2, 7);
+    try {
+      Driver().run(scenario, "transform-routing", 1);
+      FAIL() << "expected SpecError";
+    } catch (const SpecError& e) {
+      EXPECT_NE(std::string(e.what()).find("sender faults only"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_TRUE(Driver().run(scenario, "transform-coding", 2).all_completed());
+  }
+  for (const std::string fault : {"none", "sender:0.3", "combined:0.3:0"}) {
+    SCOPED_TRACE(fault);
+    const auto scenario = Scenario::parse("path:8", fault, 0, 2, 7);
+    EXPECT_TRUE(
+        Driver().run(scenario, "transform-routing", 2).all_completed());
+  }
+}
+
 }  // namespace
 }  // namespace nrn::sim
