@@ -1,4 +1,5 @@
-// Locale-independent text round-trips for real numbers.
+// Locale-independent text round-trips for real numbers, and the JSON
+// string escaper every JSON writer shares.
 //
 // Every persistent format in the repo (experiment records, shard files, the
 // result cache, CSV/JSON emitters) depends on exact textual round-trips of
@@ -59,5 +60,10 @@ std::string format_real(double value, int digits);
 
 /// C-locale "%.<digits>f" (fixed decimals); the table/CSV cell formatter.
 std::string format_real_fixed(double value, int digits);
+
+/// JSON string escaping per RFC 8259: quotes, backslashes, and every
+/// control character (as \uXXXX or the short forms).  The one escaper of
+/// the JSON emitters and the serve wire protocol.
+std::string json_escape(std::string_view text);
 
 }  // namespace nrn

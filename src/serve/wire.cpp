@@ -1,7 +1,8 @@
 #include "serve/wire.hpp"
 
 #include <charconv>
-#include <cstdio>
+
+#include "common/numio.hpp"
 
 namespace nrn::serve {
 
@@ -128,32 +129,6 @@ struct Scanner {
 };
 
 }  // namespace
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 8);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 Message& Message::set(const std::string& key, std::string value) {
   Field field;

@@ -40,10 +40,6 @@ class WireError : public std::runtime_error {
   explicit WireError(const std::string& what) : std::runtime_error(what) {}
 };
 
-/// JSON string escaping per RFC 8259: quotes, backslashes, and every
-/// control character (as \uXXXX or the short forms).
-std::string json_escape(std::string_view text);
-
 /// One flat line-JSON message.  Fields keep insertion order when
 /// serialized, so wire bytes are deterministic for a given build sequence.
 class Message {

@@ -1,7 +1,6 @@
 #include "sim/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <optional>
@@ -111,33 +110,6 @@ TableWriter build_table(const ExperimentReport& report) {
     table.add_note("theory bound: " + fmt(report.theory_bound, 1) +
                    " rounds; gap (median/bound): " + fmt(report.gap(), 2));
   return table;
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        // RFC 8259: every control character below 0x20 must be escaped.
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// JSON rendering of a double at max_digits10, so real-valued fields
