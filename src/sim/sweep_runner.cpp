@@ -532,7 +532,9 @@ class ClaimGuard {
 /// Serialized SweepProgressEvent emission with running counters.
 class ProgressEmitter {
  public:
-  ProgressEmitter(const ProgressFn& fn, int total) : fn_(fn) {
+  ProgressEmitter(const ProgressFn& fn, int total,
+                  const CellExecutor& executor)
+      : fn_(fn), executor_(executor) {
     event_.total = total;
   }
 
@@ -543,13 +545,15 @@ class ProgressEmitter {
     fn_(event_);
   }
 
-  void cell_done(int cell_index, bool cached, std::string hash) {
+  /// Builds the cell's cache-entry hash only when a sink listens.
+  void cell_done(const SweepCell& cell, bool cached) {
     if (!fn_) return;
+    std::string hash = fnv1a64_hex(executor_.key(cell));
     const std::lock_guard<std::mutex> lock(mutex_);
     event_.kind = SweepProgressEvent::Kind::kCellDone;
     ++event_.done;
     (cached ? event_.cached_cells : event_.computed) += 1;
-    event_.cell_index = cell_index;
+    event_.cell_index = cell.index;
     event_.cached = cached;
     event_.cell_hash = std::move(hash);
     fn_(event_);
@@ -565,6 +569,7 @@ class ProgressEmitter {
 
  private:
   const ProgressFn& fn_;
+  const CellExecutor& executor_;
   std::mutex mutex_;
   SweepProgressEvent event_;
 };
@@ -648,18 +653,20 @@ SweepReport SweepRunner::run(const SweepPlan& plan,
   for (const auto& protocol : plan.protocols)
     if (!registry_->contains(protocol))
       throw SpecError("sweep plan names unknown protocol '" + protocol + "'");
-  if (options.assignment != SweepAssignment::kStatic) {
+  const bool fleet = options.assignment != SweepAssignment::kStatic;
+  const bool resume = options.assignment == SweepAssignment::kResume;
+  if (fleet) {
     NRN_EXPECTS(!options.cache_dir.empty(),
                 "fleet/resume modes need a cache directory");
     NRN_EXPECTS(options.shard_count == 1,
                 "fleet/resume modes replace static sharding");
-    return run_fleet(plan, options);
   }
 
   SweepReport report;
   report.plan_text = plan.text;
   report.master_seed = plan.master_seed;
   report.total_cells = static_cast<int>(plan.cells.size());
+  report.fleet.active = fleet;
 
   std::vector<const SweepCell*> mine;
   for (const auto& cell : plan.cells)
@@ -673,101 +680,36 @@ SweepReport SweepRunner::run(const SweepPlan& plan,
   CellExecutor::Options exec_options;
   exec_options.trial_threads = options.trial_threads;
   exec_options.tuning = options.tuning;
+  exec_options.use_claims = options.assignment == SweepAssignment::kFleet;
+  exec_options.claim_ttl_seconds = options.claim_ttl_seconds;
   const CellExecutor executor(*registry_, cache ? &*cache : nullptr,
                               exec_options);
   ProgressEmitter progress(options.on_progress,
-                           static_cast<int>(mine.size()));
+                           static_cast<int>(mine.size()), executor);
   progress.accepted();
 
-  auto run_cell = [&](std::size_t slot) {
-    const SweepCell& cell = *mine[slot];
-    auto& out = report.cells[slot];
-    out.cell_index = cell.index;
-    auto result = executor.resolve(cell);
-    out.experiment = std::move(result.experiment);
-    out.from_cache = result.resolution == CellExecutor::Resolution::kCached;
-    progress.cell_done(cell.index, out.from_cache,
-                       fnv1a64_hex(executor.key(cell)));
-  };
-
-  const int workers =
-      std::min<int>(options.cell_threads, static_cast<int>(mine.size()));
-  if (workers <= 1) {
-    for (std::size_t slot = 0; slot < mine.size(); ++slot) run_cell(slot);
-  } else {
-    // Cells batch over the shared persistent pool; a cell's own Driver
-    // batching (trial_threads) runs inline on the cell's slot.
-    common::TaskPool::shared().run(
-        mine.size(), workers,
-        [&](std::size_t slot, int /*worker*/) { run_cell(slot); });
-  }
-  progress.plan_done();
-  return report;
-}
-
-SweepReport SweepRunner::run_fleet(const SweepPlan& plan,
-                                   const SweepOptions& options) const {
-  SweepReport report;
-  report.plan_text = plan.text;
-  report.master_seed = plan.master_seed;
-  report.total_cells = static_cast<int>(plan.cells.size());
-  report.cells.resize(plan.cells.size());
-  report.fleet.active = true;
-
-  const ResultCache cache(options.cache_dir);
-  std::vector<std::string> keys;
-  keys.reserve(plan.cells.size());
-  for (const auto& cell : plan.cells)
-    keys.push_back(sweep_cache_key(cell, options.tuning));
-
-  ProgressEmitter progress(options.on_progress,
-                           static_cast<int>(plan.cells.size()));
-  progress.accepted();
-
-  if (options.assignment == SweepAssignment::kResume) {
-    int missing = 0;
-    for (std::size_t i = 0; i < plan.cells.size(); ++i) {
-      auto& out = report.cells[i];
-      out.cell_index = plan.cells[i].index;
-      if (auto cached = cache.load(keys[i])) {
-        out.experiment = std::move(*cached);
-        out.from_cache = true;
-        progress.cell_done(out.cell_index, true, fnv1a64_hex(keys[i]));
-      } else {
-        ++missing;
-      }
-    }
-    if (missing > 0)
-      throw SpecError("resume: " + std::to_string(missing) + " of " +
-                      std::to_string(plan.cells.size()) +
-                      " cells are missing from the cache; run the sweep "
-                      "with --fleet first");
-    report.fleet.skipped = static_cast<int>(plan.cells.size());
-    progress.plan_done();
-    return report;
-  }
-
-  CellExecutor::Options exec_options;
-  exec_options.trial_threads = options.trial_threads;
-  exec_options.tuning = options.tuning;
-  exec_options.use_claims = true;
-  exec_options.claim_ttl_seconds = options.claim_ttl_seconds;
-  const CellExecutor executor(*registry_, &cache, exec_options);
-
-  std::atomic<int> claimed{0}, stolen{0}, skipped{0};
+  std::atomic<int> claimed{0}, stolen{0}, skipped{0}, missing{0};
 
   // Resolves one cell, returning false when a live peer holds its claim
-  // (the caller revisits it on a later pass).
-  auto resolve = [&](std::size_t idx) -> bool {
-    const SweepCell& cell = plan.cells[idx];
-    auto& out = report.cells[idx];
-    out.cell_index = cell.index;
-    auto result = executor.resolve(cell);
+  // (the loop revisits it on a later pass).  Resume is the cache-only
+  // pass: it computes nothing and counts a miss instead.
+  auto resolve = [&](std::size_t slot) -> bool {
+    const SweepCell& cell = *mine[slot];
+    CellExecutor::Result result;
+    if (resume) {
+      auto cached = cache->load(executor.key(cell));
+      if (!cached) {
+        missing.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+      result = {CellExecutor::Resolution::kCached, std::move(*cached)};
+    } else {
+      result = executor.resolve(cell);
+    }
     switch (result.resolution) {
       case CellExecutor::Resolution::kBusy:
-        return false;  // live foreign claim: revisit on a later pass
+        return false;
       case CellExecutor::Resolution::kCached:
-        out.from_cache = true;
         skipped.fetch_add(1, std::memory_order_relaxed);
         break;
       case CellExecutor::Resolution::kComputed:
@@ -777,23 +719,27 @@ SweepReport SweepRunner::run_fleet(const SweepPlan& plan,
         stolen.fetch_add(1, std::memory_order_relaxed);
         break;
     }
+    auto& out = report.cells[slot];
+    out.cell_index = cell.index;
     out.experiment = std::move(result.experiment);
-    progress.cell_done(cell.index, out.from_cache, fnv1a64_hex(keys[idx]));
+    out.from_cache = result.resolution == CellExecutor::Resolution::kCached;
+    progress.cell_done(cell, out.from_cache);
     return true;
   };
 
-  std::vector<std::size_t> pending(plan.cells.size());
+  std::vector<std::size_t> pending(mine.size());
   std::iota(pending.begin(), pending.end(), std::size_t{0});
-  // Start each process at a different point of the grid so cooperating
-  // fleets fan out instead of racing for the same first claims.  Purely a
-  // contention hint: results are position-independent.
-  if (!pending.empty())
+  // Under claims, start each process at a different point of the grid so
+  // cooperating fleets fan out instead of racing for the same first
+  // claims.  Purely a contention hint: results are position-independent.
+  if (exec_options.use_claims && !pending.empty())
     std::rotate(pending.begin(),
                 pending.begin() + static_cast<std::ptrdiff_t>(
                                       static_cast<std::size_t>(::getpid()) %
                                       pending.size()),
                 pending.end());
 
+  // Without claims no cell is ever busy, so this is a single pass.
   while (!pending.empty()) {
     std::vector<std::uint8_t> done(pending.size(), 0);
     const int workers = std::min<int>(options.cell_threads,
@@ -802,6 +748,8 @@ SweepReport SweepRunner::run_fleet(const SweepPlan& plan,
       for (std::size_t i = 0; i < pending.size(); ++i)
         done[i] = resolve(pending[i]) ? 1 : 0;
     } else {
+      // Cells batch over the shared persistent pool; a cell's own Driver
+      // batching (trial_threads) runs inline on the cell's slot.
       common::TaskPool::shared().run(
           pending.size(), workers, [&](std::size_t i, int /*worker*/) {
             done[i] = resolve(pending[i]) ? 1 : 0;
@@ -818,9 +766,16 @@ SweepReport SweepRunner::run_fleet(const SweepPlan& plan,
     pending = std::move(next);
   }
 
-  report.fleet.claimed = claimed.load();
-  report.fleet.stolen = stolen.load();
-  report.fleet.skipped = skipped.load();
+  if (missing.load() > 0)
+    throw SpecError("resume: " + std::to_string(missing.load()) + " of " +
+                    std::to_string(mine.size()) +
+                    " cells are missing from the cache; run the sweep "
+                    "with --fleet first");
+  if (fleet) {
+    report.fleet.claimed = claimed.load();
+    report.fleet.stolen = stolen.load();
+    report.fleet.skipped = skipped.load();
+  }
   progress.plan_done();
   return report;
 }

@@ -19,10 +19,15 @@
 // Heterogeneous cells are thus work-stolen, a killed run is resumable by
 // re-invoking it, and every surviving runner emits a complete report;
 // overlapping fleet shards merge as long as duplicates are bit-identical,
-// which deterministic cells guarantee.  kResume rebuilds a report purely
-// from a warm cache without computing anything.  While a cell computes,
-// its claim's mtime is refreshed by a heartbeat ticker, so TTL expiry only
+// which deterministic cells guarantee.  While a cell computes, its
+// claim's mtime is refreshed by a heartbeat ticker, so TTL expiry only
 // ever steals from dead workers -- never from a slow cell's live owner.
+//
+// One loop serves every mode: SweepRunner::run resolves its cells (the
+// shard's, or the whole plan's) over the task pool, and revisits a cell
+// whose claim a live peer holds, which only a fleet run ever sees.
+// kResume is the same loop's cache-only pass: it rebuilds a report from a
+// warm cache, computes nothing, and fails on a miss.
 //
 // Cell execution itself lives in CellExecutor, callable outside the
 // blocking run() loop: the serve daemon (serve/scheduler.hpp) resolves
@@ -155,9 +160,9 @@ class ClaimHeartbeat {
 /// Executes individual sweep cells outside the blocking SweepRunner::run
 /// loop: probe the cache, optionally take a cooperative claim (with a
 /// heartbeat while computing), compute through the Driver, store.  This is
-/// the one cell-resolution implementation -- the static and fleet paths of
-/// SweepRunner and the serve daemon's scheduler all run cells through it,
-/// so a daemon-computed cell is bit-identical to a serial one by
+/// the one cell-resolution implementation -- SweepRunner's cell loop and
+/// the serve daemon's scheduler both run cells through it, so a
+/// daemon-computed cell is bit-identical to a serial one by
 /// construction.  Computed cells draw their graph, depth and GBST from a
 /// ScenarioSetupMemo (sim/scenario_setup.hpp) holding one setup per task
 /// pool slot; cached and claim-busy cells never build one.  Thread-safe:
@@ -303,16 +308,14 @@ class SweepRunner {
       const ProtocolRegistry& registry = extended_registry())
       : registry_(&registry) {}
 
-  /// Runs this shard's cells of `plan` (all cells under kFleet/kResume).
-  /// Throws SpecError for unknown protocols (before running anything), for
-  /// a kResume cache missing cells, and propagates protocol errors.
+  /// Runs this shard's cells of `plan` (all cells under kFleet/kResume)
+  /// through one cell loop for every mode.  Throws SpecError for unknown
+  /// protocols (before running anything), for a kResume cache missing
+  /// cells, and propagates protocol errors.
   SweepReport run(const SweepPlan& plan,
                   const SweepOptions& options = {}) const;
 
  private:
-  SweepReport run_fleet(const SweepPlan& plan,
-                        const SweepOptions& options) const;
-
   const ProtocolRegistry* registry_;
 };
 
