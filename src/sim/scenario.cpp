@@ -68,28 +68,52 @@ double parse_spec_real(const std::string& text, const std::string& what) {
 
 namespace {
 
-/// Arity and range rules per topology family.
+/// Arity and range rules per topology family, with the argument signature
+/// and one-line description `nrn_sim topologies` prints.
 struct KindRule {
   const char* kind;
   int int_args;      ///< colon-separated integer arguments after the kind
   bool has_real;     ///< one trailing real argument (gnp's p)
   bool randomized;
+  const char* usage;
+  const char* doc;
 };
 
 constexpr KindRule kKindRules[] = {
-    {"barbell", 2, false, false},     {"binary-tree", 1, false, false},
-    {"caterpillar", 2, false, false}, {"complete", 1, false, false},
-    {"cycle", 1, false, false},
-    {"disk", 0, false, true},  // special: n:radius with optional :power
-    {"gnp", 1, true, true},
-    {"grid", 0, false, false},  // special RxC argument
-    {"hypercube", 1, false, false},   {"link", 0, false, false},
-    {"lollipop", 2, false, false},    {"path", 1, false, false},
-    {"regular", 2, false, true},      {"ring", 2, false, false},
-    {"star", 1, false, false},        {"tree", 1, false, true},
-    {"uniform", 0, false, true},  // special: n:density (two reals never fit
-                                  // the one-trailing-real rule shape)
-    {"wct", 1, false, true},  // special: 1 (budget) or 4 (M:L:C:S) arguments
+    {"barbell", 2, false, false, "barbell:clique:bridge",
+     "two k-cliques joined by a bridge path"},
+    {"binary-tree", 1, false, false, "binary-tree:n",
+     "complete binary tree, heap indexing"},
+    {"caterpillar", 2, false, false, "caterpillar:spine:legs",
+     "spine path with pendant leaves per spine node"},
+    {"complete", 1, false, false, "complete:n", "complete graph K_n"},
+    {"cycle", 1, false, false, "cycle:n", "cycle on n >= 3 nodes"},
+    // special: n:radius with optional :power
+    {"disk", 0, false, true, "disk:n:radius[:power]",
+     "geometric: n nodes uniform in the unit square, edges within radius; "
+     "hosts channel=sinr"},
+    {"gnp", 1, true, true, "gnp:n:p", "connected Erdos-Renyi G(n, p)"},
+    {"grid", 0, false, false, "grid:RxC", "R x C grid"},  // special RxC
+    {"hypercube", 1, false, false, "hypercube:d",
+     "d-dimensional hypercube, 2^d nodes"},
+    {"link", 0, false, false, "link", "two nodes, one edge (Appendix A)"},
+    {"lollipop", 2, false, false, "lollipop:clique:tail",
+     "clique with a pendant path"},
+    {"path", 1, false, false, "path:n", "path 0 - 1 - ... - (n-1)"},
+    {"regular", 2, false, true, "regular:n:d",
+     "random d-regular-ish pairing model"},
+    {"ring", 2, false, false, "ring:cliques:size",
+     "ring of cliques joined by single edges"},
+    {"star", 1, false, false, "star:leaves",
+     "hub node 0 with `leaves` leaves"},
+    {"tree", 1, false, true, "tree:n", "uniform random attachment tree"},
+    // special: n:density (two reals never fit the one-trailing-real shape)
+    {"uniform", 0, false, true, "uniform:n:density",
+     "geometric: n nodes at expected density per unit square, unit-range "
+     "edges; hosts channel=sinr"},
+    // special: 1 (budget) or 4 (M:L:C:S) arguments
+    {"wct", 1, false, true, "wct:budget | wct:M:L:C:S",
+     "weak connectivity tree instance (Lemma 18)"},
 };
 
 const KindRule* find_rule(const std::string& kind) {
@@ -341,6 +365,24 @@ const std::vector<std::string>& topology_kinds() {
     return out;
   }();
   return kinds;
+}
+
+namespace {
+
+const KindRule& known_rule(const std::string& kind) {
+  const KindRule* rule = find_rule(kind);
+  if (rule == nullptr) bad_spec("unknown topology '" + kind + "'");
+  return *rule;
+}
+
+}  // namespace
+
+std::string topology_usage(const std::string& kind) {
+  return known_rule(kind).usage;
+}
+
+std::string topology_doc(const std::string& kind) {
+  return known_rule(kind).doc;
 }
 
 Scenario Scenario::parse(const std::string& topology_spec,

@@ -111,6 +111,12 @@ radio::ChannelModel parse_channel_spec(const std::string& spec,
 /// Every topology family name the grammar accepts, sorted.
 const std::vector<std::string>& topology_kinds();
 
+/// A family's argument signature ("grid:RxC") and one-line description,
+/// from the same table the parser checks arity against.  Throw SpecError
+/// on an unknown kind.
+std::string topology_usage(const std::string& kind);
+std::string topology_doc(const std::string& kind);
+
 /// A complete experiment scenario.  The fault and channel specs parse into
 /// one channel: an edge-fault channel carrying the fault model, or SINR.
 /// The spec texts are kept as written -- record bytes and cache keys are

@@ -27,7 +27,10 @@
 #include <csignal>
 #include <cstdint>
 #include <fstream>
+#include <functional>
+#include <initializer_list>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -42,21 +45,6 @@ namespace {
 using namespace nrn;
 
 enum class Format { kTable, kCsv, kJson };
-
-struct Options {
-  std::string topology = "path:64";
-  std::string algorithm = "decay";
-  std::string fault = "none";
-  std::string channel = "none";
-  std::int64_t source = 0;
-  std::int64_t k = 1;
-  std::uint64_t seed = 1;
-  std::int64_t trials = 1;
-  std::int64_t threads = 1;
-  Format format = Format::kTable;
-  bool list = false;
-  bool trace = false;
-};
 
 [[noreturn]] void usage(const std::string& error) {
   std::cerr << "error: " << error << "\n\n"
@@ -132,478 +120,154 @@ struct Options {
   std::exit(2);
 }
 
-Options parse_args(int argc, char** argv) {
-  Options opt;
-  auto int_value = [](const std::string& key, const std::string& value) {
-    try {
-      return sim::parse_spec_int(value, key);
-    } catch (const sim::SpecError& e) {
-      usage(e.what());
-    }
-  };
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "--topology") {
-      opt.topology = value;
-    } else if (key == "--algorithm") {
-      opt.algorithm = value;
-    } else if (key == "--fault") {
-      opt.fault = value;
-    } else if (key == "--channel") {
-      opt.channel = value;
-    } else if (key == "--source") {
-      opt.source = int_value(key, value);
-    } else if (key == "--k") {
-      opt.k = int_value(key, value);
-    } else if (key == "--seed") {
-      try {
-        opt.seed = sim::parse_spec_uint(value, key);
-      } catch (const sim::SpecError& e) {
-        usage(e.what());
-      }
-    } else if (key == "--trials") {
-      opt.trials = int_value(key, value);
-    } else if (key == "--threads") {
-      opt.threads = int_value(key, value);
-    } else if (key == "--trace") {
-      opt.trace = true;
-    } else if (key == "--csv") {
-      opt.format = Format::kCsv;
-    } else if (key == "--json") {
-      opt.format = Format::kJson;
-    } else if (key == "--list") {
-      opt.list = true;
-    } else if (key == "--help" || key == "-h") {
-      usage("help requested");
-    } else {
-      usage("unknown flag '" + key + "'");
-    }
-  }
-  if (opt.k < 1) usage("--k must be positive");
-  if (opt.trials < 1) usage("--trials must be positive");
-  if (opt.threads < 1) usage("--threads must be positive");
-  if (opt.source < 0) usage("--source must be non-negative");
-  return opt;
-}
+// ------------------------------------------------------------------ flags
 
-// ------------------------------------------------------------------ sweep
-
-struct SweepCliOptions {
-  std::string plan;
-  std::vector<std::string> merge_files;
-  sim::SweepOptions run;
-  std::string out_file;
-  Format format = Format::kTable;
+/// One `--name[=value]` flag of a subcommand's table; `set` receives the
+/// text after '=' (empty when there is none).
+struct Flag {
+  std::string name;
+  std::function<void(const std::string& value)> set;
 };
+using Flags = std::vector<Flag>;
 
-SweepCliOptions parse_sweep_args(int argc, char** argv) {
-  SweepCliOptions opt;
-  auto int_value = [](const std::string& key, const std::string& value) {
-    try {
-      return sim::parse_spec_int(value, key);
-    } catch (const sim::SpecError& e) {
-      usage(e.what());
-    }
-  };
-  for (int i = 2; i < argc; ++i) {
+/// The one argv loop: dispatches argv[first..] to the subcommand's
+/// tables.  --help/-h asks for the usage text; any other name is an
+/// "unknown <noun> '<name>'<tail>".  A malformed value throws SpecError,
+/// which main() reports like every other usage error.
+void parse_flags(int argc, char** argv, int first,
+                 std::initializer_list<Flags> tables, const std::string& noun,
+                 const std::string& tail = "") {
+  for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
     const auto eq = arg.find('=');
     const std::string key = arg.substr(0, eq);
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "--plan") {
-      opt.plan = value;
-    } else if (key == "--merge") {
-      std::stringstream files(value);
-      std::string file;
-      while (std::getline(files, file, ','))
-        if (!file.empty()) opt.merge_files.push_back(file);
-      if (opt.merge_files.empty()) usage("--merge needs at least one file");
-    } else if (key == "--shard") {
-      const auto slash = value.find('/');
-      if (slash == std::string::npos) usage("--shard wants I/K (0-based I)");
-      const std::int64_t index =
-          int_value("--shard index", value.substr(0, slash));
-      const std::int64_t count =
-          int_value("--shard count", value.substr(slash + 1));
-      if (count < 1 || count > 1'000'000 || index < 0 || index >= count)
-        usage("--shard=I/K needs 0 <= I < K (K at most 1000000)");
-      opt.run.shard_index = static_cast<int>(index);
-      opt.run.shard_count = static_cast<int>(count);
-    } else if (key == "--cache-dir") {
-      if (value.empty()) usage("--cache-dir needs a directory");
-      opt.run.cache_dir = value;
-    } else if (key == "--fleet") {
-      if (opt.run.assignment == sim::SweepAssignment::kResume)
-        usage("--fleet and --resume are mutually exclusive");
-      opt.run.assignment = sim::SweepAssignment::kFleet;
-    } else if (key == "--resume") {
-      if (opt.run.assignment == sim::SweepAssignment::kFleet)
-        usage("--fleet and --resume are mutually exclusive");
-      opt.run.assignment = sim::SweepAssignment::kResume;
-    } else if (key == "--claim-ttl") {
-      const std::int64_t ttl = int_value(key, value);
-      if (ttl < 0) usage("--claim-ttl must be non-negative seconds");
-      opt.run.claim_ttl_seconds = static_cast<double>(ttl);
-    } else if (key == "--cell-threads") {
-      const std::int64_t threads = int_value(key, value);
-      if (threads < 1 || threads > 4096)
-        usage("--cell-threads must be in [1, 4096]");
-      opt.run.cell_threads = static_cast<int>(threads);
-    } else if (key == "--threads") {
-      const std::int64_t threads = int_value(key, value);
-      if (threads < 1 || threads > 4096)
-        usage("--threads must be in [1, 4096]");
-      opt.run.trial_threads = static_cast<int>(threads);
-    } else if (key == "--out") {
-      if (value.empty()) usage("--out needs a file name");
-      opt.out_file = value;
-    } else if (key == "--csv") {
-      opt.format = Format::kCsv;
-    } else if (key == "--json") {
-      opt.format = Format::kJson;
-    } else if (key == "--progress") {
-      opt.run.on_progress = serve::ProgressTicker(std::cerr);
-    } else if (key == "--help" || key == "-h") {
-      usage("help requested");
-    } else {
-      usage("unknown sweep flag '" + key + "'");
-    }
-  }
-  if (opt.plan.empty() == opt.merge_files.empty())
-    usage("sweep wants exactly one of --plan or --merge");
-  if (!opt.merge_files.empty() &&
-      (opt.run.shard_count != 1 || !opt.run.cache_dir.empty() ||
-       opt.run.assignment != sim::SweepAssignment::kStatic))
-    usage("--merge does not combine with --shard, --cache-dir, --fleet, "
-          "or --resume");
-  if (opt.run.assignment != sim::SweepAssignment::kStatic) {
-    if (opt.run.cache_dir.empty())
-      usage("--fleet/--resume need --cache-dir (the shared fleet state)");
-    if (opt.run.shard_count != 1)
-      usage("--fleet/--resume replace static --shard partitioning");
-  }
-  return opt;
-}
-
-int sweep_main(int argc, char** argv) {
-  const SweepCliOptions opt = parse_sweep_args(argc, argv);
-  try {
-    sim::SweepReport report;
-    if (!opt.merge_files.empty()) {
-      std::vector<sim::SweepReport> shards;
-      for (const auto& file : opt.merge_files) {
-        std::ifstream in(file, std::ios::binary);
-        if (!in) usage("cannot open shard file '" + file + "'");
-        shards.push_back(sim::read_shard_file(in));
-      }
-      report = sim::merge_sweep_reports(shards);
-    } else {
-      const auto plan = sim::SweepPlan::parse(opt.plan);
-      report = sim::SweepRunner(sim::extended_registry()).run(plan, opt.run);
-    }
-    if (!opt.out_file.empty()) {
-      std::ofstream out(opt.out_file, std::ios::binary | std::ios::trunc);
-      if (!out) usage("cannot write '" + opt.out_file + "'");
-      sim::write_shard_file(out, report);
-    }
-    switch (opt.format) {
-      case Format::kTable:
-        sim::write_sweep_table(std::cout, report);
-        break;
-      case Format::kCsv:
-        sim::write_sweep_csv(std::cout, report);
-        break;
-      case Format::kJson:
-        sim::write_sweep_json(std::cout, report);
-        break;
-    }
-    return report.all_completed() ? 0 : 1;
-  } catch (const sim::SpecError& e) {
-    usage(e.what());
-  } catch (const nrn::ContractViolation& e) {
-    usage(e.what());
+    if (key == "--help" || key == "-h") usage("help requested");
+    const Flag* flag = nullptr;
+    for (const Flags& table : tables)
+      for (const Flag& candidate : table)
+        if (candidate.name == key) flag = &candidate;
+    if (flag == nullptr) usage("unknown " + noun + " '" + key + "'" + tail);
+    flag->set(value);
   }
 }
 
-// ------------------------------------------------------------------ serve
-
-serve::SweepServer* g_serve_server = nullptr;
-
-extern "C" void handle_stop_signal(int) {
-  if (g_serve_server != nullptr) g_serve_server->request_stop();
+/// The one integer-flag helper: `value` as an integer in [lo, hi].  A
+/// non-integer throws SpecError naming `name`; an integer out of range is
+/// the usage error "<name> must be in [lo, hi]".
+std::int64_t int_flag(
+    const std::string& name, const std::string& value,
+    std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+    std::int64_t hi = std::numeric_limits<std::int64_t>::max()) {
+  const std::int64_t parsed = sim::parse_spec_int(value, name);
+  if (parsed < lo || parsed > hi)
+    usage(name + " must be in [" + std::to_string(lo) + ", " +
+          std::to_string(hi) + "]");
+  return parsed;
 }
 
-int serve_main(int argc, char** argv) {
-  serve::ServerOptions opt;
-  auto int_value = [](const std::string& key, const std::string& value) {
-    try {
-      return sim::parse_spec_int(value, key);
-    } catch (const sim::SpecError& e) {
-      usage(e.what());
-    }
+Flag text_flag(const char* name, std::string& out) {
+  return {name, [&out](const std::string& value) { out = value; }};
+}
+
+/// A flag whose value may not be empty: "<name> needs <what>" otherwise.
+Flag path_flag(const char* name, std::string& out, const char* what) {
+  return {name, [name, &out, what](const std::string& value) {
+            if (value.empty()) usage(std::string(name) + " needs " + what);
+            out = value;
+          }};
+}
+
+Flags format_flags(Format& format) {
+  return {{"--csv", [&format](const std::string&) { format = Format::kCsv; }},
+          {"--json",
+           [&format](const std::string&) { format = Format::kJson; }}};
+}
+
+/// --threads, --cell-threads, --claim-ttl and --cache-dir: how `sweep`
+/// and `serve` resolve cells.
+Flags worker_flags(int& trial_threads, int& cell_threads, double& claim_ttl,
+                   std::string& cache_dir) {
+  return {
+      {"--threads",
+       [&trial_threads](const std::string& value) {
+         trial_threads =
+             static_cast<int>(int_flag("--threads", value, 1, 4096));
+       }},
+      {"--cell-threads",
+       [&cell_threads](const std::string& value) {
+         cell_threads =
+             static_cast<int>(int_flag("--cell-threads", value, 1, 4096));
+       }},
+      {"--claim-ttl",
+       [&claim_ttl](const std::string& value) {
+         const std::int64_t ttl = int_flag("--claim-ttl", value);
+         if (ttl < 0) usage("--claim-ttl must be non-negative seconds");
+         claim_ttl = static_cast<double>(ttl);
+       }},
+      path_flag("--cache-dir", cache_dir, "a directory"),
   };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "--socket") {
-      if (value.empty()) usage("--socket needs a path");
-      opt.socket_path = value;
-    } else if (key == "--tcp-port") {
-      const std::int64_t port = int_value(key, value);
-      if (port < 0 || port > 65535) usage("--tcp-port must be in [0, 65535]");
-      opt.tcp_port = static_cast<int>(port);
-    } else if (key == "--cache-dir") {
-      if (value.empty()) usage("--cache-dir needs a directory");
-      opt.cache_dir = value;
-    } else if (key == "--cell-threads") {
-      const std::int64_t threads = int_value(key, value);
-      if (threads < 1 || threads > 4096)
-        usage("--cell-threads must be in [1, 4096]");
-      opt.scheduler.cell_threads = static_cast<int>(threads);
-    } else if (key == "--threads") {
-      const std::int64_t threads = int_value(key, value);
-      if (threads < 1 || threads > 4096)
-        usage("--threads must be in [1, 4096]");
-      opt.scheduler.trial_threads = static_cast<int>(threads);
-    } else if (key == "--claim-ttl") {
-      const std::int64_t ttl = int_value(key, value);
-      if (ttl < 0) usage("--claim-ttl must be non-negative seconds");
-      opt.scheduler.claim_ttl_seconds = static_cast<double>(ttl);
-    } else if (key == "--help" || key == "-h") {
-      usage("help requested");
-    } else {
-      usage("unknown serve flag '" + key + "'");
-    }
-  }
-  if (opt.cache_dir.empty()) usage("serve needs --cache-dir");
-  if (opt.socket_path.empty() && opt.tcp_port < 0)
-    usage("serve needs --socket and/or --tcp-port");
-  try {
-    serve::SweepServer server(sim::extended_registry(), opt);
-    g_serve_server = &server;
-    std::signal(SIGINT, handle_stop_signal);
-    std::signal(SIGTERM, handle_stop_signal);
-    std::cerr << "serve: listening";
-    if (!opt.socket_path.empty()) std::cerr << " on " << opt.socket_path;
-    if (server.tcp_port() >= 0)
-      std::cerr << " (tcp 127.0.0.1:" << server.tcp_port() << ")";
-    std::cerr << ", cache " << opt.cache_dir << "\n" << std::flush;
-    server.run();
-    g_serve_server = nullptr;
-    std::cerr << "serve: stopped\n";
-    return 0;
-  } catch (const sim::SpecError& e) {
-    usage(e.what());
-  }
 }
 
-// -------------------------------------------------- serve-client commands
+/// --socket and --tcp-port: where `serve` listens and its clients connect.
+/// The daemon also takes port 0 (an ephemeral port); a client needs a real
+/// one.
+Flags endpoint_flags(std::string& socket_path, int& tcp_port,
+                     int lowest_port) {
+  return {path_flag("--socket", socket_path, "a path"),
+          {"--tcp-port", [&tcp_port, lowest_port](const std::string& value) {
+             tcp_port = static_cast<int>(
+                 int_flag("--tcp-port", value, lowest_port, 65535));
+           }}};
+}
 
-struct ClientCliOptions {
-  std::string socket_path;
-  int tcp_port = -1;
-  std::string plan;
+/// What `sweep` and `submit` share: the plan, and where and how its report
+/// goes.
+struct PlanCliOptions {
+  std::string text;
   std::string out_file;
   Format format = Format::kTable;
   bool progress = false;
 };
 
-ClientCliOptions parse_client_args(int argc, char** argv, bool wants_plan) {
-  ClientCliOptions opt;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    const std::string key = arg.substr(0, eq);
-    const std::string value =
-        eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (key == "--socket") {
-      if (value.empty()) usage("--socket needs a path");
-      opt.socket_path = value;
-    } else if (key == "--tcp-port") {
-      try {
-        const std::int64_t port = sim::parse_spec_int(value, key);
-        if (port < 1 || port > 65535)
-          usage("--tcp-port must be in [1, 65535]");
-        opt.tcp_port = static_cast<int>(port);
-      } catch (const sim::SpecError& e) {
-        usage(e.what());
-      }
-    } else if (wants_plan && key == "--plan") {
-      opt.plan = value;
-    } else if (wants_plan && key == "--out") {
-      if (value.empty()) usage("--out needs a file name");
-      opt.out_file = value;
-    } else if (wants_plan && key == "--csv") {
-      opt.format = Format::kCsv;
-    } else if (wants_plan && key == "--json") {
-      opt.format = Format::kJson;
-    } else if (wants_plan && key == "--progress") {
-      opt.progress = true;
-    } else if (key == "--help" || key == "-h") {
-      usage("help requested");
-    } else {
-      usage("unknown flag '" + key + "' for this subcommand");
-    }
+Flags plan_flags(PlanCliOptions& plan) {
+  Flags flags = format_flags(plan.format);
+  flags.push_back(text_flag("--plan", plan.text));
+  flags.push_back(path_flag("--out", plan.out_file, "a file name"));
+  flags.push_back(
+      {"--progress", [&plan](const std::string&) { plan.progress = true; }});
+  return flags;
+}
+
+/// The one sweep-report writer: the mergeable shard file to --out, then
+/// the chosen emitter on stdout.  Returns the exit status.
+int write_report(const PlanCliOptions& plan, const sim::SweepReport& report) {
+  if (!plan.out_file.empty()) {
+    std::ofstream out(plan.out_file, std::ios::binary | std::ios::trunc);
+    if (!out) usage("cannot write '" + plan.out_file + "'");
+    sim::write_shard_file(out, report);
   }
-  if (opt.socket_path.empty() && opt.tcp_port < 0)
-    usage("need --socket=PATH or --tcp-port=N to reach the daemon");
-  if (wants_plan && opt.plan.empty()) usage("submit needs --plan");
-  return opt;
-}
-
-serve::LineClient connect_client(const ClientCliOptions& opt) {
-  return opt.socket_path.empty()
-             ? serve::LineClient::connect_tcp(opt.tcp_port)
-             : serve::LineClient::connect_unix(opt.socket_path);
-}
-
-/// A reply the daemon must send; EOF or an `error` reply aborts with a
-/// usage-style diagnostic.
-serve::Message expect_reply(serve::LineClient& client) {
-  auto reply = client.recv();
-  if (!reply) usage("daemon closed the connection unexpectedly");
-  if (reply->type() == "error") usage("daemon: " + reply->str("error"));
-  return std::move(*reply);
-}
-
-int submit_main(int argc, char** argv) {
-  const ClientCliOptions opt = parse_client_args(argc, argv, true);
-  try {
-    serve::LineClient client = connect_client(opt);
-    client.send(serve::Message("submit").set("plan", opt.plan));
-    const serve::Message accepted = expect_reply(client);
-    if (accepted.type() != "accepted")
-      usage("daemon sent unexpected '" + accepted.type() + "'");
-    const int plan_id = static_cast<int>(accepted.integer("plan"));
-
-    serve::ProgressTicker ticker(std::cerr);
-    sim::SweepProgressEvent event;
-    event.total = static_cast<int>(accepted.integer("cells"));
-    if (opt.progress) {
-      event.kind = sim::SweepProgressEvent::Kind::kAccepted;
-      ticker(event);
-    }
-
-    std::string report_text;
-    int computed = 0, cached = 0;
-    while (report_text.empty()) {
-      const serve::Message reply = expect_reply(client);
-      if (reply.type() == "cell_done") {
-        if (static_cast<int>(reply.integer("plan")) != plan_id) continue;
-        if (opt.progress) {
-          event.kind = sim::SweepProgressEvent::Kind::kCellDone;
-          event.done = static_cast<int>(reply.integer("done"));
-          event.cell_index = static_cast<int>(reply.integer("cell"));
-          event.cached = reply.str("resolution") == "cached";
-          event.cell_hash = reply.str("hash");
-          event.computed = static_cast<int>(reply.integer("computed"));
-          event.cached_cells = static_cast<int>(reply.integer("cached"));
-          ticker(event);
-        }
-      } else if (reply.type() == "plan_done") {
-        if (static_cast<int>(reply.integer("plan")) != plan_id) continue;
-        report_text = reply.str("report");
-        computed = static_cast<int>(reply.integer("computed"));
-        cached = static_cast<int>(reply.integer("cached"));
-        if (opt.progress) {
-          event.kind = sim::SweepProgressEvent::Kind::kPlanDone;
-          event.done = event.total;
-          event.computed = computed;
-          event.cached_cells = cached;
-          ticker(event);
-        }
-      } else if (reply.type() == "plan_failed") {
-        usage("daemon: plan failed: " + reply.str("error"));
-      } else {
-        usage("daemon sent unexpected '" + reply.type() + "'");
-      }
-    }
-
-    std::istringstream in(report_text);
-    const sim::SweepReport report = sim::read_shard_file(in);
-    std::cerr << "# serve: plan=" << plan_id << " cells="
-              << report.total_cells << " cached=" << cached
-              << " computed=" << computed << "\n";
-    if (!opt.out_file.empty()) {
-      std::ofstream out(opt.out_file, std::ios::binary | std::ios::trunc);
-      if (!out) usage("cannot write '" + opt.out_file + "'");
-      sim::write_shard_file(out, report);
-    }
-    switch (opt.format) {
-      case Format::kTable:
-        sim::write_sweep_table(std::cout, report);
-        break;
-      case Format::kCsv:
-        sim::write_sweep_csv(std::cout, report);
-        break;
-      case Format::kJson:
-        sim::write_sweep_json(std::cout, report);
-        break;
-    }
-    return report.all_completed() ? 0 : 1;
-  } catch (const serve::WireError& e) {
-    usage(std::string("wire error: ") + e.what());
-  } catch (const sim::SpecError& e) {
-    usage(e.what());
+  switch (plan.format) {
+    case Format::kTable:
+      sim::write_sweep_table(std::cout, report);
+      break;
+    case Format::kCsv:
+      sim::write_sweep_csv(std::cout, report);
+      break;
+    case Format::kJson:
+      sim::write_sweep_json(std::cout, report);
+      break;
   }
+  return report.all_completed() ? 0 : 1;
 }
 
-int status_main(int argc, char** argv) {
-  const ClientCliOptions opt = parse_client_args(argc, argv, false);
-  try {
-    serve::LineClient client = connect_client(opt);
-    client.send(serve::Message("status"));
-    const serve::Message reply = expect_reply(client);
-    if (reply.type() != "status")
-      usage("daemon sent unexpected '" + reply.type() + "'");
-    for (const auto* key :
-         {"protocol", "cache_dir", "plans_active", "plans_done",
-          "plans_failed", "cells_pending", "cells_running", "cells_computed",
-          "cells_cached"}) {
-      if (!reply.has(key)) continue;
-      std::cout << key << "  ";
-      if (key == std::string("protocol") || key == std::string("cache_dir"))
-        std::cout << reply.str(key);
-      else
-        std::cout << reply.integer(key);
-      std::cout << "\n";
-    }
-    return 0;
-  } catch (const serve::WireError& e) {
-    usage(std::string("wire error: ") + e.what());
-  } catch (const sim::SpecError& e) {
-    usage(e.what());
-  }
-}
-
-int shutdown_main(int argc, char** argv) {
-  const ClientCliOptions opt = parse_client_args(argc, argv, false);
-  try {
-    serve::LineClient client = connect_client(opt);
-    client.send(serve::Message("shutdown"));
-    const serve::Message reply = expect_reply(client);
-    if (reply.type() != "bye")
-      usage("daemon sent unexpected '" + reply.type() + "'");
-    return 0;
-  } catch (const serve::WireError& e) {
-    usage(std::string("wire error: ") + e.what());
-  } catch (const sim::SpecError& e) {
-    usage(e.what());
-  }
-}
+// --------------------------------------------------------------- listings
 
 // The `protocols` subcommand (and --list): every registered protocol with
 // its capability set, whether a theory bound is registered, and the
 // one-line description.
-int protocols_main() {
+int protocols_main(int /*argc*/, char** /*argv*/) {
   const auto& registry = sim::extended_registry();
   std::size_t name_width = 0, caps_width = 0;
   for (const auto& name : registry.names()) {
@@ -624,60 +288,323 @@ int protocols_main() {
 }
 
 // The `topologies` subcommand: every family the grammar accepts with its
-// argument signature and a one-line description.  The list is driven by
-// sim::topology_kinds() so a family added to the grammar without a doc
-// line here fails loudly instead of printing an incomplete table.
-int topologies_main() {
-  struct KindDoc {
-    const char* kind;
-    const char* args;
-    const char* doc;
-  };
-  static constexpr KindDoc kDocs[] = {
-      {"barbell", "barbell:clique:bridge",
-       "two k-cliques joined by a bridge path"},
-      {"binary-tree", "binary-tree:n", "complete binary tree, heap indexing"},
-      {"caterpillar", "caterpillar:spine:legs",
-       "spine path with pendant leaves per spine node"},
-      {"complete", "complete:n", "complete graph K_n"},
-      {"cycle", "cycle:n", "cycle on n >= 3 nodes"},
-      {"disk", "disk:n:radius[:power]",
-       "geometric: n nodes uniform in the unit square, edges within "
-       "radius; hosts channel=sinr"},
-      {"gnp", "gnp:n:p", "connected Erdos-Renyi G(n, p)"},
-      {"grid", "grid:RxC", "R x C grid"},
-      {"hypercube", "hypercube:d", "d-dimensional hypercube, 2^d nodes"},
-      {"link", "link", "two nodes, one edge (Appendix A)"},
-      {"lollipop", "lollipop:clique:tail", "clique with a pendant path"},
-      {"path", "path:n", "path 0 - 1 - ... - (n-1)"},
-      {"regular", "regular:n:d", "random d-regular-ish pairing model"},
-      {"ring", "ring:cliques:size",
-       "ring of cliques joined by single edges"},
-      {"star", "star:leaves", "hub node 0 with `leaves` leaves"},
-      {"tree", "tree:n", "uniform random attachment tree"},
-      {"uniform", "uniform:n:density",
-       "geometric: n nodes at expected density per unit square, unit-range "
-       "edges; hosts channel=sinr"},
-      {"wct", "wct:budget | wct:M:L:C:S",
-       "weak connectivity tree instance (Lemma 18)"},
-  };
-  const auto& kinds = sim::topology_kinds();
+// argument signature and one-line description, read from the grammar's
+// own table.
+int topologies_main(int /*argc*/, char** /*argv*/) {
   std::size_t args_width = 0;
-  for (const auto& doc : kDocs)
-    args_width = std::max(args_width, std::string(doc.args).size());
-  for (const auto& kind : kinds) {
-    const KindDoc* found = nullptr;
-    for (const auto& doc : kDocs)
-      if (kind == doc.kind) found = &doc;
-    if (found == nullptr) {
-      std::cerr << "error: topology kind '" << kind
-                << "' has no doc line in nrn_sim topologies\n";
-      return 2;
-    }
-    const std::string args = found->args;
+  for (const auto& kind : sim::topology_kinds())
+    args_width = std::max(args_width, sim::topology_usage(kind).size());
+  for (const auto& kind : sim::topology_kinds()) {
+    const std::string args = sim::topology_usage(kind);
     std::cout << args << std::string(args_width - args.size() + 2, ' ')
-              << found->doc << "\n";
+              << sim::topology_doc(kind) << "\n";
   }
+  return 0;
+}
+
+// ------------------------------------------------------------- single run
+
+struct Options {
+  std::string topology = "path:64";
+  std::string algorithm = "decay";
+  std::string fault = "none";
+  std::string channel = "none";
+  std::int64_t source = 0;
+  std::int64_t k = 1;
+  std::uint64_t seed = 1;
+  std::int64_t trials = 1;
+  std::int64_t threads = 1;
+  Format format = Format::kTable;
+  bool list = false;
+  bool trace = false;
+};
+
+Options parse_args(int argc, char** argv) {
+  Options opt;
+  const auto integer = [](const char* name, std::int64_t& out) {
+    return Flag{name, [name, &out](const std::string& value) {
+                  out = int_flag(name, value);
+                }};
+  };
+  const Flags flags = {
+      text_flag("--topology", opt.topology),
+      text_flag("--algorithm", opt.algorithm),
+      text_flag("--fault", opt.fault),
+      text_flag("--channel", opt.channel),
+      integer("--source", opt.source),
+      integer("--k", opt.k),
+      {"--seed",
+       [&opt](const std::string& value) {
+         opt.seed = sim::parse_spec_uint(value, "--seed");
+       }},
+      integer("--trials", opt.trials),
+      integer("--threads", opt.threads),
+      {"--trace", [&opt](const std::string&) { opt.trace = true; }},
+      {"--list", [&opt](const std::string&) { opt.list = true; }},
+  };
+  parse_flags(argc, argv, 1, {flags, format_flags(opt.format)}, "flag");
+  if (opt.k < 1) usage("--k must be positive");
+  if (opt.trials < 1) usage("--trials must be positive");
+  if (opt.threads < 1) usage("--threads must be positive");
+  if (opt.source < 0) usage("--source must be non-negative");
+  return opt;
+}
+
+int run_main(int argc, char** argv) {
+  const Options opt = parse_args(argc, argv);
+  if (opt.list) return protocols_main(argc, argv);
+  const auto scenario = sim::Scenario::parse(
+      opt.topology, opt.fault, static_cast<graph::NodeId>(opt.source), opt.k,
+      opt.seed, opt.channel);
+  sim::DriverOptions driver_options;
+  driver_options.threads = static_cast<int>(opt.threads);
+  driver_options.trace = opt.trace;
+  const auto report = sim::Driver(sim::extended_registry())
+                          .run(scenario, opt.algorithm,
+                               static_cast<int>(opt.trials), driver_options);
+  switch (opt.format) {
+    case Format::kTable:
+      sim::write_table(std::cout, report);
+      break;
+    case Format::kCsv:
+      sim::write_csv(std::cout, report);
+      break;
+    case Format::kJson:
+      sim::write_json(std::cout, report);
+      break;
+  }
+  return report.all_completed() ? 0 : 1;
+}
+
+// ------------------------------------------------------------------ sweep
+
+int sweep_main(int argc, char** argv) {
+  PlanCliOptions plan;
+  std::vector<std::string> merge_files;
+  sim::SweepOptions run;
+  const auto assign = [&run](sim::SweepAssignment mode) {
+    return [&run, mode](const std::string&) {
+      if (run.assignment != sim::SweepAssignment::kStatic &&
+          run.assignment != mode)
+        usage("--fleet and --resume are mutually exclusive");
+      run.assignment = mode;
+    };
+  };
+  const Flags flags = {
+      {"--merge",
+       [&merge_files](const std::string& value) {
+         std::stringstream files(value);
+         std::string file;
+         while (std::getline(files, file, ','))
+           if (!file.empty()) merge_files.push_back(file);
+         if (merge_files.empty()) usage("--merge needs at least one file");
+       }},
+      {"--shard",
+       [&run](const std::string& value) {
+         const auto slash = value.find('/');
+         if (slash == std::string::npos)
+           usage("--shard wants I/K (0-based I)");
+         const std::int64_t index =
+             int_flag("--shard index", value.substr(0, slash));
+         const std::int64_t count =
+             int_flag("--shard count", value.substr(slash + 1));
+         if (count < 1 || count > 1'000'000 || index < 0 || index >= count)
+           usage("--shard=I/K needs 0 <= I < K (K at most 1000000)");
+         run.shard_index = static_cast<int>(index);
+         run.shard_count = static_cast<int>(count);
+       }},
+      {"--fleet", assign(sim::SweepAssignment::kFleet)},
+      {"--resume", assign(sim::SweepAssignment::kResume)},
+  };
+  parse_flags(argc, argv, 2,
+              {flags, plan_flags(plan),
+               worker_flags(run.trial_threads, run.cell_threads,
+                            run.claim_ttl_seconds, run.cache_dir)},
+              "sweep flag");
+  if (plan.text.empty() == merge_files.empty())
+    usage("sweep wants exactly one of --plan or --merge");
+  if (!merge_files.empty() &&
+      (run.shard_count != 1 || !run.cache_dir.empty() ||
+       run.assignment != sim::SweepAssignment::kStatic))
+    usage("--merge does not combine with --shard, --cache-dir, --fleet, "
+          "or --resume");
+  if (run.assignment != sim::SweepAssignment::kStatic) {
+    if (run.cache_dir.empty())
+      usage("--fleet/--resume need --cache-dir (the shared fleet state)");
+    if (run.shard_count != 1)
+      usage("--fleet/--resume replace static --shard partitioning");
+  }
+  if (plan.progress) run.on_progress = serve::ProgressTicker(std::cerr);
+
+  if (!merge_files.empty()) {
+    std::vector<sim::SweepReport> shards;
+    for (const auto& file : merge_files) {
+      std::ifstream in(file, std::ios::binary);
+      if (!in) usage("cannot open shard file '" + file + "'");
+      shards.push_back(sim::read_shard_file(in));
+    }
+    return write_report(plan, sim::merge_sweep_reports(shards));
+  }
+  return write_report(plan, sim::SweepRunner(sim::extended_registry())
+                                .run(sim::SweepPlan::parse(plan.text), run));
+}
+
+// ------------------------------------------------------------------ serve
+
+serve::SweepServer* g_serve_server = nullptr;
+
+extern "C" void handle_stop_signal(int) {
+  if (g_serve_server != nullptr) g_serve_server->request_stop();
+}
+
+int serve_main(int argc, char** argv) {
+  serve::ServerOptions opt;
+  auto& workers = opt.scheduler;
+  parse_flags(argc, argv, 2,
+              {endpoint_flags(opt.socket_path, opt.tcp_port, 0),
+               worker_flags(workers.trial_threads, workers.cell_threads,
+                            workers.claim_ttl_seconds, opt.cache_dir)},
+              "serve flag");
+  if (opt.cache_dir.empty()) usage("serve needs --cache-dir");
+  if (opt.socket_path.empty() && opt.tcp_port < 0)
+    usage("serve needs --socket and/or --tcp-port");
+  serve::SweepServer server(sim::extended_registry(), opt);
+  g_serve_server = &server;
+  std::signal(SIGINT, handle_stop_signal);
+  std::signal(SIGTERM, handle_stop_signal);
+  std::cerr << "serve: listening";
+  if (!opt.socket_path.empty()) std::cerr << " on " << opt.socket_path;
+  if (server.tcp_port() >= 0)
+    std::cerr << " (tcp 127.0.0.1:" << server.tcp_port() << ")";
+  std::cerr << ", cache " << opt.cache_dir << "\n" << std::flush;
+  server.run();
+  g_serve_server = nullptr;
+  std::cerr << "serve: stopped\n";
+  return 0;
+}
+
+// -------------------------------------------------- serve-client commands
+
+struct ClientCliOptions {
+  std::string socket_path;
+  int tcp_port = -1;
+  PlanCliOptions plan;
+};
+
+ClientCliOptions parse_client_args(int argc, char** argv, bool wants_plan) {
+  ClientCliOptions opt;
+  parse_flags(argc, argv, 2,
+              {endpoint_flags(opt.socket_path, opt.tcp_port, 1),
+               wants_plan ? plan_flags(opt.plan) : Flags{}},
+              "flag", " for this subcommand");
+  if (opt.socket_path.empty() && opt.tcp_port < 0)
+    usage("need --socket=PATH or --tcp-port=N to reach the daemon");
+  if (wants_plan && opt.plan.text.empty()) usage("submit needs --plan");
+  return opt;
+}
+
+serve::LineClient connect_client(const ClientCliOptions& opt) {
+  return opt.socket_path.empty()
+             ? serve::LineClient::connect_tcp(opt.tcp_port)
+             : serve::LineClient::connect_unix(opt.socket_path);
+}
+
+/// A reply the daemon must send; EOF or an `error` reply aborts with a
+/// usage-style diagnostic.
+serve::Message expect_reply(serve::LineClient& client) {
+  auto reply = client.recv();
+  if (!reply) usage("daemon closed the connection unexpectedly");
+  if (reply->type() == "error") usage("daemon: " + reply->str("error"));
+  return std::move(*reply);
+}
+
+int submit_main(int argc, char** argv) {
+  const ClientCliOptions opt = parse_client_args(argc, argv, true);
+  serve::LineClient client = connect_client(opt);
+  client.send(serve::Message("submit").set("plan", opt.plan.text));
+  const serve::Message accepted = expect_reply(client);
+  if (accepted.type() != "accepted")
+    usage("daemon sent unexpected '" + accepted.type() + "'");
+  const int plan_id = static_cast<int>(accepted.integer("plan"));
+
+  serve::ProgressTicker ticker(std::cerr);
+  sim::SweepProgressEvent event;
+  event.total = static_cast<int>(accepted.integer("cells"));
+  if (opt.plan.progress) {
+    event.kind = sim::SweepProgressEvent::Kind::kAccepted;
+    ticker(event);
+  }
+
+  std::string report_text;
+  int computed = 0, cached = 0;
+  while (report_text.empty()) {
+    const serve::Message reply = expect_reply(client);
+    if (reply.type() == "cell_done") {
+      if (static_cast<int>(reply.integer("plan")) != plan_id) continue;
+      if (opt.plan.progress) {
+        event.kind = sim::SweepProgressEvent::Kind::kCellDone;
+        event.done = static_cast<int>(reply.integer("done"));
+        event.cell_index = static_cast<int>(reply.integer("cell"));
+        event.cached = reply.str("resolution") == "cached";
+        event.cell_hash = reply.str("hash");
+        event.computed = static_cast<int>(reply.integer("computed"));
+        event.cached_cells = static_cast<int>(reply.integer("cached"));
+        ticker(event);
+      }
+    } else if (reply.type() == "plan_done") {
+      if (static_cast<int>(reply.integer("plan")) != plan_id) continue;
+      report_text = reply.str("report");
+      computed = static_cast<int>(reply.integer("computed"));
+      cached = static_cast<int>(reply.integer("cached"));
+      if (opt.plan.progress) {
+        event.kind = sim::SweepProgressEvent::Kind::kPlanDone;
+        event.done = event.total;
+        event.computed = computed;
+        event.cached_cells = cached;
+        ticker(event);
+      }
+    } else if (reply.type() == "plan_failed") {
+      usage("daemon: plan failed: " + reply.str("error"));
+    } else {
+      usage("daemon sent unexpected '" + reply.type() + "'");
+    }
+  }
+
+  std::istringstream in(report_text);
+  const sim::SweepReport report = sim::read_shard_file(in);
+  std::cerr << "# serve: plan=" << plan_id << " cells=" << report.total_cells
+            << " cached=" << cached << " computed=" << computed << "\n";
+  return write_report(opt.plan, report);
+}
+
+int status_main(int argc, char** argv) {
+  const ClientCliOptions opt = parse_client_args(argc, argv, false);
+  serve::LineClient client = connect_client(opt);
+  client.send(serve::Message("status"));
+  const serve::Message reply = expect_reply(client);
+  if (reply.type() != "status")
+    usage("daemon sent unexpected '" + reply.type() + "'");
+  for (const auto* key :
+       {"protocol", "cache_dir", "plans_active", "plans_done", "plans_failed",
+        "cells_pending", "cells_running", "cells_computed", "cells_cached"}) {
+    if (!reply.has(key)) continue;
+    std::cout << key << "  ";
+    if (key == std::string("protocol") || key == std::string("cache_dir"))
+      std::cout << reply.str(key);
+    else
+      std::cout << reply.integer(key);
+    std::cout << "\n";
+  }
+  return 0;
+}
+
+int shutdown_main(int argc, char** argv) {
+  const ClientCliOptions opt = parse_client_args(argc, argv, false);
+  serve::LineClient client = connect_client(opt);
+  client.send(serve::Message("shutdown"));
+  const serve::Message reply = expect_reply(client);
+  if (reply.type() != "bye")
+    usage("daemon sent unexpected '" + reply.type() + "'");
   return 0;
 }
 
@@ -690,48 +617,24 @@ int main(int argc, char** argv) {
   // CI runs the smoke suites under LC_ALL=de_DE.UTF-8 to prove it.
   // Deliberate and safe: called once before any thread exists.
   std::setlocale(LC_ALL, "");  // NOLINT(concurrency-mt-unsafe)
-  if (argc > 1 && std::string(argv[1]) == "sweep")
-    return sweep_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "serve")
-    return serve_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "submit")
-    return submit_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "status")
-    return status_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "shutdown")
-    return shutdown_main(argc, argv);
-  if (argc > 1 && std::string(argv[1]) == "protocols") return protocols_main();
-  if (argc > 1 && std::string(argv[1]) == "topologies")
-    return topologies_main();
-  const Options opt = parse_args(argc, argv);
-  const auto& registry = sim::extended_registry();
-
-  if (opt.list) return protocols_main();
-
+  const std::string command = argc > 1 ? argv[1] : "";
+  int (*subcommand)(int, char**) = run_main;  // no subcommand: a single run
+  if (command == "sweep") subcommand = sweep_main;
+  if (command == "serve") subcommand = serve_main;
+  if (command == "submit") subcommand = submit_main;
+  if (command == "status") subcommand = status_main;
+  if (command == "shutdown") subcommand = shutdown_main;
+  if (command == "protocols") subcommand = protocols_main;
+  if (command == "topologies") subcommand = topologies_main;
+  // The one error path: a malformed spec, a broken contract or a garbled
+  // daemon reply is a usage error (exit 2).
   try {
-    const auto scenario = sim::Scenario::parse(
-        opt.topology, opt.fault, static_cast<graph::NodeId>(opt.source),
-        opt.k, opt.seed, opt.channel);
-    sim::DriverOptions driver_options;
-    driver_options.threads = static_cast<int>(opt.threads);
-    driver_options.trace = opt.trace;
-    const auto report = sim::Driver(registry).run(
-        scenario, opt.algorithm, static_cast<int>(opt.trials), driver_options);
-    switch (opt.format) {
-      case Format::kTable:
-        sim::write_table(std::cout, report);
-        break;
-      case Format::kCsv:
-        sim::write_csv(std::cout, report);
-        break;
-      case Format::kJson:
-        sim::write_json(std::cout, report);
-        break;
-    }
-    return report.all_completed() ? 0 : 1;
+    return subcommand(argc, argv);
   } catch (const sim::SpecError& e) {
     usage(e.what());
   } catch (const nrn::ContractViolation& e) {
     usage(e.what());
+  } catch (const serve::WireError& e) {
+    usage(std::string("wire error: ") + e.what());
   }
 }
