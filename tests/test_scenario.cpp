@@ -63,6 +63,17 @@ TEST(TopologySpec, KindListMatchesGrammar) {
   }
 }
 
+TEST(TopologySpec, EveryKindHasAUsageAndADocLine) {
+  // `nrn_sim topologies` prints these straight from the grammar's table.
+  for (const auto& kind : topology_kinds()) {
+    SCOPED_TRACE(kind);
+    EXPECT_EQ(topology_usage(kind).rfind(kind, 0), 0u);
+    EXPECT_FALSE(topology_doc(kind).empty());
+  }
+  EXPECT_THROW(topology_usage("nope"), SpecError);
+  EXPECT_THROW(topology_doc("nope"), SpecError);
+}
+
 TEST(TopologySpec, RandomizedFamiliesAreFlagged) {
   EXPECT_TRUE(TopologySpec::parse("gnp:50:0.2").randomized());
   EXPECT_TRUE(TopologySpec::parse("tree:40").randomized());
