@@ -122,6 +122,12 @@ const KindRule* find_rule(const std::string& kind) {
   return nullptr;
 }
 
+const KindRule& known_rule(const std::string& kind) {
+  const KindRule* rule = find_rule(kind);
+  if (rule == nullptr) bad_spec("unknown topology '" + kind + "'");
+  return *rule;
+}
+
 std::int64_t positive_arg(const TopologySpec& spec, std::size_t i,
                           const char* name) {
   const std::int64_t v = spec.ints.at(i);
@@ -138,8 +144,7 @@ TopologySpec TopologySpec::parse(const std::string& spec) {
   TopologySpec out;
   out.text = spec;
   out.kind = parts[0];
-  const KindRule* rule = find_rule(out.kind);
-  if (rule == nullptr) bad_spec("unknown topology '" + out.kind + "'");
+  const KindRule& rule = known_rule(out.kind);
 
   if (out.kind == "grid") {
     if (parts.size() != 2) bad_spec("grid wants grid:RxC");
@@ -166,14 +171,14 @@ TopologySpec TopologySpec::parse(const std::string& spec) {
     out.reals.push_back(parse_spec_real(parts[2], "uniform density"));
   } else {
     const std::size_t expected =
-        1 + static_cast<std::size_t>(rule->int_args) + (rule->has_real ? 1 : 0);
+        1 + static_cast<std::size_t>(rule.int_args) + (rule.has_real ? 1 : 0);
     if (parts.size() != expected)
       bad_spec("topology '" + spec + "': wrong number of arguments for '" +
                out.kind + "'");
-    for (int i = 0; i < rule->int_args; ++i)
+    for (int i = 0; i < rule.int_args; ++i)
       out.ints.push_back(parse_spec_int(
           parts[static_cast<std::size_t>(i) + 1], out.kind + " argument"));
-    if (rule->has_real)
+    if (rule.has_real)
       out.reals.push_back(parse_spec_real(parts.back(), out.kind + " probability"));
   }
 
@@ -366,16 +371,6 @@ const std::vector<std::string>& topology_kinds() {
   }();
   return kinds;
 }
-
-namespace {
-
-const KindRule& known_rule(const std::string& kind) {
-  const KindRule* rule = find_rule(kind);
-  if (rule == nullptr) bad_spec("unknown topology '" + kind + "'");
-  return *rule;
-}
-
-}  // namespace
 
 std::string topology_usage(const std::string& kind) {
   return known_rule(kind).usage;
