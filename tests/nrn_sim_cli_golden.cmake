@@ -120,6 +120,8 @@ cli_case(FIRST submit --bogus)
 cli_case(FIRST submit --socket=serve.sock)
 cli_case(FIRST submit --plan=x)
 cli_case(FIRST status --plan=x)
+cli_case(FIRST status --bogus)
+cli_case(FIRST shutdown --bogus)
 cli_case(FIRST status --tcp-port=0)
 cli_case(FIRST status --tcp-port=70000)
 cli_case(FIRST status --tcp-port=abc)
