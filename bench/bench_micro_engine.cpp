@@ -105,46 +105,60 @@ void BM_EngineSinrDisk(benchmark::State& state) {
 BENCHMARK(BM_EngineSinrDisk)->Arg(256)->Arg(1024);
 
 void BM_EngineTrials(benchmark::State& state, const std::string& topology,
-                     const std::string& protocol,
-                     sim::TrialExecution execution) {
-  // Eight trials (one full lockstep bank) through the Driver over a setup
-  // built once, forced scalar or left to auto.  Auto banks every cell of
-  // the matrix (none is consecutive-id), so each scalar/auto pair prices
-  // the lockstep bank against the scalar engine.  Outcomes are
-  // bit-identical; only the wall clock differs.
+                     const std::string& protocol, const std::string& fault,
+                     int trials, sim::TrialExecution execution) {
+  // `trials` trials through the Driver over a setup built once, forced
+  // scalar or left to auto.  Auto banks every cell of the matrix (none is
+  // consecutive-id), so each scalar/auto pair prices the lockstep bank
+  // against the scalar engine: 8 trials fill a quarter of one bank, 96
+  // make three full ones.  Outcomes are bit-identical; only the wall
+  // clock differs.
   const bool sinr = topology.rfind("disk:", 0) == 0;
   const auto scenario = sim::Scenario::parse(
-      topology, sinr ? "none" : "receiver:0.3", 0, 1, 21,
-      sinr ? "sinr:2.5:0.001:1.0" : "none");
+      topology, fault, 0, 1, 21, sinr ? "sinr:2.5:0.001:1.0" : "none");
   const sim::ScenarioSetup setup(scenario);
   sim::DriverOptions options;
   options.execution = execution;
   const sim::Driver driver;
   for (auto _ : state)
     benchmark::DoNotOptimize(
-        driver.run(setup, scenario, protocol, 8, options));
-  state.SetItemsProcessed(state.iterations() * 8);
+        driver.run(setup, scenario, protocol, trials, options));
+  state.SetItemsProcessed(state.iterations() * trials);
 }
 
-// The scalar-vs-auto matrix: decay and robust on edge-fault gnp and grid
-// graphs and SINR unit-disk graphs at n = 256 and 2048, named
-// BM_EngineTrials/<protocol>/<topology>/<scalar|auto>.
+// The scalar-vs-auto matrix, named
+// BM_EngineTrials/<protocol>/<topology>[/<fault>][/<trials>]/<scalar|auto>:
+//   * 8 trials of decay and robust on edge-fault gnp and grid graphs and
+//     SINR unit-disk graphs at n = 256 and 2048;
+//   * 96 trials (full banks) of both at n = 2048, plus one sender-fault
+//     cell, the only fault that keys coins by each listener's sole sender.
+// Edge cells run under receiver:0.3 unless the name gives a fault.
 const bool kTrialMatrixRegistered = [] {
   const std::pair<const char*, sim::TrialExecution> modes[] = {
       {"scalar", sim::TrialExecution::kScalar},
       {"auto", sim::TrialExecution::kAuto}};
+  auto add = [&](const std::string& protocol, const std::string& topology,
+                 const std::string& fault, int trials) {
+    const bool sinr = topology.rfind("disk:", 0) == 0;
+    std::string name = "BM_EngineTrials/" + protocol + "/" + topology + "/";
+    if (fault != "receiver:0.3") name.append(fault).append("/");
+    if (trials != 8) name.append(std::to_string(trials)).append("/");
+    for (const auto& [mode, execution] : modes)
+      benchmark::RegisterBenchmark((name + mode).c_str(),
+                                   BM_EngineTrials, topology, protocol,
+                                   sinr ? "none" : fault, trials, execution)
+          ->Unit(benchmark::kMillisecond);
+  };
   for (const char* protocol : {"decay", "robust"})
     for (const char* topology :
          {"gnp:256:0.04", "gnp:2048:0.005", "grid:16x16", "grid:32x64",
           "disk:256:0.15", "disk:2048:0.05"})
-      for (const auto& [mode, execution] : modes)
-        benchmark::RegisterBenchmark(
-            (std::string("BM_EngineTrials/") + protocol + "/" + topology +
-             "/" + mode)
-                .c_str(),
-            BM_EngineTrials, std::string(topology), std::string(protocol),
-            execution)
-            ->Unit(benchmark::kMillisecond);
+      add(protocol, topology, "receiver:0.3", 8);
+  for (const char* protocol : {"decay", "robust"})
+    for (const char* topology :
+         {"gnp:2048:0.005", "grid:32x64", "disk:2048:0.05"})
+      add(protocol, topology, "receiver:0.3", 96);
+  add("decay", "gnp:2048:0.005", "sender:0.3", 96);
   return true;
 }();
 

@@ -5,8 +5,9 @@
 //   * scalar  -- run_stepped() loops one stepper against one RadioNetwork;
 //     Decay::run / Fastbc::run / RobustFastbc::run are thin wrappers over
 //     this, so the stepper IS the protocol, not a parallel reimplementation;
-//   * lockstep -- the Driver banks up to LockstepNetwork::kMaxLanes trials
-//     of one scenario, steps each trial's stepper once per bank round, and
+//   * lockstep -- the Driver splits a cell's trials into banks of at most
+//     LockstepNetwork::kMaxLanes (32) consecutive trials, at least one bank
+//     per trial thread, steps each trial's stepper once per bank round, and
 //     executes all lanes' rounds in a single shared adjacency pass.
 //
 // Because both engines run the same stepper against the same per-trial

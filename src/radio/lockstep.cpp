@@ -13,7 +13,6 @@ LockstepNetwork::LockstepNetwork(const graph::Graph& g,
   bcast_mask_.assign(n, 0);
   once_.assign(n, 0);
   twice_.assign(n, 0);
-  sole_sender_.assign(n * static_cast<std::size_t>(kMaxLanes), 0);
   union_.reserve(n);
   reset(channel);
 }
@@ -22,6 +21,9 @@ void LockstepNetwork::reset(const ChannelModel& channel) {
   // Under SINR no coins are priced, so the lanes' rng streams are never
   // drawn from.
   channel_.arm(channel, *graph_, geometry_);
+  if (channel_.sender_coins && sole_sender_.empty())
+    sole_sender_.resize(static_cast<std::size_t>(graph_->node_count()) *
+                        static_cast<std::size_t>(kMaxLanes));
   lanes_ = 0;
   // Per-round scratch self-clears at the end of run_round; after an
   // abandoned round (reset mid-bank) it must be scrubbed here.
@@ -31,8 +33,7 @@ void LockstepNetwork::reset(const ChannelModel& channel) {
   union_.clear();
   for (int l = 0; l < kMaxLanes; ++l) {
     const auto li = static_cast<std::size_t>(l);
-    plan_[li].clear();
-    cand_recv_[li].clear();
+    staged_[li] = 0;
     cand_send_[li].clear();
     receivers_[li].clear();
     stats_[li] = RoundStats{};
@@ -47,40 +48,40 @@ int LockstepNetwork::add_lane(Rng rng) {
 
 void LockstepNetwork::stage_many(int lane, std::span<const NodeId> senders) {
   NRN_EXPECTS(lane >= 0 && lane < lanes_, "lane out of range");
-  const auto bit = static_cast<LaneMask>(1u << lane);
-  auto& plan = plan_[static_cast<std::size_t>(lane)];
-  plan.reserve(plan.size() + senders.size());
-  for (const NodeId u : senders) mark_broadcaster(bit, plan, u);
+  const LaneMask bit = LaneMask{1} << lane;
+  auto& staged = staged_[static_cast<std::size_t>(lane)];
+  for (const NodeId u : senders) mark_broadcaster(bit, staged, u);
 }
 
 void LockstepNetwork::stage_bernoulli_pow2(int lane,
                                            std::span<const NodeId> candidates,
                                            std::int32_t i, Rng& rng) {
   NRN_EXPECTS(lane >= 0 && lane < lanes_, "lane out of range");
-  const auto bit = static_cast<LaneMask>(1u << lane);
-  auto& plan = plan_[static_cast<std::size_t>(lane)];
+  const LaneMask bit = LaneMask{1} << lane;
+  auto& staged = staged_[static_cast<std::size_t>(lane)];
   rng.for_each_bernoulli_pow2(candidates.size(), i, [&](std::size_t idx) {
-    mark_broadcaster(bit, plan, candidates[idx]);
+    mark_broadcaster(bit, staged, candidates[idx]);
   });
 }
 
-void LockstepNetwork::run_round(unsigned lanes) {
-  NRN_EXPECTS((lanes >> lanes_) == 0, "round mask addresses unknown lanes");
+void LockstepNetwork::run_round(LaneMask lanes) {
+  // Widened first: a full bank's lanes_ equals the mask's bit width.
+  NRN_EXPECTS((std::uint64_t{lanes} >> lanes_) == 0,
+              "round mask addresses unknown lanes");
   const bool coins = channel_.sender_coins || channel_.receiver_coins;
   for (int l = 0; l < lanes_; ++l) {
     const auto li = static_cast<std::size_t>(l);
-    if ((lanes & (1u << l)) == 0) {
-      NRN_EXPECTS(plan_[li].empty(), "staged lane missing from round mask");
+    if (((lanes >> l) & 1U) == 0) {
+      NRN_EXPECTS(staged_[li] == 0, "staged lane missing from round mask");
       continue;
     }
     stats_[li] = RoundStats{};
-    stats_[li].broadcasters = static_cast<std::int64_t>(plan_[li].size());
+    stats_[li].broadcasters = staged_[li];
     receivers_[li].clear();
-    cand_recv_[li].clear();
     cand_send_[li].clear();
     // Tape v4, per lane: one salt draw iff the lane broadcast and any coin
     // is in play -- exactly the scalar engine's stream consumption.
-    if (coins && !plan_[li].empty()) {
+    if (coins && staged_[li] != 0) {
       const std::uint64_t salt = rng_[li]();
       sender_salt_[li] = salt ^ kSenderSaltTweak;
       receiver_salt_[li] = salt ^ kReceiverSaltTweak;
@@ -94,10 +95,10 @@ void LockstepNetwork::run_round(unsigned lanes) {
     run_round_sinr();
     for (int l = 0; l < lanes_; ++l) {
       const auto li = static_cast<std::size_t>(l);
-      if ((lanes & (1u << l)) == 0) continue;
+      if (((lanes >> l) & 1U) == 0) continue;
       stats_[li].deliveries =
           static_cast<std::int64_t>(receivers_[li].size());
-      plan_[li].clear();
+      staged_[li] = 0;
     }
     for (const NodeId b : union_) bcast_mask_[static_cast<std::size_t>(b)] = 0;
     union_.clear();
@@ -114,12 +115,12 @@ void LockstepNetwork::run_round(unsigned lanes) {
       for (const NodeId v : graph_->neighbors(b)) {
         const auto vi = static_cast<std::size_t>(v);
         const LaneMask prev = once_[vi];
-        LaneMask newly = static_cast<LaneMask>(bm & ~prev);
-        twice_[vi] = static_cast<LaneMask>(twice_[vi] | (bm & prev));
-        once_[vi] = static_cast<LaneMask>(prev | bm);
+        LaneMask newly = bm & ~prev;
+        twice_[vi] |= bm & prev;
+        once_[vi] = prev | bm;
         while (newly != 0) {
           const int l = std::countr_zero(newly);
-          newly = static_cast<LaneMask>(newly & (newly - 1));
+          newly &= newly - 1;
           sole_sender_[vi * static_cast<std::size_t>(kMaxLanes) +
                        static_cast<std::size_t>(l)] = b;
         }
@@ -131,16 +132,17 @@ void LockstepNetwork::run_round(unsigned lanes) {
       for (const NodeId v : graph_->neighbors(b)) {
         const auto vi = static_cast<std::size_t>(v);
         const LaneMask prev = once_[vi];
-        twice_[vi] = static_cast<LaneMask>(twice_[vi] | (bm & prev));
-        once_[vi] = static_cast<LaneMask>(prev | bm);
+        twice_[vi] |= bm & prev;
+        once_[vi] = prev | bm;
       }
     }
   }
 
   // Ascending-listener scan: per lane, a touched listener that is not
   // itself broadcasting is a collision (touched twice) or a delivery
-  // candidate (touched exactly once).  Reading a slot also clears it, so
-  // the shared scratch needs no separate wipe.
+  // candidate (touched exactly once), appended to the lane's receivers_
+  // for resolve_lane to filter.  Reading a slot also clears it, so the
+  // shared scratch needs no separate wipe.
   const NodeId n = graph_->node_count();
   for (NodeId v = 0; v < n; ++v) {
     const auto vi = static_cast<std::size_t>(v);
@@ -149,18 +151,18 @@ void LockstepNetwork::run_round(unsigned lanes) {
     once_[vi] = 0;
     const LaneMask twice = twice_[vi];
     twice_[vi] = 0;
-    const auto listening = static_cast<LaneMask>(~bcast_mask_[vi]);
-    LaneMask col = static_cast<LaneMask>(twice & listening);
-    LaneMask del = static_cast<LaneMask>(on & ~twice & listening);
+    const LaneMask listening = ~bcast_mask_[vi];
+    LaneMask col = twice & listening;
+    LaneMask del = on & ~twice & listening;
     while (col != 0) {
       ++stats_[static_cast<std::size_t>(std::countr_zero(col))]
             .collision_losses;
-      col = static_cast<LaneMask>(col & (col - 1));
+      col &= col - 1;
     }
     while (del != 0) {
       const auto li = static_cast<std::size_t>(std::countr_zero(del));
-      del = static_cast<LaneMask>(del & (del - 1));
-      cand_recv_[li].push_back(v);
+      del &= del - 1;
+      receivers_[li].push_back(v);
       if (channel_.sender_coins)
         cand_send_[li].push_back(
             sole_sender_[vi * static_cast<std::size_t>(kMaxLanes) + li]);
@@ -169,10 +171,10 @@ void LockstepNetwork::run_round(unsigned lanes) {
 
   for (int l = 0; l < lanes_; ++l) {
     const auto li = static_cast<std::size_t>(l);
-    if ((lanes & (1u << l)) == 0) continue;
+    if (((lanes >> l) & 1U) == 0) continue;
     resolve_lane(l);
     stats_[li].deliveries = static_cast<std::int64_t>(receivers_[li].size());
-    plan_[li].clear();
+    staged_[li] = 0;
   }
   for (const NodeId b : union_) bcast_mask_[static_cast<std::size_t>(b)] = 0;
   union_.clear();
@@ -185,38 +187,40 @@ void LockstepNetwork::run_round_sinr() {
   for (const NodeId b : union_) {
     const LaneMask bm = bcast_mask_[static_cast<std::size_t>(b)];
     for (const NodeId v : graph_->neighbors(b))
-      once_[static_cast<std::size_t>(v)] =
-          static_cast<LaneMask>(once_[static_cast<std::size_t>(v)] | bm);
+      once_[static_cast<std::size_t>(v)] |= bm;
   }
   // Ascending-listener scan; reading a touch mask clears it, as in the
   // edge-fault scan.  Per touched listener one row walk accumulates every
-  // lane's interference sum and best gain at once: per lane the additions
-  // run in ascending neighbor id, exactly the scalar sinr_decode order,
-  // so the floating-point sums (and hence deliveries) are bit-identical
-  // to scalar trials.
+  // listening lane's interference sum and best gain at once: per lane the
+  // additions run in ascending neighbor id, exactly the scalar sinr_decode
+  // order, so the floating-point sums (and hence deliveries) are
+  // bit-identical to scalar trials.  Only the listening lanes' slots are
+  // set up and read, so a partly filled bank pays for the lanes it has.
   const SinrParams& p = channel_.model.sinr;
   const NodeId n = graph_->node_count();
+  std::array<double, kMaxLanes> sum{};
+  std::array<double, kMaxLanes> best{};
   for (NodeId v = 0; v < n; ++v) {
     const auto vi = static_cast<std::size_t>(v);
     const LaneMask on = once_[vi];
     if (on == 0) continue;
     once_[vi] = 0;
-    const auto listen =
-        static_cast<LaneMask>(on & ~bcast_mask_[vi]);
+    const LaneMask listen = on & ~bcast_mask_[vi];
     if (listen == 0) continue;
+    for (LaneMask m = listen; m != 0; m &= m - 1) {
+      const auto l = static_cast<std::size_t>(std::countr_zero(m));
+      sum[l] = 0.0;
+      best[l] = -1.0;
+    }
     const auto row = graph_->neighbors(v);
     const double* gains = channel_.gain.data() + channel_.gain_row[vi];
-    std::array<double, kMaxLanes> sum{};
-    std::array<double, kMaxLanes> best;
-    best.fill(-1.0);
     for (std::size_t j = 0; j < row.size(); ++j) {
-      LaneMask m = static_cast<LaneMask>(
-          bcast_mask_[static_cast<std::size_t>(row[j])] & listen);
+      LaneMask m = bcast_mask_[static_cast<std::size_t>(row[j])] & listen;
       if (m == 0) continue;
       const double g = gains[j];
       while (m != 0) {
         const auto l = static_cast<std::size_t>(std::countr_zero(m));
-        m = static_cast<LaneMask>(m & (m - 1));
+        m &= m - 1;
         sum[l] += g;
         if (g > best[l]) best[l] = g;  // strict: gain tie keeps lower id
       }
@@ -224,7 +228,7 @@ void LockstepNetwork::run_round_sinr() {
     LaneMask todo = listen;
     while (todo != 0) {
       const auto l = static_cast<std::size_t>(std::countr_zero(todo));
-      todo = static_cast<LaneMask>(todo & (todo - 1));
+      todo &= todo - 1;
       if (best[l] >= p.beta * (p.noise_floor + (sum[l] - best[l])))
         receivers_[l].push_back(v);
       else
@@ -235,21 +239,17 @@ void LockstepNetwork::run_round_sinr() {
 
 void LockstepNetwork::resolve_lane(int lane) {
   const auto li = static_cast<std::size_t>(lane);
-  const auto& recv = cand_recv_[li];
+  if (!channel_.sender_coins && !channel_.receiver_coins) return;
   const auto& send = cand_send_[li];
-  auto& out = receivers_[li];
-  if (!channel_.sender_coins && !channel_.receiver_coins) {
-    out.assign(recv.begin(), recv.end());
-    return;
-  }
+  auto& recv = receivers_[li];
   // Batched coins in the scalar engine's order: the sender's shared coin
   // first, then the survivor's receiver coin.  Both are counter-based
   // mixes of this lane's round salts, so outcomes match the scalar kernels
   // coin for coin.  The whole candidate array is mixed up front and the
-  // survivors compacted write-always -- a taken/not-taken branch per coin
-  // would be unlearnable for the predictor at the fault rates we sweep.
+  // survivors compacted in place, write-always (w <= j) -- a
+  // taken/not-taken branch per coin would be unlearnable for the
+  // predictor at the fault rates we sweep.
   const std::size_t count = recv.size();
-  out.resize(count);
   std::size_t w = 0;
   std::int64_t sender_losses = 0;
   std::int64_t receiver_losses = 0;
@@ -267,25 +267,25 @@ void LockstepNetwork::resolve_lane(int lane) {
       const std::size_t rf = recv_mix_[j] < channel_.receiver_threshold;
       sender_losses += static_cast<std::int64_t>(sf);
       receiver_losses += static_cast<std::int64_t>((sf ^ 1U) & rf);
-      out[w] = recv[j];
+      recv[w] = recv[j];
       w += (sf | rf) ^ 1U;
     }
   } else if (channel_.sender_coins) {
     for (std::size_t j = 0; j < count; ++j) {
       const std::size_t sf = send_mix_[j] < channel_.sender_threshold;
       sender_losses += static_cast<std::int64_t>(sf);
-      out[w] = recv[j];
+      recv[w] = recv[j];
       w += sf ^ 1U;
     }
   } else {
     for (std::size_t j = 0; j < count; ++j) {
       const std::size_t rf = recv_mix_[j] < channel_.receiver_threshold;
       receiver_losses += static_cast<std::int64_t>(rf);
-      out[w] = recv[j];
+      recv[w] = recv[j];
       w += rf ^ 1U;
     }
   }
-  out.resize(w);
+  recv.resize(w);
   stats_[li].sender_fault_losses += sender_losses;
   stats_[li].receiver_fault_losses += receiver_losses;
 }

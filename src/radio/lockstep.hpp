@@ -28,8 +28,8 @@
 // both derive identical coin thresholds and gain tables.  Under a kSinr
 // channel (radio/channel_model.hpp) the lanes share the gain pass the way
 // they share adjacency -- one touch pass over the union of broadcasters,
-// then one ascending row walk per touched listener accumulating all eight
-// lanes' interference sums at once.  Per lane the additions run in
+// then one ascending row walk per touched listener accumulating every
+// listening lane's interference sum at once.  Per lane the additions run in
 // ascending neighbor id, the exact order of the scalar engine's
 // sinr_decode, so lane results stay bit-identical to scalar trials.  The
 // channel is deterministic: no salts are drawn and the lanes' rng streams
@@ -53,10 +53,15 @@ namespace nrn::radio {
 
 class LockstepNetwork {
  public:
-  /// Lanes per bank: one bit per lane in a byte-wide mask, so the shared
-  /// pass costs the same per listener as the scalar kernel's slot touch.
-  static constexpr int kMaxLanes = 8;
-  using LaneMask = std::uint8_t;
+  /// Lanes per bank, one bit per lane of a 32-bit mask.  A bank round costs
+  /// one shared adjacency pass plus one O(n) listener scan whatever its
+  /// width, so wider banks spread that cost over more trials, while each
+  /// lane's stepper state (about 9n bytes) grows with it.  Over 96-trial
+  /// edge and SINR cells at n = 512-2048 (the width table in CHANGES.md),
+  /// 8 -> 32 lanes cut wall time by 37-40%; 64 lanes cut 8-21% more but
+  /// raised sweep peak memory by 12-16% over 8 lanes, against 3% for 32.
+  static constexpr int kMaxLanes = 32;
+  using LaneMask = std::uint32_t;
 
   /// The graph must outlive the bank.  `channel` may be a bare FaultModel
   /// (the edge-fault channel).  A kSinr channel requires `geometry` (kept
@@ -118,7 +123,7 @@ class LockstepNetwork {
   /// Executes one synchronized round for every lane whose bit is set in
   /// `lanes` (bit l = lane l).  Lanes outside the mask must have staged
   /// nothing (a finished trial neither stages nor advances its clock).
-  void run_round(unsigned lanes);
+  void run_round(LaneMask lanes);
 
   /// Last round's deliveries of one lane, ascending receiver ids.  Valid
   /// until the lane's next executed round.
@@ -136,21 +141,22 @@ class LockstepNetwork {
 
  private:
   /// Marks `u` as broadcasting in the lane whose mask bit is `bit` and
-  /// appends it to that lane's `plan`, enforcing the range and
+  /// counts it in that lane's `staged` tally, enforcing the range and
   /// staged-once contracts.  Inline: both staging loops run it per node.
-  void mark_broadcaster(LaneMask bit, std::vector<NodeId>& plan, NodeId u) {
+  void mark_broadcaster(LaneMask bit, std::int64_t& staged, NodeId u) {
     NRN_EXPECTS(u >= 0 && u < graph_->node_count(),
                 "broadcaster out of range");
     auto& mask = bcast_mask_[static_cast<std::size_t>(u)];
     NRN_EXPECTS((mask & bit) == 0,
                 "node staged to broadcast twice in one round");
     if (mask == 0) union_.push_back(u);
-    mask = static_cast<LaneMask>(mask | bit);
-    plan.push_back(u);
+    mask |= bit;
+    ++staged;
   }
 
   /// Applies the lane's batched sender/receiver fault coins to its
-  /// delivery candidates, filling receivers_[lane].
+  /// delivery candidates (receivers_[lane] on entry), compacting the
+  /// survivors in place.
   void resolve_lane(int lane);
 
   /// The kSinr round body: shared touch pass plus one ascending row walk
@@ -166,10 +172,11 @@ class LockstepNetwork {
   std::array<Rng, kMaxLanes> rng_;
   std::array<std::uint64_t, kMaxLanes> sender_salt_{};
   std::array<std::uint64_t, kMaxLanes> receiver_salt_{};
-  std::array<std::vector<NodeId>, kMaxLanes> plan_;        // staged senders
-  std::array<std::vector<NodeId>, kMaxLanes> cand_recv_;   // unique listeners
-  std::array<std::vector<NodeId>, kMaxLanes> cand_send_;   // their sole sender
-  std::array<std::vector<NodeId>, kMaxLanes> receivers_;   // post-coin output
+  std::array<std::int64_t, kMaxLanes> staged_{};  // senders staged this round
+  // A lane's unique listeners, ascending: delivery candidates during the
+  // round, post-coin deliveries after it.
+  std::array<std::vector<NodeId>, kMaxLanes> receivers_;
+  std::array<std::vector<NodeId>, kMaxLanes> cand_send_;  // their sole sender
   std::array<RoundStats, kMaxLanes> stats_{};
 
   // Shared per-node round scratch: which lanes this node broadcasts in,
@@ -181,8 +188,8 @@ class LockstepNetwork {
   std::vector<LaneMask> twice_;
   // sole_sender_[v * kMaxLanes + l]: the sender behind lane l's first touch
   // of listener v this round (only read where the delivery mask has bit l).
-  // Maintained only when sender coins are in play -- it exists to key the
-  // sender fault coin, so a receiver-only or fault-free bank skips it.
+  // It exists to key the sender fault coin, so it is allocated and
+  // maintained only once a channel with sender coins is armed.
   std::vector<NodeId> sole_sender_;
   std::vector<NodeId> union_;  // nodes staged in >= 1 lane, staging order
   // Full-width batched coin mixes of one lane's candidates (resolve_lane).

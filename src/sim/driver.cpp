@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cmath>
 #include <memory>
 #include <set>
@@ -198,9 +199,10 @@ ExperimentReport Driver::run(const ScenarioSetup& setup,
       protocol->make_stepper(nullptr) != nullptr) {
     // Auto never banks a consecutive-id topology: there the scalar
     // engine's word-parallel adjacent kernel resolves a round in O(n/64),
-    // which beats the bank's shared per-edge pass even across 8 lanes.
-    // SINR rounds never take that kernel, but random placement links
-    // only consecutive ids on tiny graphs such as disk:2.
+    // which beats the bank's shared per-edge pass on path:2048 even at 32
+    // lanes (forced lockstep / scalar 1.08-1.20 for decay and robust over
+    // 32 trials).  SINR rounds never take that kernel, but random
+    // placement links only consecutive ids on tiny graphs such as disk:2.
     // Every other multi-trial cell banks, whatever its size: the bank's
     // shared adjacency pass wins at every measured n (kLockstepAutoMaxNodes).
     lockstep = options.execution == TrialExecution::kLockstep ||
@@ -208,20 +210,30 @@ ExperimentReport Driver::run(const ScenarioSetup& setup,
                 !radio::RadioNetwork::consecutive_adjacency(graph));
   }
   if (lockstep) {
+    using LaneMask = radio::LockstepNetwork::LaneMask;
     constexpr std::size_t kLanes =
         static_cast<std::size_t>(radio::LockstepNetwork::kMaxLanes);
+    // As few banks as the width allows, but at least one per trial thread
+    // the pool can run, so a wide bank never leaves a thread idle (and a
+    // thread count past the pool's slots never shrinks the banks).
+    // Consecutive trials split evenly; every trial keeps its own seeds, so
+    // the split changes no record.
+    const std::size_t trial_count = report.trials.size();
+    const int threads =
+        std::clamp(std::min(options.threads, pool.slot_count()), 1, trials);
     const std::size_t bank_count =
-        (report.trials.size() + kLanes - 1) / kLanes;
+        std::max((trial_count + kLanes - 1) / kLanes,
+                 static_cast<std::size_t>(threads));
     auto run_bank = [&](std::size_t b, int slot) {
-      const std::size_t first = b * kLanes;
-      const std::size_t last = std::min(first + kLanes, report.trials.size());
+      const std::size_t first = b * trial_count / bank_count;
+      const std::size_t last = (b + 1) * trial_count / bank_count;
       radio::LockstepNetwork& bank =
           workspaces[static_cast<std::size_t>(slot)].acquire_bank(
               graph, scenario.channel, geometry);
       std::array<std::unique_ptr<core::RoundStepper>, kLanes> steppers;
       std::array<std::optional<radio::TraceRecorder>, kLanes> recorders;
       std::array<Rng, kLanes> algo_rngs;
-      unsigned active = 0;
+      LaneMask active = 0;
       for (std::size_t t = first; t < last; ++t) {
         auto& trial = report.trials[t];
         const auto l =
@@ -230,31 +242,30 @@ ExperimentReport Driver::run(const ScenarioSetup& setup,
         steppers[l] =
             protocol->make_stepper(traced ? &*recorders[l] : nullptr);
         algo_rngs[l] = Rng(trial.algo_seed);
-        active |= 1u << l;
+        active |= LaneMask{1} << l;
       }
       auto finish = [&](std::size_t l) {
         auto& trial = report.trials[first + l];
         trial.run = Outcome::from(steppers[l]->result());
         if (traced) fold_trace(trial.run, *recorders[l], sinr);
-        active &= ~(1u << l);
+        active &= ~(LaneMask{1} << l);
       };
       while (active != 0) {
-        unsigned ran = 0;
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          if ((active & (1u << l)) == 0) continue;
+        LaneMask ran = 0;
+        for (LaneMask todo = active; todo != 0; todo &= todo - 1) {
+          const auto l = static_cast<std::size_t>(std::countr_zero(todo));
           auto port = bank.port(static_cast<int>(l));
           if (steppers[l]->stage_round(port, algo_rngs[l]))
-            ran |= 1u << l;
+            ran |= LaneMask{1} << l;
           else
             finish(l);
         }
         if (ran == 0) break;
         bank.run_round(ran);
-        for (std::size_t l = 0; l < kLanes; ++l) {
-          if ((ran & (1u << l)) == 0) continue;
-          if (steppers[l]->absorb_round(
-                  bank.receivers(static_cast<int>(l)),
-                  bank.last_round(static_cast<int>(l))))
+        for (LaneMask todo = ran; todo != 0; todo &= todo - 1) {
+          const auto l = static_cast<std::size_t>(std::countr_zero(todo));
+          if (steppers[l]->absorb_round(bank.receivers(static_cast<int>(l)),
+                                        bank.last_round(static_cast<int>(l))))
             finish(l);
         }
       }

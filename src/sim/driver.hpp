@@ -36,9 +36,9 @@ namespace nrn::sim {
 /// Largest node count at which kAuto picks the lockstep bank: none, every
 /// graph qualifies.  With FASTBC's fast rounds read from precomputed
 /// schedules (core/wave_schedule.hpp), forced-lockstep / scalar wall time
-/// over 16 trials (Release, g++ 12, one core of a 4-vCPU Xeon VM) is
-/// 0.34-0.72 on gnp, grid, random-tree and SINR disk cells at n = 1024-8192
-/// for decay, fastbc and robust, and the BM_EngineTrials matrix
+/// over 16 trials in 8-lane banks (Release, g++ 12, one core of a 4-vCPU
+/// Xeon VM) was 0.34-0.72 on gnp, grid, random-tree and SINR disk cells at
+/// n = 1024-8192 for decay, fastbc and robust, and the BM_EngineTrials matrix
 /// (bench/bench_micro_engine.cpp) reads auto / scalar below 1 at n = 256 and
 /// 2048, so a size cap only sent large cells to the slower engine.  Stars are
 /// banked too, without a predicate of their own: 1.0-1.15 at n = 1024-4096,

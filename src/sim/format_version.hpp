@@ -19,7 +19,9 @@
 // removal of BroadcastProtocol::name() and of the never-set heartbeat
 // option (goldens and the record hashes pinned in tests/test_channel.cpp
 // unchanged), and BroadcastProtocol::make_stepper's comment on the
-// uncapped lockstep bank (a comment only).
+// uncapped lockstep bank (a comment only), and ResultCache's open mode that
+// lets a resume pass read a cache directory without creating it (goldens
+// unchanged; entry bytes untouched).
 #pragma once
 
 namespace nrn::sim {

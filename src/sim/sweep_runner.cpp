@@ -241,8 +241,9 @@ ExperimentReport parse_experiment_record(const std::string& text) {
 
 // ----------------------------------------------------------------- cache
 
-ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
+ResultCache::ResultCache(std::string dir, Open open) : dir_(std::move(dir)) {
   NRN_EXPECTS(!dir_.empty(), "cache directory must be non-empty");
+  if (open == Open::kExisting) return;
   std::error_code ec;
   std::filesystem::create_directories(dir_, ec);
   if (ec)
@@ -674,8 +675,11 @@ SweepReport SweepRunner::run(const SweepPlan& plan,
       mine.push_back(&cell);
   report.cells.resize(mine.size());
 
+  // Resume only reads, so it must not leave a mistyped directory behind.
   std::optional<ResultCache> cache;
-  if (!options.cache_dir.empty()) cache.emplace(options.cache_dir);
+  if (!options.cache_dir.empty())
+    cache.emplace(options.cache_dir, resume ? ResultCache::Open::kExisting
+                                            : ResultCache::Open::kCreate);
 
   CellExecutor::Options exec_options;
   exec_options.trial_threads = options.trial_threads;

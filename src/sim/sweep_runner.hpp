@@ -79,8 +79,14 @@ ExperimentReport parse_experiment_record(const std::string& text);
 /// verified inside the entry, so a hash collision reads as a miss.
 class ResultCache {
  public:
-  /// Throws SpecError naming `dir` when it cannot be created.
-  explicit ResultCache(std::string dir);
+  /// kExisting opens `dir` without creating it, for a pass that only
+  /// reads (`--resume`): a missing directory is a cache where every load
+  /// misses.
+  enum class Open { kCreate, kExisting };
+
+  /// Under kCreate, throws SpecError naming `dir` when it cannot be
+  /// created.
+  explicit ResultCache(std::string dir, Open open = Open::kCreate);
 
   const std::string& dir() const { return dir_; }
 

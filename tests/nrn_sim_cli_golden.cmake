@@ -94,6 +94,10 @@ cli_case(FIRST sweep "--plan=topology=path:8\; protocols=nope")
 cli_case(FIRST sweep --merge=missing.nrns)
 cli_case(FIRST sweep "--plan=topology=path:8\; protocols=decay"
          --resume --cache-dir=cold)
+# Resume only reads the cache: a missing directory must stay missing.
+if(EXISTS ${WORK_DIR}/cold)
+  message(FATAL_ERROR "nrn_sim sweep --resume created its cache directory")
+endif()
 cli_case(OS sweep "--plan=topology=path:8\; protocols=decay"
          --cache-dir=file/sub)
 

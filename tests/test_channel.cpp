@@ -246,9 +246,10 @@ TEST(SinrChannel, LockstepLanesMatchScalarRoundByRound) {
     plan_rngs.emplace_back(seed ^ 0xfeed);
   }
   for (int round = 0; round < 25; ++round) {
-    const unsigned mask = static_cast<unsigned>(meta.next_below(1u << lanes));
+    const auto mask = static_cast<LockstepNetwork::LaneMask>(
+        meta.next_below(std::uint64_t{1} << lanes));
     for (int l = 0; l < lanes; ++l) {
-      if ((mask & (1u << l)) == 0) continue;
+      if (((mask >> l) & 1U) == 0) continue;
       auto& rng = plan_rngs[static_cast<std::size_t>(l)];
       std::vector<NodeId> plan;
       for (NodeId u = g.node_count() - 1; u >= 0; --u)
@@ -260,7 +261,7 @@ TEST(SinrChannel, LockstepLanesMatchScalarRoundByRound) {
     if (mask == 0) continue;
     bank.run_round(mask);
     for (int l = 0; l < lanes; ++l) {
-      if ((mask & (1u << l)) == 0) continue;
+      if (((mask >> l) & 1U) == 0) continue;
       auto& scalar = scalars[static_cast<std::size_t>(l)];
       const auto expected = receivers_of(scalar.run_round());
       const auto got = bank.receivers(l);
@@ -287,7 +288,8 @@ TEST(SinrChannel, LockstepResetReArmsAcrossChannels) {
       ChannelModel::sinr_channel(3.0, 0.002, 0.7),
       ChannelModel::sinr_channel(2.0, 0.002, 0.7)};
   const int lanes = LockstepNetwork::kMaxLanes;
-  const unsigned all = (1u << lanes) - 1;
+  const auto all = static_cast<LockstepNetwork::LaneMask>(
+      (std::uint64_t{1} << lanes) - 1);
   LockstepNetwork reused(g, channels[0], &geo);
   reused.add_lane(Rng(1));
   Rng meta(2718);

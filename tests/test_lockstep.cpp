@@ -36,8 +36,12 @@ TEST(Lockstep, LanesMatchScalarNetworksRoundByRound) {
     const auto n = static_cast<NodeId>(8 + meta.next_below(40));
     const Graph g = graph::make_connected_gnp(n, 0.2, meta);
     for (const auto& fm : models) {
-      const int lanes = 1 + static_cast<int>(meta.next_below(
-                                LockstepNetwork::kMaxLanes));
+      // Every other instance fills the bank, so the top lane's mask bit
+      // and sole-sender slot are exercised under every fault model.
+      const int lanes = instance % 2 == 0
+                            ? LockstepNetwork::kMaxLanes
+                            : 1 + static_cast<int>(meta.next_below(
+                                      LockstepNetwork::kMaxLanes));
       LockstepNetwork bank(g, fm);
       std::vector<RadioNetwork> scalars;
       std::array<Rng, LockstepNetwork::kMaxLanes> plan_rngs;
@@ -49,10 +53,10 @@ TEST(Lockstep, LanesMatchScalarNetworksRoundByRound) {
       }
       for (int round = 0; round < 30; ++round) {
         // Random subset of lanes runs this round (finished trials idle).
-        const unsigned mask = static_cast<unsigned>(
-            meta.next_below(1u << lanes));
+        const auto mask = static_cast<LockstepNetwork::LaneMask>(
+            meta.next_below(std::uint64_t{1} << lanes));
         for (int l = 0; l < lanes; ++l) {
-          if ((mask & (1u << l)) == 0) continue;
+          if (((mask >> l) & 1U) == 0) continue;
           const auto plan =
               random_plan(g, 0.3, plan_rngs[static_cast<std::size_t>(l)]);
           bank.stage_many(l, plan);
@@ -62,7 +66,7 @@ TEST(Lockstep, LanesMatchScalarNetworksRoundByRound) {
         if (mask == 0) continue;
         bank.run_round(mask);
         for (int l = 0; l < lanes; ++l) {
-          if ((mask & (1u << l)) == 0) continue;
+          if (((mask >> l) & 1U) == 0) continue;
           auto& scalar = scalars[static_cast<std::size_t>(l)];
           const auto& deliveries = scalar.run_round();
           std::vector<NodeId> expected;
@@ -106,6 +110,27 @@ TEST(Lockstep, LanePortBernoulliStagingMatchesScalarTape) {
         << "round " << round;
     ASSERT_EQ(lane_rng(), scalar_rng()) << "round " << round;
   }
+}
+
+TEST(Lockstep, RoundMaskPreconditionHoldsAtFullWidth) {
+  // A full bank's lane count equals the mask's bit width: the all-lanes
+  // mask must be accepted, and a bit past the last lane rejected.
+  Rng meta(31);
+  const Graph g = graph::make_connected_gnp(12, 0.4, meta);
+  LockstepNetwork bank(g, FaultModel::sender(0.2));
+  for (int l = 0; l + 1 < LockstepNetwork::kMaxLanes; ++l)
+    bank.add_lane(Rng(static_cast<std::uint64_t>(l)));
+  const LockstepNetwork::LaneMask top = LockstepNetwork::LaneMask{1}
+                                        << (LockstepNetwork::kMaxLanes - 1);
+  EXPECT_THROW(bank.run_round(top), ContractViolation);
+  bank.add_lane(Rng(99));
+  EXPECT_THROW(bank.add_lane(Rng(100)), ContractViolation);
+  const LockstepNetwork::LaneMask all = ~LockstepNetwork::LaneMask{0};
+  for (int l = 0; l < LockstepNetwork::kMaxLanes; ++l)
+    bank.stage_many(l, std::vector<NodeId>{l % g.node_count()});
+  bank.run_round(all);
+  for (int l = 0; l < LockstepNetwork::kMaxLanes; ++l)
+    EXPECT_EQ(bank.last_round(l).broadcasters, 1) << "lane " << l;
 }
 
 TEST(Lockstep, ResetDropsLanesAndReplaysExactly) {
@@ -167,12 +192,13 @@ TEST(LockstepDriver, ScalarAndLockstepReportsAreBitIdentical) {
     DriverOptions scalar_opts, lockstep_opts;
     scalar_opts.execution = TrialExecution::kScalar;
     lockstep_opts.execution = TrialExecution::kLockstep;
-    // 11 trials: one full bank plus a partial one.
-    const auto scalar = driver.run(scenario, name, 11, scalar_opts);
-    const auto lockstep = driver.run(scenario, name, 11, lockstep_opts);
+    // More trials than one bank holds: two banks, both nearly full.
+    const int trials = radio::LockstepNetwork::kMaxLanes + 3;
+    const auto scalar = driver.run(scenario, name, trials, scalar_opts);
+    const auto lockstep = driver.run(scenario, name, trials, lockstep_opts);
     EXPECT_EQ(scalar.trials, lockstep.trials);
     // And kAuto must agree with both.
-    const auto automatic = driver.run(scenario, name, 11);
+    const auto automatic = driver.run(scenario, name, trials);
     EXPECT_EQ(scalar.trials, automatic.trials);
   }
 }
@@ -210,15 +236,19 @@ TEST(LockstepDriver, SingleNodeAndSingleTrialEdgeCases) {
 }
 
 TEST(LockstepDriver, ThreadedBanksMatchSerial) {
+  // Two banks serially; at 3 and 4 threads the trials split into one bank
+  // per thread instead, and 64 threads make at most one per pool slot.
   const auto scenario =
       Scenario::parse("grid:5x5", "combined:0.25:0.25", 0, 1, 99);
+  const int trials = radio::LockstepNetwork::kMaxLanes + 3;
   DriverOptions serial_opts;
   serial_opts.execution = TrialExecution::kLockstep;
-  const auto serial = Driver().run(scenario, "decay", 20, serial_opts);
-  for (const int threads : {2, 4}) {
+  const auto serial = Driver().run(scenario, "decay", trials, serial_opts);
+  for (const int threads : {2, 3, 4, 64}) {
     DriverOptions threaded_opts = serial_opts;
     threaded_opts.threads = threads;
-    const auto threaded = Driver().run(scenario, "decay", 20, threaded_opts);
+    const auto threaded =
+        Driver().run(scenario, "decay", trials, threaded_opts);
     EXPECT_EQ(serial.trials, threaded.trials) << threads << " threads";
   }
 }

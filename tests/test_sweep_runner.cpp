@@ -348,6 +348,28 @@ TEST(ResultCache, UncreatableDirectoryIsASpecError) {
   EXPECT_THROW(run_plan(kPlanB, options), SpecError);
 }
 
+TEST(ResultCache, ResumeOverAMissingDirectoryCreatesNothing) {
+  // A resume pass only reads: a mistyped --cache-dir is a cache where
+  // every cell misses, reported as such, and no directory is left behind.
+  const auto root = scratch_dir("resume_missing");
+  const std::string dir = (fs::path(root) / "typo" / "dir").string();
+  SweepOptions options;
+  options.cache_dir = dir;
+  options.assignment = SweepAssignment::kResume;
+  const std::string cells =
+      std::to_string(SweepPlan::parse(kPlanB).cells.size());
+  try {
+    run_plan(kPlanB, options);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("resume: " + cells + " of " +
+                                         cells + " cells are missing"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(fs::exists(root)) << root;
+}
+
 TEST(ResultCache, CachedCellsSkipRecomputation) {
   // A cache hit must not rerun trials: warm a cache, then run the same
   // plan with a tiny round budget that would otherwise change results.
