@@ -40,19 +40,6 @@ inline std::uint64_t seed_from_args(int argc, char** argv) {
   }
 }
 
-/// Median of `trials` runs of a rounds-valued experiment (for probes that
-/// are not broadcast runs, e.g. structural measurements).
-template <typename Fn>
-double median_rounds(Fn&& run_once, int trials, Rng& rng) {
-  std::vector<double> rounds;
-  rounds.reserve(static_cast<std::size_t>(trials));
-  for (int t = 0; t < trials; ++t) {
-    Rng trial_rng = rng.split(static_cast<std::uint64_t>(t));
-    rounds.push_back(run_once(trial_rng));
-  }
-  return quantile(rounds, 0.5);
-}
-
 /// One experiment cell through the Driver: median rounds of `protocol` on
 /// (topology, fault) over `trials` trials.  The scenario seed is drawn from
 /// `rng`, so consecutive cells get independent but reproducible streams.

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "coding/binary_field.hpp"
 #include "coding/reed_solomon.hpp"
@@ -107,12 +108,13 @@ BENCHMARK(BM_EngineSinrDisk)->Arg(256)->Arg(1024);
 void BM_EngineTrials(benchmark::State& state, const std::string& topology,
                      const std::string& protocol, const std::string& fault,
                      int trials, sim::TrialExecution execution) {
-  // `trials` trials through the Driver over a setup built once, forced
-  // scalar or left to auto.  Auto banks every cell of the matrix (none is
-  // consecutive-id), so each scalar/auto pair prices the lockstep bank
+  // `trials` trials through the Driver over a setup built once, in one
+  // execution mode.  Auto banks every cell of the matrix that is not
+  // consecutive-id, so each scalar/auto pair prices the lockstep bank
   // against the scalar engine: 8 trials fill a quarter of one bank, 96
-  // make three full ones.  Outcomes are bit-identical; only the wall
-  // clock differs.
+  // make three full ones.  On a path auto runs the scalar engine, so each
+  // auto/lockstep pair prices the bank against the consecutive-id rule.
+  // Outcomes are bit-identical; only the wall clock differs.
   const bool sinr = topology.rfind("disk:", 0) == 0;
   const auto scenario = sim::Scenario::parse(
       topology, fault, 0, 1, 21, sinr ? "sinr:2.5:0.001:1.0" : "none");
@@ -126,19 +128,25 @@ void BM_EngineTrials(benchmark::State& state, const std::string& topology,
   state.SetItemsProcessed(state.iterations() * trials);
 }
 
-// The scalar-vs-auto matrix, named
-// BM_EngineTrials/<protocol>/<topology>[/<fault>][/<trials>]/<scalar|auto>:
-//   * 8 trials of decay and robust on edge-fault gnp and grid graphs and
-//     SINR unit-disk graphs at n = 256 and 2048;
-//   * 96 trials (full banks) of both at n = 2048, plus one sender-fault
-//     cell, the only fault that keys coins by each listener's sole sender.
+// The execution-mode matrix, named
+// BM_EngineTrials/<protocol>/<topology>[/<fault>][/<trials>]/<mode>:
+//   * scalar and auto: 8 trials of decay and robust on edge-fault gnp and
+//     grid graphs and SINR unit-disk graphs at n = 256 and 2048;
+//   * scalar and auto: 96 trials (full banks) of both at n = 2048, plus
+//     one sender-fault cell, the only fault that keys coins by each
+//     listener's sole sender;
+//   * auto and lockstep: 8 and 32 trials of both on path:512 and
+//     path:2048, the consecutive-id graphs auto never banks.
 // Edge cells run under receiver:0.3 unless the name gives a fault.
 const bool kTrialMatrixRegistered = [] {
-  const std::pair<const char*, sim::TrialExecution> modes[] = {
-      {"scalar", sim::TrialExecution::kScalar},
-      {"auto", sim::TrialExecution::kAuto}};
+  using Modes = std::vector<std::pair<const char*, sim::TrialExecution>>;
+  const Modes scalar_auto = {{"scalar", sim::TrialExecution::kScalar},
+                             {"auto", sim::TrialExecution::kAuto}};
+  const Modes auto_lockstep = {{"auto", sim::TrialExecution::kAuto},
+                               {"lockstep", sim::TrialExecution::kLockstep}};
   auto add = [&](const std::string& protocol, const std::string& topology,
-                 const std::string& fault, int trials) {
+                 const std::string& fault, int trials,
+                 const Modes& modes) {
     const bool sinr = topology.rfind("disk:", 0) == 0;
     std::string name = "BM_EngineTrials/" + protocol + "/" + topology + "/";
     if (fault != "receiver:0.3") name.append(fault).append("/");
@@ -153,12 +161,16 @@ const bool kTrialMatrixRegistered = [] {
     for (const char* topology :
          {"gnp:256:0.04", "gnp:2048:0.005", "grid:16x16", "grid:32x64",
           "disk:256:0.15", "disk:2048:0.05"})
-      add(protocol, topology, "receiver:0.3", 8);
+      add(protocol, topology, "receiver:0.3", 8, scalar_auto);
   for (const char* protocol : {"decay", "robust"})
     for (const char* topology :
          {"gnp:2048:0.005", "grid:32x64", "disk:2048:0.05"})
-      add(protocol, topology, "receiver:0.3", 96);
-  add("decay", "gnp:2048:0.005", "sender:0.3", 96);
+      add(protocol, topology, "receiver:0.3", 96, scalar_auto);
+  add("decay", "gnp:2048:0.005", "sender:0.3", 96, scalar_auto);
+  for (const char* protocol : {"decay", "robust"})
+    for (const char* topology : {"path:512", "path:2048"})
+      for (const int trials : {8, 32})
+        add(protocol, topology, "receiver:0.3", trials, auto_lockstep);
   return true;
 }();
 

@@ -17,17 +17,10 @@ RlncBroadcast::RlncBroadcast(
                      ? params.decay_phase
                      : Decay::default_phase_length(g.node_count());
   if (params.pattern == MultiPattern::kRobustFastbc) {
-    NRN_EXPECTS(tree != nullptr && tree->node_count() == g.node_count() &&
-                    tree->source == source,
+    NRN_EXPECTS(tree != nullptr && tree->source == source,
                 "the Robust FASTBC pattern needs a GBST of (graph, source)");
-    block_size_ = params.block_size > 0 ? params.block_size
-                                        : default_block_size(g.node_count());
-    const std::int32_t window_multiplier =
-        params.window_multiplier > 0 ? params.window_multiplier : 8;
-    const std::int32_t rank_modulus = default_rank_modulus(g.node_count());
-    NRN_EXPECTS(tree->max_rank <= rank_modulus, "rank modulus too small");
-    schedule_ = WaveSchedule::robust(*tree, rank_modulus, block_size_,
-                                     window_multiplier);
+    wave_ = Fastbc::robust(g, tree,
+                           {params.block_size, params.window_multiplier});
   }
 }
 
@@ -66,9 +59,8 @@ MultiRunResult RlncBroadcast::run_impl(
                 32.0 / (1.0 - p) *
                 (static_cast<double>(n) +
                  static_cast<double>(k + 8ULL * log_n) * decay_phase_ *
-                     (params_.pattern == MultiPattern::kRobustFastbc
-                          ? std::max<std::int32_t>(2, block_size_)
-                          : 1)));
+                     (wave_ ? std::max<std::int32_t>(2, wave_->block_size())
+                            : 1)));
 
   // Per-node decoder state.
   std::vector<coding::RlncState> state;
@@ -131,7 +123,8 @@ MultiRunResult RlncBroadcast::run_impl(
           static_cast<std::size_t>(n), sub,
           [&](std::size_t u) { stage(static_cast<radio::NodeId>(u)); });
     } else {
-      for (const radio::NodeId u : schedule_.fast_round(round / 2)) stage(u);
+      for (const radio::NodeId u : wave_->schedule().fast_round(round / 2))
+        stage(u);
     }
     net.stage_many(senders);
 

@@ -22,11 +22,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 
 #include "common/rng.hpp"
 #include "coding/rlnc.hpp"
+#include "core/fastbc.hpp"
 #include "core/run_result.hpp"
-#include "core/wave_schedule.hpp"
 #include "radio/network.hpp"
 #include "trees/gbst.hpp"
 
@@ -43,15 +44,16 @@ struct MultiMessageParams {
   MultiPattern pattern = MultiPattern::kDecay;
   std::int32_t decay_phase = 0;       ///< 0 => ceil(log2 n) + 1
   std::int32_t block_size = 0;        ///< Robust FASTBC S; 0 => default
-  std::int32_t window_multiplier = 0; ///< Robust FASTBC c; 0 => default
+  std::int32_t window_multiplier = 0; ///< Robust FASTBC c; 0 => 8
   std::int64_t max_rounds = 0;        ///< 0 => theory bound with slack
 };
 
 class RlncBroadcast {
  public:
-  /// The Robust FASTBC pattern builds its fast-round schedule from `tree`,
-  /// a GBST of (g, source); the Decay pattern needs none (`tree` may be
-  /// null).
+  /// The Robust FASTBC pattern runs the band schedule of
+  /// Fastbc::robust(g, tree, {block_size, window_multiplier}) over `tree`,
+  /// a GBST of (g, source), which resolves S, c and the rank modulus; the
+  /// Decay pattern needs no tree (`tree` may be null).
   RlncBroadcast(const graph::Graph& g, radio::NodeId source,
                 MultiMessageParams params,
                 const std::shared_ptr<const trees::RankedBfsTree>& tree);
@@ -60,8 +62,8 @@ class RlncBroadcast {
   RlncBroadcast(const graph::Graph& g, radio::NodeId source,
                 MultiMessageParams params);
 
-  /// The Robust FASTBC pattern's fast-round schedule (empty for kDecay).
-  const WaveSchedule& schedule() const { return schedule_; }
+  /// The Robust FASTBC pattern's fast-round schedule (kRobustFastbc only).
+  const WaveSchedule& schedule() const { return wave_.value().schedule(); }
 
   /// Runs until every node reaches rank k (completed) or the budget ends.
   MultiRunResult run(radio::RadioNetwork& net, Rng& rng) const;
@@ -82,8 +84,7 @@ class RlncBroadcast {
   radio::NodeId source_;
   MultiMessageParams params_;
   std::int32_t decay_phase_;
-  std::int32_t block_size_ = 0;  ///< feeds the budget; kRobustFastbc only
-  WaveSchedule schedule_;        ///< fast rounds; empty for kDecay
+  std::optional<Fastbc> wave_;  ///< fast rounds and S; kRobustFastbc only
 };
 
 }  // namespace nrn::core

@@ -3,8 +3,9 @@
 // implementation drives both execution engines:
 //
 //   * scalar  -- run_stepped() loops one stepper against one RadioNetwork;
-//     Decay::run / Fastbc::run / RobustFastbc::run are thin wrappers over
-//     this, so the stepper IS the protocol, not a parallel reimplementation;
+//     Decay::run, Fastbc::run (FASTBC and Robust FASTBC) and the default
+//     sim::BroadcastProtocol::run are thin wrappers over this, so the
+//     stepper IS the protocol, not a parallel reimplementation;
 //   * lockstep -- the Driver splits a cell's trials into banks of at most
 //     LockstepNetwork::kMaxLanes (32) consecutive trials, at least one bank
 //     per trial thread, steps each trial's stepper once per bank round, and

@@ -16,8 +16,9 @@
 // which they fire -- as a CSR list, ascending id within a slot, shared
 // read-only by every trial and lockstep lane.  A fast round then reads
 // one slot: O(slot) work with no division per node.  FASTBC and Robust
-// FASTBC differ only in their schedules, so one stepper
-// (make_wave_stepper) runs both.
+// FASTBC differ only in their schedules, so one algorithm object
+// (core::Fastbc, whose Fastbc::robust builds the band schedule) and one
+// stepper (make_wave_stepper) serve both.
 #pragma once
 
 #include <cstdint>

@@ -199,10 +199,14 @@ ExperimentReport Driver::run(const ScenarioSetup& setup,
       protocol->make_stepper(nullptr) != nullptr) {
     // Auto never banks a consecutive-id topology: there the scalar
     // engine's word-parallel adjacent kernel resolves a round in O(n/64),
-    // which beats the bank's shared per-edge pass on path:2048 even at 32
-    // lanes (forced lockstep / scalar 1.08-1.20 for decay and robust over
-    // 32 trials).  SINR rounds never take that kernel, but random
-    // placement links only consecutive ids on tiny graphs such as disk:2.
+    // and the bank's shared per-edge pass does not beat it even at 32
+    // lanes.  The BM_EngineTrials path rows (decay and robust on path:512
+    // and path:2048 under receiver:0.3, medians of 8 repetitions on one
+    // pinned core) put forced lockstep over auto, which runs the scalar
+    // engine there, at 1.39-2.05 over 8 trials and 1.08-1.23 over 32;
+    // other runs read 0.85-1.20 over 32, within their spread.  SINR
+    // rounds never take that kernel, but random placement links only
+    // consecutive ids on tiny graphs such as disk:2.
     // Every other multi-trial cell banks, whatever its size: the bank's
     // shared adjacency pass wins at every measured n (kLockstepAutoMaxNodes).
     lockstep = options.execution == TrialExecution::kLockstep ||

@@ -21,7 +21,9 @@
 // unchanged), and BroadcastProtocol::make_stepper's comment on the
 // uncapped lockstep bank (a comment only), and ResultCache's open mode that
 // lets a resume pass read a cache directory without creating it (goldens
-// unchanged; entry bytes untouched).
+// unchanged; entry bytes untouched), and BroadcastProtocol::run's default,
+// run_stepped over make_stepper, which decay, fastbc and robust now share
+// (goldens and pinned record hashes unchanged).
 #pragma once
 
 namespace nrn::sim {

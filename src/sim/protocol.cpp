@@ -32,4 +32,12 @@ bool valid_metric_key(std::string_view key) {
   return true;
 }
 
+Outcome BroadcastProtocol::run(radio::RadioNetwork& net, Rng& rng,
+                               radio::TraceRecorder* trace) const {
+  const auto stepper = make_stepper(trace);
+  NRN_EXPECTS(stepper != nullptr,
+              "a protocol that cannot step must override run()");
+  return Outcome::from(core::run_stepped(*stepper, net, rng));
+}
+
 }  // namespace nrn::sim

@@ -266,18 +266,22 @@ struct Tuning {
 /// state lives in the RadioNetwork and Rng arguments, never in the protocol
 /// object.  Protocols with the kTraced capability record per-round progress
 /// into `trace` when it is non-null; others ignore it.
+///
+/// A protocol that can step defines only make_stepper(); one that cannot
+/// overrides run() instead.
 class BroadcastProtocol {
  public:
   virtual ~BroadcastProtocol() = default;
 
+  /// One trial.  The default is run_stepped over make_stepper(trace), so a
+  /// stepping protocol's scalar and lockstep trials are bit-identical by
+  /// construction.
   virtual Outcome run(radio::RadioNetwork& net, Rng& rng,
-                      radio::TraceRecorder* trace = nullptr) const = 0;
+                      radio::TraceRecorder* trace = nullptr) const;
 
   /// The protocol's per-round logic as a core::RoundStepper, or nullptr if
   /// the protocol cannot step (the default).  A non-null stepper lets the
-  /// Driver run multi-trial cells in the lockstep bank; the protocol's own
-  /// run() must be run_stepped over the identical stepper so scalar and
-  /// lockstep trials are bit-identical by construction.  One stepper per
+  /// Driver run multi-trial cells in the lockstep bank.  One stepper per
   /// trial: steppers hold trial state and are never shared.
   virtual std::unique_ptr<core::RoundStepper> make_stepper(
       radio::TraceRecorder* trace) const {

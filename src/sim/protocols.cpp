@@ -12,7 +12,6 @@
 #include "core/fastbc.hpp"
 #include "core/greedy_router.hpp"
 #include "core/multi_message.hpp"
-#include "core/robust_fastbc.hpp"
 #include "sim/registry.hpp"
 #include "sim/theory_bounds.hpp"
 
@@ -28,6 +27,9 @@ using bounds::loss_factor;
 
 // ----------------------------------------------------------- the adapters
 
+// decay, fastbc and robust define only make_stepper(); their run() is
+// BroadcastProtocol's, run_stepped over that stepper.
+
 class DecayProtocol final : public BroadcastProtocol {
  public:
   explicit DecayProtocol(const ProtocolContext& ctx)
@@ -36,11 +38,6 @@ class DecayProtocol final : public BroadcastProtocol {
         effective_loss_(ctx.scenario.channel.effective_loss()),
         algo_(core::DecayParams{ctx.tuning.decay_phase,
                                 ctx.tuning.max_rounds}) {}
-
-  Outcome run(radio::RadioNetwork& net, Rng& rng,
-              radio::TraceRecorder* trace) const override {
-    return Outcome::from(algo_.run(net, source_, rng, trace));
-  }
 
   std::unique_ptr<core::RoundStepper> make_stepper(
       radio::TraceRecorder* trace) const override {
@@ -54,19 +51,13 @@ class DecayProtocol final : public BroadcastProtocol {
   core::Decay algo_;
 };
 
+/// fastbc and robust: one core::Fastbc, built with FASTBC's schedule or
+/// with the band schedule.
 class FastbcProtocol final : public BroadcastProtocol {
  public:
-  explicit FastbcProtocol(const ProtocolContext& ctx)
+  FastbcProtocol(const ProtocolContext& ctx, core::Fastbc algo)
       : effective_loss_(ctx.scenario.channel.effective_loss()),
-        algo_(ctx.graph, ctx.gbst(),
-              core::FastbcParams{ctx.tuning.rank_modulus,
-                                 ctx.tuning.decay_phase,
-                                 ctx.tuning.max_rounds}) {}
-
-  Outcome run(radio::RadioNetwork& net, Rng& rng,
-              radio::TraceRecorder* trace) const override {
-    return Outcome::from(algo_.run(net, rng, trace));
-  }
+        algo_(std::move(algo)) {}
 
   std::unique_ptr<core::RoundStepper> make_stepper(
       radio::TraceRecorder* trace) const override {
@@ -89,31 +80,10 @@ core::RobustFastbcParams robust_params(const ProtocolContext& ctx) {
   params.window_multiplier =
       ctx.tuning.window_multiplier != 0
           ? ctx.tuning.window_multiplier
-          : core::RobustFastbc::recommended_window_multiplier(
+          : core::Fastbc::recommended_window_multiplier(
                 ctx.scenario.channel.effective_loss());
   return params;
 }
-
-class RobustFastbcProtocol final : public BroadcastProtocol {
- public:
-  explicit RobustFastbcProtocol(const ProtocolContext& ctx)
-      : effective_loss_(ctx.scenario.channel.effective_loss()),
-        algo_(ctx.graph, ctx.gbst(), robust_params(ctx)) {}
-
-  Outcome run(radio::RadioNetwork& net, Rng& rng,
-              radio::TraceRecorder* trace) const override {
-    return Outcome::from(algo_.run(net, rng, trace));
-  }
-
-  std::unique_ptr<core::RoundStepper> make_stepper(
-      radio::TraceRecorder* trace) const override {
-    return algo_.make_stepper(effective_loss_, trace);
-  }
-
- private:
-  double effective_loss_;
-  core::RobustFastbc algo_;
-};
 
 core::MultiMessageParams rlnc_params(const ProtocolContext& ctx,
                                      core::MultiPattern pattern,
@@ -128,27 +98,6 @@ core::MultiMessageParams rlnc_params(const ProtocolContext& ctx,
   params.max_rounds = ctx.tuning.max_rounds;
   return params;
 }
-
-/// The scenario's GBST when the pattern runs over one, else null.
-std::shared_ptr<const trees::RankedBfsTree> rlnc_tree(
-    const ProtocolContext& ctx, core::MultiPattern pattern) {
-  return pattern == core::MultiPattern::kRobustFastbc ? ctx.gbst() : nullptr;
-}
-
-class RlncProtocol final : public BroadcastProtocol {
- public:
-  RlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern)
-      : algo_(ctx.graph, ctx.scenario.source, rlnc_params(ctx, pattern, 0),
-              rlnc_tree(ctx, pattern)) {}
-
-  Outcome run(radio::RadioNetwork& net, Rng& rng,
-              radio::TraceRecorder* /*trace*/) const override {
-    return Outcome::from(algo_.run(net, rng));
-  }
-
- private:
-  core::RlncBroadcast algo_;
-};
 
 /// Payload length for verified runs: tuning override or 16 bytes/message.
 std::size_t verified_block_len(const ProtocolContext& ctx) {
@@ -183,18 +132,23 @@ Outcome verified_outcome(std::size_t k, std::size_t block_len,
   return out;
 }
 
-class VerifiedRlncProtocol final : public BroadcastProtocol {
+/// The four rlnc-* entries: rank-only when `block_len` is 0, else carrying
+/// `block_len` payload bytes per message, every node's decode verified.
+class RlncProtocol final : public BroadcastProtocol {
  public:
-  VerifiedRlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern)
+  RlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern,
+               std::size_t block_len)
       : nodes_(ctx.graph.node_count()),
         k_(static_cast<std::size_t>(ctx.scenario.k)),
-        block_len_(verified_block_len(ctx)),
+        block_len_(block_len),
         algo_(ctx.graph, ctx.scenario.source,
-              rlnc_params(ctx, pattern, verified_block_len(ctx)),
-              rlnc_tree(ctx, pattern)) {}
+              rlnc_params(ctx, pattern, block_len),
+              pattern == core::MultiPattern::kRobustFastbc ? ctx.gbst()
+                                                           : nullptr) {}
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
+    if (block_len_ == 0) return Outcome::from(algo_.run(net, rng));
     return verified_outcome(k_, block_len_, nodes_, rng,
                             [&](const auto& messages) {
                               return algo_.run_and_verify(net, rng, messages);
@@ -337,14 +291,20 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                "under noise",
                kTraced | kSinrCapable,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<FastbcProtocol>(ctx);
+                 const core::FastbcParams params{ctx.tuning.rank_modulus,
+                                                 ctx.tuning.decay_phase,
+                                                 ctx.tuning.max_rounds};
+                 return std::make_unique<FastbcProtocol>(
+                     ctx, core::Fastbc(ctx.graph, ctx.gbst(), params));
                },
                fastbc_bound);
   registry.add("robust",
                "Robust FASTBC (Theorem 11): noise-robust diameter-linear",
                kTraced | kSinrCapable,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<RobustFastbcProtocol>(ctx);
+                 return std::make_unique<FastbcProtocol>(
+                     ctx, core::Fastbc::robust(ctx.graph, ctx.gbst(),
+                                               robust_params(ctx)));
                },
                robust_bound);
   registry.add("rlnc-decay",
@@ -352,7 +312,7 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kSinrCapable,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<RlncProtocol>(
-                     ctx, core::MultiPattern::kDecay);
+                     ctx, core::MultiPattern::kDecay, 0);
                },
                rlnc_decay_bound);
   registry.add("rlnc-robust",
@@ -360,7 +320,7 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                kMultiMessage | kSinrCapable,
                [](const ProtocolContext& ctx) {
                  return std::make_unique<RlncProtocol>(
-                     ctx, core::MultiPattern::kRobustFastbc);
+                     ctx, core::MultiPattern::kRobustFastbc, 0);
                },
                rlnc_robust_bound);
   registry.add("rlnc-decay-verified",
@@ -368,8 +328,8 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                "decode is checked against the source bytes",
                kMultiMessage | kVerifiedPayload | kSinrCapable,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<VerifiedRlncProtocol>(
-                     ctx, core::MultiPattern::kDecay);
+                 return std::make_unique<RlncProtocol>(
+                     ctx, core::MultiPattern::kDecay, verified_block_len(ctx));
                },
                rlnc_decay_bound);
   registry.add("rlnc-robust-verified",
@@ -377,8 +337,9 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                "decode is checked against the source bytes",
                kMultiMessage | kVerifiedPayload | kSinrCapable,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<VerifiedRlncProtocol>(
-                     ctx, core::MultiPattern::kRobustFastbc);
+                 return std::make_unique<RlncProtocol>(
+                     ctx, core::MultiPattern::kRobustFastbc,
+                     verified_block_len(ctx));
                },
                rlnc_robust_bound);
   registry.add("erasure-decay",

@@ -204,7 +204,7 @@ TopologySpec TopologySpec::parse(const std::string& spec) {
     positive_arg(out, 0, "rows");
     positive_arg(out, 1, "cols");
   } else if (out.kind == "gnp") {
-    positive_arg(out, 0, "n");
+    if (out.ints[0] < 2) bad_spec("gnp needs at least two nodes");
     if (out.reals[0] < 0.0 || out.reals[0] > 1.0)
       bad_spec("gnp probability must be in [0, 1]");
   } else if (out.kind == "hypercube") {
@@ -241,7 +241,7 @@ TopologySpec TopologySpec::parse(const std::string& spec) {
       bad_spec("topology '" + spec + "': density must be positive");
   } else if (out.kind == "wct") {
     if (out.ints.size() == 1) {
-      if (out.ints[0] < 16) bad_spec("wct node budget must be at least 16");
+      if (out.ints[0] < 64) bad_spec("wct node budget must be at least 64");
     } else {
       if (out.ints[0] < 2) bad_spec("wct sender count must be at least 2");
       positive_arg(out, 1, "class count");

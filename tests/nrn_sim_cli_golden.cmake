@@ -65,6 +65,9 @@ cli_case(FIRST --threads=0)
 cli_case(FIRST --source=-1)
 cli_case(FIRST --seed=-1)
 cli_case(FIRST --topology=gnp:64:bogus)
+# Sizes the grammar must reject before a generator sees them.
+cli_case(FIRST --topology=gnp:1:0.5)
+cli_case(FIRST --topology=wct:32)
 cli_case(FIRST --algorithm=nosuch)
 cli_case(FIRST --topology=path:4 --source=9)
 cli_case(FIRST --topology=star:8 --algorithm=transform-routing
@@ -91,6 +94,7 @@ cli_case(FIRST sweep --plan=x --fleet)
 cli_case(FIRST sweep --plan=x --resume --cache-dir=cache --shard=0/2)
 cli_case(FIRST sweep "--plan=topology=path:8\; protocols=")
 cli_case(FIRST sweep "--plan=topology=path:8\; protocols=nope")
+cli_case(FIRST sweep "--plan=topology=wct:32\; protocols=decay")
 cli_case(FIRST sweep --merge=missing.nrns)
 cli_case(FIRST sweep "--plan=topology=path:8\; protocols=decay"
          --resume --cache-dir=cold)

@@ -6,7 +6,6 @@
 #include "core/decay.hpp"
 #include "core/fastbc.hpp"
 #include "core/multi_message.hpp"
-#include "core/robust_fastbc.hpp"
 #include "core/star_schedules.hpp"
 #include "graph/generators.hpp"
 
@@ -47,8 +46,8 @@ TEST(CombinedFaults, RobustFastbcCompletes) {
   const auto g = graph::make_path(128);
   RobustFastbcParams params;
   params.window_multiplier =
-      RobustFastbc::recommended_window_multiplier(kCombined.effective_loss());
-  RobustFastbc algo(g, 0, params);
+      Fastbc::recommended_window_multiplier(kCombined.effective_loss());
+  const Fastbc algo = Fastbc::robust(g, 0, params);
   RadioNetwork net(g, kCombined, Rng(8));
   Rng rng(9);
   EXPECT_TRUE(algo.run(net, rng).completed);

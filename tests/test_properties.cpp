@@ -10,7 +10,6 @@
 #include "core/decay.hpp"
 #include "core/fastbc.hpp"
 #include "core/greedy_router.hpp"
-#include "core/robust_fastbc.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
 #include "trees/gbst.hpp"
@@ -85,8 +84,8 @@ TEST_P(CompletionMatrix, BroadcastCompletes) {
     case Algo::kRobust: {
       RobustFastbcParams params;
       params.window_multiplier =
-          RobustFastbc::recommended_window_multiplier(fm.effective_loss());
-      RobustFastbc a(g, 0, params);
+          Fastbc::recommended_window_multiplier(fm.effective_loss());
+      const Fastbc a = Fastbc::robust(g, 0, params);
       result = a.run(net, rng);
       break;
     }
@@ -209,7 +208,7 @@ TEST_P(DeterminismSweep, TwoRunsAgreeExactly) {
         return a.run(net, rng).rounds;
       }
       case Algo::kRobust: {
-        RobustFastbc a(g, 0);
+        const Fastbc a = Fastbc::robust(g, 0);
         return a.run(net, rng).rounds;
       }
       case Algo::kGreedy: {

@@ -1,7 +1,5 @@
 // Robust FASTBC (Theorem 11): completes under faults, stays near
 // diameter-linear, and beats plain FASTBC in the noisy model.
-#include "core/robust_fastbc.hpp"
-
 #include <gtest/gtest.h>
 
 #include "common/stats.hpp"
@@ -20,7 +18,7 @@ using radio::RadioNetwork;
 BroadcastRunResult run_once(const graph::Graph& g, FaultModel fm,
                             std::uint64_t seed,
                             RobustFastbcParams params = {}) {
-  RobustFastbc algo(g, 0, params);
+  const Fastbc algo = Fastbc::robust(g, 0, params);
   RadioNetwork net(g, fm, Rng(seed));
   Rng rng(seed ^ 0x9999);
   return algo.run(net, rng);
@@ -134,7 +132,7 @@ TEST(RobustFastbc, DeterministicGivenSeeds) {
 TEST(RobustFastbc, WrongNetworkGraphRejected) {
   const auto g1 = make_path(8);
   const auto g2 = make_path(8);
-  RobustFastbc algo(g1, 0);
+  const Fastbc algo = Fastbc::robust(g1, 0);
   RadioNetwork net(g2, FaultModel::faultless(), Rng(1));
   Rng rng(1);
   EXPECT_THROW(algo.run(net, rng), ContractViolation);
@@ -142,7 +140,7 @@ TEST(RobustFastbc, WrongNetworkGraphRejected) {
 
 TEST(RobustFastbc, ExposesScheduleParameters) {
   const auto g = make_path(1024);
-  RobustFastbc algo(g, 0);
+  const Fastbc algo = Fastbc::robust(g, 0);
   EXPECT_GE(algo.block_size(), 2);
   EXPECT_GE(algo.window_multiplier(), 1);
   EXPECT_GE(algo.rank_modulus(), algo.tree().max_rank);

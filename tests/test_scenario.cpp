@@ -110,12 +110,14 @@ TEST(TopologySpec, RejectsMalformedSpecs) {
       "gnp:50:1.5",      // p out of range
       "gnp:50:nan",      // non-finite p must not slip past range checks
       "gnp:50:inf",      // likewise
+      "gnp:1:0.5",       // G(n,p) needs two nodes
       "hypercube:0",     // degenerate
       "hypercube:40",    // would explode
       "cycle:2",         // below minimum
       "regular:5:3",     // odd n*d
       "regular:4:9",     // degree too large
       "wct:4",           // budget too small
+      "wct:63",          // below the generator's 64-node minimum
       "wct:8:2",         // wrong arity (1 or 4 arguments)
       "wct:8:0:4:1",     // degenerate class count
       "wct:2000000000:1:1000:2000000",  // total node count overflows

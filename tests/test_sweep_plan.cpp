@@ -148,6 +148,7 @@ TEST(SweepPlan, RejectsMalformedPlans) {
       "topology=path:8; protocols=decay; seed=-1",
       "topology=path:8; protocols=decay; source=-1",
       "topology=mesh:8; protocols=decay",       // bad topology spec
+      "topology=wct:32; protocols=decay",       // below the wct minimum
       "topology=path:8; protocols=decay; fault=sender:1.5",
       "topology=path:8; protocols=decay; fault",  // not key=value
       "topology=path:8; protocols=decay; k=",     // empty value

@@ -15,7 +15,6 @@
 
 #include "core/fastbc.hpp"
 #include "core/multi_message.hpp"
-#include "core/robust_fastbc.hpp"
 #include "graph/generators.hpp"
 #include "trees/gbst.hpp"
 
@@ -166,7 +165,7 @@ TEST(WaveSchedule, RobustSlotsMatchThePaperPredicate) {
     const std::int32_t default_block =
         std::max(2, 2 * ceil_log2(std::max(2, log_n)));
 
-    const RobustFastbc defaults(f.graph, tree);
+    const Fastbc defaults = Fastbc::robust(f.graph, tree);
     expect_robust_matches(defaults.schedule(), *tree, log_n, default_block, 8);
 
     struct Custom {
@@ -183,7 +182,7 @@ TEST(WaveSchedule, RobustSlotsMatchThePaperPredicate) {
       params.rank_modulus = c.rank_modulus;
       params.block_size = c.block_size;
       params.window_multiplier = c.window_multiplier;
-      const RobustFastbc algo(f.graph, tree, params);
+      const Fastbc algo = Fastbc::robust(f.graph, tree, params);
       expect_robust_matches(algo.schedule(), *tree, c.rank_modulus,
                             c.block_size, c.window_multiplier);
     }
