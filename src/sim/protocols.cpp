@@ -5,6 +5,7 @@
 // concrete scenario so reports can emit gap-vs-theory columns).  This file
 // is the single place where protocol names meet concrete types.
 #include <cmath>
+#include <utility>
 
 #include "core/bipartite_pipeline.hpp"
 #include "core/decay.hpp"
