@@ -302,7 +302,6 @@ PlanScheduler::PlanScheduler(const sim::ProtocolRegistry& registry,
   NRN_EXPECTS(impl_->sink != nullptr, "scheduler needs an event sink");
   sim::CellExecutor::Options exec_options;
   exec_options.trial_threads = options.trial_threads;
-  exec_options.tuning = options.tuning;
   exec_options.use_claims = true;
   exec_options.claim_ttl_seconds = options.claim_ttl_seconds;
   impl_->executor = std::make_unique<sim::CellExecutor>(

@@ -35,7 +35,6 @@ namespace nrn::serve {
 struct SchedulerOptions {
   int cell_threads = 1;   ///< max concurrent cell computes
   int trial_threads = 1;  ///< Driver threads inside each cell
-  sim::Tuning tuning;
   double claim_ttl_seconds = 900.0;
   int claim_poll_ms = 200;  ///< re-probe period for externally claimed cells
 };

@@ -193,9 +193,11 @@ ExperimentReport Driver::run(const ScenarioSetup& setup,
   // one adjacency pass per round.  Available only when the protocol can
   // step (make_stepper non-null); a lane replays exactly the scalar tape
   // -- same stepper, same per-trial Rng streams -- so reports are
-  // bit-identical to the scalar path below.
+  // bit-identical to the scalar path below.  The mode and trial count are
+  // tested first, so a cell that cannot bank builds no probe stepper.
   bool lockstep = false;
-  if (options.execution != TrialExecution::kScalar &&
+  if ((options.execution == TrialExecution::kLockstep ||
+       (options.execution == TrialExecution::kAuto && trials >= 2)) &&
       protocol->make_stepper(nullptr) != nullptr) {
     // Auto never banks a consecutive-id topology: there the scalar
     // engine's word-parallel adjacent kernel resolves a round in O(n/64),
@@ -210,8 +212,7 @@ ExperimentReport Driver::run(const ScenarioSetup& setup,
     // Every other multi-trial cell banks, whatever its size: the bank's
     // shared adjacency pass wins at every measured n (kLockstepAutoMaxNodes).
     lockstep = options.execution == TrialExecution::kLockstep ||
-               (trials >= 2 &&
-                !radio::RadioNetwork::consecutive_adjacency(graph));
+               !radio::RadioNetwork::consecutive_adjacency(graph);
   }
   if (lockstep) {
     using LaneMask = radio::LockstepNetwork::LaneMask;

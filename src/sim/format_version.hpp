@@ -23,7 +23,10 @@
 // lets a resume pass read a cache directory without creating it (goldens
 // unchanged; entry bytes untouched), and BroadcastProtocol::run's default,
 // run_stepped over make_stepper, which decay, fastbc and robust now share
-// (goldens and pinned record hashes unchanged).
+// (goldens and pinned record hashes unchanged), and SweepRunner's checksum
+// and cache/claim file names through sweep.cpp's fnv1a64_hex in place of a
+// private copy of the same "%016llx" rendering (checksums and file names
+// byte-identical).
 #pragma once
 
 namespace nrn::sim {

@@ -9,7 +9,6 @@
 
 #include "core/bipartite_pipeline.hpp"
 #include "core/decay.hpp"
-#include "core/erasure_broadcast.hpp"
 #include "core/fastbc.hpp"
 #include "core/greedy_router.hpp"
 #include "core/multi_message.hpp"
@@ -86,13 +85,15 @@ core::RobustFastbcParams robust_params(const ProtocolContext& ctx) {
   return params;
 }
 
-core::MultiMessageParams rlnc_params(const ProtocolContext& ctx,
-                                     core::MultiPattern pattern,
-                                     std::size_t block_len) {
+core::MultiMessageParams coded_params(const ProtocolContext& ctx,
+                                      core::MultiPattern pattern,
+                                      core::MultiCode code,
+                                      std::size_t block_len) {
   core::MultiMessageParams params;
   params.k = static_cast<std::size_t>(ctx.scenario.k);
   params.block_len = block_len;
   params.pattern = pattern;
+  params.code = code;
   params.decay_phase = ctx.tuning.decay_phase;
   params.block_size = ctx.tuning.block_size;
   params.window_multiplier = ctx.tuning.window_multiplier;
@@ -120,86 +121,39 @@ std::vector<std::vector<std::uint8_t>> draw_payloads(std::size_t k,
   return messages;
 }
 
-/// The kVerifiedPayload run shape shared by the RLNC and erasure variants:
-/// draw payloads, run-and-verify, report the bytes certified.
-template <typename RunFn>
-Outcome verified_outcome(std::size_t k, std::size_t block_len,
-                         std::int64_t nodes, Rng& rng, RunFn&& run_fn) {
-  const auto messages = draw_payloads(k, block_len, rng);
-  Outcome out = Outcome::from(run_fn(messages));
-  const std::int64_t bytes =
-      out.completed ? nodes * static_cast<std::int64_t>(k * block_len) : 0;
-  out.set("verified_bytes", bytes);
-  return out;
-}
-
-/// The four rlnc-* entries: rank-only when `block_len` is 0, else carrying
-/// `block_len` payload bytes per message, every node's decode verified.
-class RlncProtocol final : public BroadcastProtocol {
+/// The five coded entries, RLNC or Reed-Solomon over the Decay or the
+/// Robust FASTBC pattern: rank-only when `block_len` is 0, else carrying
+/// `block_len` payload bytes per message, every node's decode verified and
+/// the bytes certified reported as `verified_bytes`.
+class CodedProtocol final : public BroadcastProtocol {
  public:
-  RlncProtocol(const ProtocolContext& ctx, core::MultiPattern pattern,
-               std::size_t block_len)
+  CodedProtocol(const ProtocolContext& ctx, core::MultiPattern pattern,
+                core::MultiCode code, std::size_t block_len)
       : nodes_(ctx.graph.node_count()),
         k_(static_cast<std::size_t>(ctx.scenario.k)),
         block_len_(block_len),
         algo_(ctx.graph, ctx.scenario.source,
-              rlnc_params(ctx, pattern, block_len),
+              coded_params(ctx, pattern, code, block_len),
               pattern == core::MultiPattern::kRobustFastbc ? ctx.gbst()
                                                            : nullptr) {}
 
   Outcome run(radio::RadioNetwork& net, Rng& rng,
               radio::TraceRecorder* /*trace*/) const override {
     if (block_len_ == 0) return Outcome::from(algo_.run(net, rng));
-    return verified_outcome(k_, block_len_, nodes_, rng,
-                            [&](const auto& messages) {
-                              return algo_.run_and_verify(net, rng, messages);
-                            });
+    const auto messages = draw_payloads(k_, block_len_, rng);
+    Outcome out = Outcome::from(algo_.run_and_verify(net, rng, messages));
+    const std::int64_t bytes =
+        out.completed ? nodes_ * static_cast<std::int64_t>(k_ * block_len_)
+                      : 0;
+    out.set("verified_bytes", bytes);
+    return out;
   }
 
  private:
   std::int64_t nodes_;
   std::size_t k_;
   std::size_t block_len_;
-  core::RlncBroadcast algo_;
-};
-
-class ErasureProtocol final : public BroadcastProtocol {
- public:
-  explicit ErasureProtocol(const ProtocolContext& ctx)
-      : nodes_(ctx.graph.node_count()),
-        k_(static_cast<std::size_t>(ctx.scenario.k)),
-        block_len_(verified_block_len(ctx)),
-        algo_(ctx.graph, ctx.scenario.source, erasure_params(ctx)) {}
-
-  Outcome run(radio::RadioNetwork& net, Rng& rng,
-              radio::TraceRecorder* /*trace*/) const override {
-    return verified_outcome(k_, block_len_, nodes_, rng,
-                            [&](const auto& messages) {
-                              return algo_.run_and_verify(net, rng, messages);
-                            });
-  }
-
- private:
-  static core::ErasureParams erasure_params(const ProtocolContext& ctx) {
-    // The GF(256) domain caps k + slack at 255; surface that as a spec
-    // error (the scenario asked for more than the protocol can encode),
-    // not a contract violation deep inside a trial.
-    core::ErasureParams params;
-    params.k = static_cast<std::size_t>(ctx.scenario.k);
-    params.block_len = verified_block_len(ctx);
-    params.decay_phase = ctx.tuning.decay_phase;
-    params.max_rounds = ctx.tuning.max_rounds;
-    if (core::ErasureBroadcast::default_packet_count(
-            ctx.graph.node_count(), ctx.scenario.k) > 255)
-      throw SpecError("erasure-decay: k + Chernoff slack exceeds the "
-                      "GF(256) packet domain of 255 coded packets");
-    return params;
-  }
-
-  std::int64_t nodes_;
-  std::size_t k_;
-  std::size_t block_len_;
-  core::ErasureBroadcast algo_;
+  core::CodedBroadcast algo_;
 };
 
 class PipelineProtocol final : public BroadcastProtocol {
@@ -312,16 +266,18 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                "RLNC over the Decay pattern (Lemma 12): k-message coding",
                kMultiMessage | kSinrCapable,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<RlncProtocol>(
-                     ctx, core::MultiPattern::kDecay, 0);
+                 return std::make_unique<CodedProtocol>(
+                     ctx, core::MultiPattern::kDecay, core::MultiCode::kRlnc,
+                     0);
                },
                rlnc_decay_bound);
   registry.add("rlnc-robust",
                "RLNC over the Robust FASTBC pattern (Lemma 13)",
                kMultiMessage | kSinrCapable,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<RlncProtocol>(
-                     ctx, core::MultiPattern::kRobustFastbc, 0);
+                 return std::make_unique<CodedProtocol>(
+                     ctx, core::MultiPattern::kRobustFastbc,
+                     core::MultiCode::kRlnc, 0);
                },
                rlnc_robust_bound);
   registry.add("rlnc-decay-verified",
@@ -329,8 +285,9 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                "decode is checked against the source bytes",
                kMultiMessage | kVerifiedPayload | kSinrCapable,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<RlncProtocol>(
-                     ctx, core::MultiPattern::kDecay, verified_block_len(ctx));
+                 return std::make_unique<CodedProtocol>(
+                     ctx, core::MultiPattern::kDecay, core::MultiCode::kRlnc,
+                     verified_block_len(ctx));
                },
                rlnc_decay_bound);
   registry.add("rlnc-robust-verified",
@@ -338,9 +295,9 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                "decode is checked against the source bytes",
                kMultiMessage | kVerifiedPayload | kSinrCapable,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<RlncProtocol>(
+                 return std::make_unique<CodedProtocol>(
                      ctx, core::MultiPattern::kRobustFastbc,
-                     verified_block_len(ctx));
+                     core::MultiCode::kRlnc, verified_block_len(ctx));
                },
                rlnc_robust_bound);
   registry.add("erasure-decay",
@@ -348,7 +305,18 @@ void register_builtin_protocols(ProtocolRegistry& registry) {
                "pattern (arXiv:1805.04165), payload-verified",
                kMultiMessage | kVerifiedPayload | kSinrCapable,
                [](const ProtocolContext& ctx) {
-                 return std::make_unique<ErasureProtocol>(ctx);
+                 // The GF(256) domain caps k + slack at 255; surface that
+                 // as a spec error (the scenario asked for more than the
+                 // protocol can encode), not a contract violation deep
+                 // inside a trial.
+                 if (core::default_packet_count(ctx.graph.node_count(),
+                                                ctx.scenario.k) > 255)
+                   throw SpecError(
+                       "erasure-decay: k + Chernoff slack exceeds the "
+                       "GF(256) packet domain of 255 coded packets");
+                 return std::make_unique<CodedProtocol>(
+                     ctx, core::MultiPattern::kDecay,
+                     core::MultiCode::kReedSolomon, verified_block_len(ctx));
                },
                rlnc_decay_bound);
   registry.add("pipeline",

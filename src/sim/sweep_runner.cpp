@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -31,13 +30,6 @@ static_assert(kSweepFormatVersion == 6,
               "kSweepFormatVersion, then regenerate the goldens");
 
 [[noreturn]] void bad_format(const std::string& what) { throw SpecError(what); }
-
-std::string hex64(std::uint64_t value) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(value));
-  return buf;
-}
 
 /// Strict line-by-line reader for the record formats below.
 struct LineCursor {
@@ -215,13 +207,13 @@ std::string verified_body(const std::string& text) {
   const std::string prefix = "checksum ";
   if (last.rfind(prefix, 0) != 0) bad_format("record has no checksum line");
   const std::string body = text.substr(0, begin);
-  if (hex64(fnv1a64(body)) != last.substr(prefix.size()))
+  if (fnv1a64_hex(body) != last.substr(prefix.size()))
     bad_format("record checksum mismatch");
   return body;
 }
 
 void write_with_checksum(std::ostream& os, const std::string& body) {
-  os << body << "checksum " << hex64(fnv1a64(body)) << "\n";
+  os << body << "checksum " << fnv1a64_hex(body) << "\n";
 }
 
 }  // namespace
@@ -252,7 +244,7 @@ ResultCache::ResultCache(std::string dir, Open open) : dir_(std::move(dir)) {
 }
 
 std::string ResultCache::entry_path(const std::string& key) const {
-  return (std::filesystem::path(dir_) / (hex64(fnv1a64(key)) + ".nrnc"))
+  return (std::filesystem::path(dir_) / (fnv1a64_hex(key) + ".nrnc"))
       .string();
 }
 
@@ -309,7 +301,7 @@ void ResultCache::store(const std::string& key,
 }
 
 std::string ResultCache::claim_path(const std::string& key) const {
-  return (std::filesystem::path(dir_) / (hex64(fnv1a64(key)) + ".claim"))
+  return (std::filesystem::path(dir_) / (fnv1a64_hex(key) + ".claim"))
       .string();
 }
 

@@ -72,6 +72,9 @@ cli_case(FIRST --algorithm=nosuch)
 cli_case(FIRST --topology=path:4 --source=9)
 cli_case(FIRST --topology=star:8 --algorithm=transform-routing
          --fault=receiver:0.3 --k=2)
+# erasure-decay's m = k + 4 ceil(log2 nk) + 8 packets must fit GF(256)'s
+# 255: on the link m is 255 at k = 211 and 256 at k = 212.
+cli_case(FIRST --topology=link --algorithm=erasure-decay --k=212)
 
 # --------------------------------------------------------------------- sweep
 cli_case(FIRST sweep --help)
@@ -95,6 +98,7 @@ cli_case(FIRST sweep --plan=x --resume --cache-dir=cache --shard=0/2)
 cli_case(FIRST sweep "--plan=topology=path:8\; protocols=")
 cli_case(FIRST sweep "--plan=topology=path:8\; protocols=nope")
 cli_case(FIRST sweep "--plan=topology=wct:32\; protocols=decay")
+cli_case(FIRST sweep "--plan=topology=link\; protocols=erasure-decay\; k=212")
 cli_case(FIRST sweep --merge=missing.nrns)
 cli_case(FIRST sweep "--plan=topology=path:8\; protocols=decay"
          --resume --cache-dir=cold)

@@ -57,7 +57,7 @@ TEST(CombinedFaults, RlncDecayPatternCompletes) {
   const auto g = graph::make_path(24);
   MultiMessageParams params;
   params.k = 8;
-  RlncBroadcast algo(g, 0, params);
+  CodedBroadcast algo(g, 0, params);
   RadioNetwork net(g, kCombined, Rng(10));
   Rng rng(11);
   EXPECT_TRUE(algo.run(net, rng).completed);
@@ -69,7 +69,7 @@ TEST(CombinedFaults, RlncRobustPatternCompletesWithPayloads) {
   params.k = 4;
   params.block_len = 3;
   params.pattern = MultiPattern::kRobustFastbc;
-  RlncBroadcast algo(g, 0, params);
+  CodedBroadcast algo(g, 0, params);
   RadioNetwork net(g, kCombined, Rng(12));
   Rng rng(13);
   std::vector<std::vector<std::uint8_t>> msgs(4, std::vector<std::uint8_t>(3));

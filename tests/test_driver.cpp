@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <memory>
+#include <utility>
+
 #include "sim_test_util.hpp"
 
 namespace nrn::sim {
@@ -125,6 +129,44 @@ TEST(Driver, BudgetExhaustionIsReportedNotThrown) {
     EXPECT_FALSE(trial.run.completed);
     EXPECT_EQ(trial.run.rounds(), 4);
   }
+}
+
+/// Decay that counts the steppers it builds.
+class CountingDecay final : public BroadcastProtocol {
+ public:
+  CountingDecay(std::unique_ptr<BroadcastProtocol> decay,
+                std::atomic<int>* steppers)
+      : decay_(std::move(decay)), steppers_(steppers) {}
+
+  std::unique_ptr<core::RoundStepper> make_stepper(
+      radio::TraceRecorder* trace) const override {
+    ++*steppers_;
+    return decay_->make_stepper(trace);
+  }
+
+ private:
+  std::unique_ptr<BroadcastProtocol> decay_;
+  std::atomic<int>* steppers_;
+};
+
+TEST(Driver, BuildsOneStepperPerTrialOutsideLockstep) {
+  // A one-trial auto cell never banks, so its scalar trial's stepper is
+  // the only one it builds.  A banked cell builds one more, to learn that
+  // the protocol can step.
+  std::atomic<int> steppers{0};
+  ProtocolRegistry registry = extended_registry();
+  registry.add("counting-decay", "decay counting its steppers",
+               [&steppers](const ProtocolContext& ctx) {
+                 return std::make_unique<CountingDecay>(
+                     extended_registry().create("decay", ctx), &steppers);
+               });
+  const Driver driver(registry);
+  const auto scenario = Scenario::parse("grid:4x4", "none", 0, 1, 3);
+  EXPECT_TRUE(driver.run(scenario, "counting-decay", 1).all_completed());
+  EXPECT_EQ(steppers.load(), 1);
+  steppers = 0;
+  EXPECT_TRUE(driver.run(scenario, "counting-decay", 3).all_completed());
+  EXPECT_EQ(steppers.load(), 4);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
-// Multi-message RLNC broadcast (Lemmas 12/13): completion, payload
-// decodability at every node, and throughput shape.
+// Multi-message coded broadcast (Lemmas 12/13 with RLNC, and source-side
+// Reed-Solomon over the Decay pattern): completion, payload decodability
+// at every node, and throughput shape.
 #include "core/multi_message.hpp"
 
 #include <gtest/gtest.h>
@@ -29,7 +30,7 @@ TEST(MultiMessage, DecayPatternCompletesOnPath) {
   const auto g = make_path(24);
   MultiMessageParams params;
   params.k = 8;
-  RlncBroadcast algo(g, 0, params);
+  CodedBroadcast algo(g, 0, params);
   RadioNetwork net(g, FaultModel::receiver(0.3), Rng(1));
   Rng rng(2);
   const auto r = algo.run(net, rng);
@@ -42,7 +43,7 @@ TEST(MultiMessage, DecayPatternPayloadsDecodeEverywhere) {
   MultiMessageParams params;
   params.k = 6;
   params.block_len = 4;
-  RlncBroadcast algo(g, 0, params);
+  CodedBroadcast algo(g, 0, params);
   RadioNetwork net(g, FaultModel::receiver(0.3), Rng(3));
   Rng rng(4);
   const auto msgs = random_messages(6, 4, rng);
@@ -55,7 +56,7 @@ TEST(MultiMessage, RobustFastbcPatternCompletesOnPath) {
   MultiMessageParams params;
   params.k = 6;
   params.pattern = MultiPattern::kRobustFastbc;
-  RlncBroadcast algo(g, 0, params);
+  CodedBroadcast algo(g, 0, params);
   RadioNetwork net(g, FaultModel::receiver(0.3), Rng(5));
   Rng rng(6);
   EXPECT_TRUE(algo.run(net, rng).completed);
@@ -67,7 +68,7 @@ TEST(MultiMessage, RobustFastbcPatternVerifiesPayloads) {
   params.k = 4;
   params.block_len = 3;
   params.pattern = MultiPattern::kRobustFastbc;
-  RlncBroadcast algo(g, 0, params);
+  CodedBroadcast algo(g, 0, params);
   RadioNetwork net(g, FaultModel::sender(0.3), Rng(7));
   Rng rng(8);
   const auto msgs = random_messages(4, 3, rng);
@@ -78,7 +79,7 @@ TEST(MultiMessage, SenderFaultsAlsoWork) {
   const auto g = make_grid(4, 6);
   MultiMessageParams params;
   params.k = 5;
-  RlncBroadcast algo(g, 0, params);
+  CodedBroadcast algo(g, 0, params);
   RadioNetwork net(g, FaultModel::sender(0.4), Rng(9));
   Rng rng(10);
   EXPECT_TRUE(algo.run(net, rng).completed);
@@ -88,7 +89,7 @@ TEST(MultiMessage, StarManyMessages) {
   const auto g = make_star(30);
   MultiMessageParams params;
   params.k = 32;
-  RlncBroadcast algo(g, 0, params);
+  CodedBroadcast algo(g, 0, params);
   RadioNetwork net(g, FaultModel::receiver(0.5), Rng(11));
   Rng rng(12);
   const auto r = algo.run(net, rng);
@@ -106,7 +107,7 @@ TEST(MultiMessage, RoundsGrowLinearlyInK) {
   {
     MultiMessageParams params;
     params.k = 8;
-    RlncBroadcast algo(g, 0, params);
+    CodedBroadcast algo(g, 0, params);
     RadioNetwork net(g, FaultModel::receiver(0.3), Rng(13));
     Rng rng(14);
     rpm_small = algo.run(net, rng).rounds_per_message();
@@ -114,7 +115,7 @@ TEST(MultiMessage, RoundsGrowLinearlyInK) {
   {
     MultiMessageParams params;
     params.k = 64;
-    RlncBroadcast algo(g, 0, params);
+    CodedBroadcast algo(g, 0, params);
     RadioNetwork net(g, FaultModel::receiver(0.3), Rng(15));
     Rng rng(16);
     rpm_large = algo.run(net, rng).rounds_per_message();
@@ -127,7 +128,7 @@ TEST(MultiMessage, BudgetRespected) {
   MultiMessageParams params;
   params.k = 8;
   params.max_rounds = 5;
-  RlncBroadcast algo(g, 0, params);
+  CodedBroadcast algo(g, 0, params);
   RadioNetwork net(g, FaultModel::faultless(), Rng(17));
   Rng rng(18);
   const auto r = algo.run(net, rng);
@@ -139,7 +140,7 @@ TEST(MultiMessage, SingleMessageDegenerate) {
   const auto g = make_path(8);
   MultiMessageParams params;
   params.k = 1;
-  RlncBroadcast algo(g, 0, params);
+  CodedBroadcast algo(g, 0, params);
   RadioNetwork net(g, FaultModel::faultless(), Rng(19));
   Rng rng(20);
   EXPECT_TRUE(algo.run(net, rng).completed);
@@ -149,10 +150,45 @@ TEST(MultiMessage, VerifyRequiresPayloadMode) {
   const auto g = make_path(8);
   MultiMessageParams params;
   params.k = 2;
-  RlncBroadcast algo(g, 0, params);
+  CodedBroadcast algo(g, 0, params);
   RadioNetwork net(g, FaultModel::faultless(), Rng(21));
   Rng rng(22);
   EXPECT_THROW(algo.run_and_verify(net, rng, {}), ContractViolation);
+}
+
+TEST(MultiMessage, ReedSolomonCodeDecodesEverywhere) {
+  const auto g = make_grid(5, 5);
+  MultiMessageParams params;
+  params.k = 6;
+  params.block_len = 4;
+  params.code = MultiCode::kReedSolomon;
+  CodedBroadcast algo(g, 0, params);
+  RadioNetwork net(g, FaultModel::receiver(0.3), Rng(3));
+  Rng rng(4);
+  const auto msgs = random_messages(6, 4, rng);
+  const auto r = algo.run_and_verify(net, rng, msgs);
+  EXPECT_TRUE(r.completed);  // includes the decode-equality check
+  EXPECT_EQ(r.messages, 6);
+}
+
+TEST(MultiMessage, ReedSolomonCodeNeedsDecayPayloadsAndGf256) {
+  const auto g = make_path(8);
+  MultiMessageParams params;
+  params.k = 2;
+  params.code = MultiCode::kReedSolomon;
+  EXPECT_THROW(CodedBroadcast algo(g, 0, params), ContractViolation);
+  params.block_len = 4;
+  params.pattern = MultiPattern::kRobustFastbc;
+  EXPECT_THROW(CodedBroadcast algo(g, 0, params), ContractViolation);
+  params.pattern = MultiPattern::kDecay;
+  // m = k + 4 ceil(log2 8k) + 8 is 255 at k = 203 and 256 at k = 204.
+  params.k = 204;
+  EXPECT_THROW(CodedBroadcast algo(g, 0, params), ContractViolation);
+  params.k = 203;
+  const CodedBroadcast algo(g, 0, params);
+  RadioNetwork net(g, FaultModel::faultless(), Rng(23));
+  Rng rng(24);
+  EXPECT_THROW(algo.run(net, rng), ContractViolation);  // needs payloads
 }
 
 }  // namespace

@@ -223,6 +223,24 @@ TEST(ProtocolRegistry, ScheduleProtocolsRejectANonZeroSource) {
   EXPECT_EQ(schedule_protocols, 10);
 }
 
+TEST(ProtocolRegistry, ErasureDecayRejectsMorePacketsThanGf256Holds) {
+  // erasure-decay streams m = k + 4 ceil(log2 nk) + 8 coded packets, and
+  // GF(2^8) has 255 evaluation points.  On the link (n = 2) m is 255 at
+  // k = 211 and 256 at k = 212: the factory refuses the second scenario.
+  const ScenarioFixture fits("link", "none", 0, 211);
+  EXPECT_NE(extended_registry().create("erasure-decay", fits.context()),
+            nullptr);
+  const ScenarioFixture over("link", "none", 0, 212);
+  try {
+    extended_registry().create("erasure-decay", over.context());
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_STREQ(e.what(),
+                 "erasure-decay: k + Chernoff slack exceeds the GF(256) "
+                 "packet domain of 255 coded packets");
+  }
+}
+
 TEST(ProtocolRegistry, RoutingTransformRejectsReceiverFaults) {
   // Lemma 25 is a sender-fault schedule.  Under any receiver coin its
   // factory refuses the scenario instead of running trials that never

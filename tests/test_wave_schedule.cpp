@@ -203,12 +203,12 @@ TEST(WaveSchedule, RlncLemma13PatternMatchesThePaperPredicate) {
     MultiMessageParams params;
     params.k = 4;
     params.pattern = MultiPattern::kRobustFastbc;
-    const RlncBroadcast defaults(f.graph, 0, params, tree);
+    const CodedBroadcast defaults(f.graph, 0, params, tree);
     expect_robust_matches(defaults.schedule(), *tree, log_n, default_block, 8);
 
     params.block_size = 3;
     params.window_multiplier = 2;
-    const RlncBroadcast custom(f.graph, 0, params, tree);
+    const CodedBroadcast custom(f.graph, 0, params, tree);
     expect_robust_matches(custom.schedule(), *tree, log_n, 3, 2);
   }
 }
